@@ -5,31 +5,39 @@ The restricted master keeps the full flow block of one designated failure
 variables, and represents every other failure through dual feasibility cuts
 generated on the fly. Each iteration solves the master, skips the failures
 whose capacity the master flow provably already covers (the tau0-flow filter),
-solves the remaining violation subproblems, and adds one cut per violated
-failure. Master objectives are nondecreasing because rows only accumulate,
-and every master optimum is a valid lower bound for the full relaxation.
+solves the remaining violation subproblems in ascending edge order, and adds
+one cut per violated failure. Master objectives are nondecreasing because rows
+only accumulate, and every master optimum is a valid lower bound for the full
+relaxation.
 
-Subproblem solves within an iteration are independent; with
-parallel_subproblems they fan out to a thread pool and the resulting cuts are
-applied in ascending edge order so runs stay deterministic either way.
+Solves after the first are warm re-solves. The master is presolved once into a
+simplex.ArrayLP that keeps its last basis; each cut row enters with its slack
+basic, so that basis stays dual feasible and the dual simplex re-optimizes
+from it. A failure's subproblem is built and presolved the first time it is
+solved; later iterations overwrite only its capacity right-hand sides (the
+candidate wbar) and re-solve from its last basis. Subproblems of different
+failures share one variable and row layout, so one VarMap serves every cut.
+A master or subproblem solve that ends Infeasible stops the run with status
+Infeasible; one that ends otherwise short of Optimal, or a cut that fails its
+checks, stops it with status Failed. Either way the result names the failure.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import Cut, VarMap, build_subproblem, cut_from_duals
+from .formulations import Cut, FormulationError, VarMap, build_subproblem, cut_from_duals
 from .instance import Instance, arcs, demand_matrix
 from .lpmodel import SENSE_EQ, SENSE_LE, LinearModel
-from .simplex import INFEASIBLE, OPTIMAL, SolveOptions, solve
+from .simplex import INFEASIBLE, OPTIMAL, ArrayLP, SolveOptions, presolve, solve
 
 CONVERGED = "Converged"
 ITERATION_LIMIT = "IterationLimit"
 INFEASIBLE_STATUS = "Infeasible"
+FAILED_STATUS = "Failed"
 
 
 class BendersError(RuntimeError):
@@ -40,10 +48,8 @@ class BendersError(RuntimeError):
 class BendersOptions:
     violation_tol: float = 1e-7
     max_iterations: int = 500
-    parallel_subproblems: bool = False
     tau0_rule: str = "lowest-edge-id"
     filter_tol: float = 1e-9
-    threads: int = 0  # 0 = auto
     verify_filtered: bool = False
     solver: SolveOptions = field(default_factory=SolveOptions)
 
@@ -97,6 +103,8 @@ class LogRecord:
     cuts_total: int
     elapsed_ms: int
     filtered_max_violation: float | None = None
+    master_pivots: int = 0
+    sub_pivots: int = 0
 
 
 @dataclass
@@ -110,14 +118,19 @@ class BendersResult:
     log: list
     pool: CutPool
     offending_failure: int | None = None
+    detail: str | None = None  # why the run stopped at offending_failure
 
 
 def log_to_csv(log) -> str:
-    lines = ["iter,master_obj,n_pi_prime,n_violated,max_violation,cuts_total,elapsed_ms"]
+    lines = [
+        "iter,master_obj,n_pi_prime,n_violated,max_violation,cuts_total,elapsed_ms,"
+        "master_pivots,sub_pivots"
+    ]
     for rec in log:
         lines.append(
             f"{rec.iteration},{rec.master_objective:.6f},{rec.n_pi_prime},"
-            f"{rec.n_violated},{rec.max_violation:.9f},{rec.cuts_total},{rec.elapsed_ms}"
+            f"{rec.n_violated},{rec.max_violation:.9f},{rec.cuts_total},{rec.elapsed_ms},"
+            f"{rec.master_pivots},{rec.sub_pivots}"
         )
     return "\n".join(lines) + "\n"
 
@@ -210,87 +223,115 @@ class BendersState:
         self.instance = instance
         self.options = opts
         self.tau0 = min(instance.failures)
-        self.model, self.varmap = build_master(instance, self.tau0)
+        model, varmap = build_master(instance, self.tau0)
+        self.master = presolve(model, opts.solver.feasibility_tol)
+        num_arcs = arcs(instance.network).num_arcs
+        self._wbar_ids = np.array([varmap.wbar[e] for e in range(instance.num_edges)])
+        self._flow_ids = np.array(
+            [
+                [varmap.y_agg[(self.tau0, s, a)] for a in range(num_arcs)]
+                for s in range(instance.num_nodes)
+            ]
+        )
+        self.subproblems: dict[int, ArrayLP] = {}
+        # every failure's subproblem has the same variable and row ids; the
+        # first one built supplies the layout (its y_agg keys carry its tau)
+        self.layout: VarMap | None = None
+        self._capacity_rows: np.ndarray | None = None
         self.pool = CutPool()
         self.log: list[LogRecord] = []
         self.converged = False
-        self.infeasible_failure: int | None = None
+        self.stop_status: str | None = None
+        self.offending_failure: int | None = None
         self.stalled = False
         self.master_solution: MasterSolution | None = None
-        self._arc_count = arcs(instance.network).num_arcs
         self._t0 = time.perf_counter()
 
-    def _solve_master(self) -> MasterSolution:
-        sol = solve(self.model, self.options.solver)
+    def _stop(self, status: str, tau: int, why: str) -> BendersError:
+        """Record why the run cannot go on; the caller raises the result."""
+        self.stop_status = status
+        self.offending_failure = tau
+        return BendersError(f"failure {tau}: {why}")
+
+    def _solve_master(self) -> tuple[MasterSolution, int]:
+        sol = solve(self.master, self.options.solver)
         if sol.status != OPTIMAL:
-            if sol.status == INFEASIBLE:
-                self.infeasible_failure = self.tau0
-                raise BendersError(f"master infeasible (failure {self.tau0})")
-            raise BendersError(f"master solve ended with status {sol.status}")
-        V = self.instance.num_nodes
-        wbar = np.array(
-            [sol.primal[self.varmap.wbar[e]] for e in range(self.instance.num_edges)]
+            status = INFEASIBLE_STATUS if sol.status == INFEASIBLE else FAILED_STATUS
+            raise self._stop(status, self.tau0, f"master solve ended {sol.status}")
+        self.master.basis = sol.basis
+        master = MasterSolution(
+            objective=sol.objective,
+            # the solve meets the bounds [0, |K|] only to its feasibility tolerance
+            wbar=np.clip(sol.primal[self._wbar_ids], 0.0, self.instance.num_wavelengths),
+            flows=sol.primal[self._flow_ids],
         )
-        flows = np.zeros((V, self._arc_count))
-        for (tau, s, a), vid in self.varmap.y_agg.items():
-            flows[s, a] = sol.primal[vid]
-        return MasterSolution(objective=sol.objective, wbar=wbar, flows=flows)
+        return master, sol.iterations
 
     def _solve_subproblem(self, tau: int, wbar):
-        model, vm = build_subproblem(self.instance, tau, wbar)
-        sol = solve(model, self.options.solver)
-        return tau, sol, vm
+        lp = self.subproblems.get(tau)
+        if lp is None:
+            model, varmap = build_subproblem(self.instance, tau, wbar)
+            if self.layout is None:
+                self.layout = varmap
+                self._capacity_rows = np.array(
+                    [varmap.rows_capacity[e] for e in range(self.instance.num_edges)]
+                )
+            lp = self.subproblems[tau] = presolve(model, self.options.solver.feasibility_tol)
+        else:
+            lp.set_rhs(self._capacity_rows, wbar)
+        sol = solve(lp, self.options.solver)
+        if sol.status == OPTIMAL:
+            lp.basis = sol.basis
+        return sol
 
     def iterate_once(self) -> bool:
         """Run one master/subproblem round; returns True once converged."""
         if self.converged:
             return True
         opts = self.options
-        master = self._solve_master()
+        master, master_pivots = self._solve_master()
         self.master_solution = master
 
         skipped = pi_prime_filter(self.instance, master, opts.filter_tol)
-        targets = [tau for tau in sorted(self.instance.failures) if tau not in skipped]
-
-        if opts.parallel_subproblems and len(targets) > 1:
-            workers = opts.threads or min(8, len(targets))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(lambda t: self._solve_subproblem(t, master.wbar), targets)
-                )
-        else:
-            results = [self._solve_subproblem(tau, master.wbar) for tau in targets]
-
         violated = []
         max_violation = 0.0
-        for tau, sol, vm in results:
+        sub_pivots = 0
+        for tau in sorted(self.instance.failures):
+            if tau in skipped:
+                continue
+            sol = self._solve_subproblem(tau, master.wbar)
+            sub_pivots += sol.iterations
             if sol.status == INFEASIBLE:
-                self.infeasible_failure = tau
-                raise BendersError(f"subproblem for failure {tau} is infeasible")
+                raise self._stop(INFEASIBLE_STATUS, tau, "subproblem is infeasible")
             if sol.status != OPTIMAL:
-                raise BendersError(f"subproblem {tau} status {sol.status}")
+                raise self._stop(FAILED_STATUS, tau, f"subproblem ended {sol.status}")
             max_violation = max(max_violation, sol.objective)
             if sol.objective > opts.violation_tol:
-                violated.append((tau, sol, vm))
+                violated.append((tau, sol))
 
         filtered_max = None
         if opts.verify_filtered and skipped:
+            # an independent check: a fresh cold solve, not the kept warm state
             filtered_max = 0.0
             for tau in sorted(skipped):
-                _, sol, _ = self._solve_subproblem(tau, master.wbar)
-                filtered_max = max(filtered_max, sol.objective)
+                model, _ = build_subproblem(self.instance, tau, master.wbar)
+                filtered_max = max(filtered_max, solve(model, opts.solver).objective)
 
-        added = 0
-        for tau, sol, vm in violated:
-            cut = cut_from_duals(self.instance, tau, master.wbar, sol, vm)
+        rows = []
+        for tau, sol in violated:
+            try:
+                cut = cut_from_duals(self.instance, tau, master.wbar, sol, self.layout)
+            except FormulationError as exc:
+                raise self._stop(FAILED_STATUS, tau, f"cut rejected: {exc}") from exc
             if self.pool.add(cut):
-                self.model.add_row(
-                    SENSE_LE,
-                    -cut.constant,
-                    [(self.varmap.wbar[e], c) for e, c in cut.wbar_coeffs],
-                    name=f"cut{self.pool.total}_t{tau}",
+                rows.append(
+                    (
+                        SENSE_LE,
+                        -cut.constant,
+                        [(int(self._wbar_ids[e]), c) for e, c in cut.wbar_coeffs],
+                    )
                 )
-                added += 1
+        self.master.add_rows(rows)
 
         self.log.append(
             LogRecord(
@@ -302,12 +343,14 @@ class BendersState:
                 cuts_total=self.pool.total,
                 elapsed_ms=int(1000 * (time.perf_counter() - self._t0)),
                 filtered_max_violation=filtered_max,
+                master_pivots=master_pivots,
+                sub_pivots=sub_pivots,
             )
         )
 
         if not violated:
             self.converged = True
-        elif added == 0:
+        elif not rows:
             # every violated cut was a duplicate: numerically stuck
             self.stalled = True
         return self.converged
@@ -327,11 +370,11 @@ def solve_lp_r3_benders(
                 break
             if state.stalled:
                 break
-    except BendersError:
-        if state.infeasible_failure is None:
+    except BendersError as exc:
+        if state.stop_status is None:
             raise
         return BendersResult(
-            status=INFEASIBLE_STATUS,
+            status=state.stop_status,
             lower_bound=float("nan"),
             wbar=None,
             tau0=state.tau0,
@@ -339,7 +382,8 @@ def solve_lp_r3_benders(
             cuts_added=state.pool.total,
             log=state.log,
             pool=state.pool,
-            offending_failure=state.infeasible_failure,
+            offending_failure=state.offending_failure,
+            detail=str(exc),
         )
     last = state.master_solution
     return BendersResult(

@@ -1,7 +1,8 @@
 """Command-line surface: generate, solve, validate, benchmark, export.
 
 Exit codes are a stable contract: 0 on success, 1 when a solve reports
-infeasibility (or a validation/chain check fails), 2 on usage errors. All
+infeasibility or ends without a result (or a validation/chain check fails),
+2 on usage errors; each failure prints one line to stderr. All
 objective values print with fixed six decimals; benchmark output is CSV with
 one record per solve.
 """
@@ -48,6 +49,7 @@ class RunRecord:
     im_pct: float | None = None
     gap_pct: float | None = None
     ok: bool = True
+    detail: str | None = None  # why the solve stopped, for stderr
 
     def csv_row(self) -> str:
         def num(x, fmt="{:.6f}"):
@@ -106,15 +108,17 @@ def _solve_record(
             with open(log_path, "w", encoding="utf-8") as fh:
                 fh.write(log_to_csv(res.log))
         status = res.status
-        objective = None if res.status == "Infeasible" else res.lower_bound
+        objective = None if res.offending_failure is not None else res.lower_bound
         iters, cuts = res.iterations, res.cuts_added
         ok = res.status == CONVERGED
+        detail = res.detail
     else:
         sol = simplex.solve(_build_lp(instance, model_name))
         status = sol.status
         objective = sol.objective if sol.status == simplex.OPTIMAL else None
         iters, cuts = sol.iterations, None
         ok = sol.status == simplex.OPTIMAL
+        detail = None
     elapsed = int(1000 * (time.perf_counter() - t0))
     rec = RunRecord(
         name=instance.name,
@@ -129,6 +133,7 @@ def _solve_record(
         elapsed_ms=elapsed,
         status=status,
         ok=ok,
+        detail=detail,
     )
     return rec
 
@@ -139,6 +144,11 @@ def _append_record(path: str, record: RunRecord):
         if new:
             fh.write(CSV_HEADER + "\n")
         fh.write(record.csv_row() + "\n")
+
+
+def _usage_error(message: str) -> int:
+    print(f"lambdabound: error: {message}", file=sys.stderr)
+    return 2
 
 
 def cmd_gen(args, parser) -> int:
@@ -163,13 +173,16 @@ def cmd_solve(args, parser) -> int:
     if args.iteration_log and args.method != "benders":
         parser.error("--iteration-log requires --method benders")
     instance = _read_instance(args.instance, parser)
+    if args.model == "lp-r3" and not instance.failures:
+        return _usage_error(f"{args.instance}: lp-r3 needs a non-empty failure set")
     rec = _solve_record(instance, args.model, args.method, args.iteration_log)
     if args.record:
         _append_record(args.record, rec)
     if rec.objective is not None:
         print(f"{rec.objective:.6f}")
     if not rec.ok:
-        print(f"status: {rec.status}", file=sys.stderr)
+        why = f" ({rec.detail})" if rec.detail else ""
+        print(f"status: {rec.status}{why}", file=sys.stderr)
         return 1
     return 0
 
@@ -198,6 +211,15 @@ def cmd_validate(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
+    raw = os.environ.get("LAMBDA_BOUND_THREADS", "0") or "0"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = -1
+    if threads < 0:
+        return _usage_error(
+            f"LAMBDA_BOUND_THREADS must be a non-negative integer, got {raw!r}"
+        )
     names = sorted(
         f
         for f in os.listdir(args.instance_dir)
@@ -223,7 +245,6 @@ def cmd_bench(args, parser) -> int:
                 main.gap_pct = validator.gap_report(ub, main.objective).gap_percent
         return [base, main]
 
-    threads = int(os.environ.get("LAMBDA_BOUND_THREADS", "0") or 0)
     if threads == 0:
         threads = os.cpu_count() or 1
     if threads > 1 and len(names) > 1:
@@ -263,6 +284,9 @@ def cmd_chain_check(args, parser) -> int:
         report = oracle.verify_chain(instance, limits)
     except (oracle.OracleBudgetError, oracle.OracleInfeasibleError) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
+        return 1
+    except oracle.OracleSolveError as exc:
+        print(f"chain-check: {exc}", file=sys.stderr)
         return 1
     for line in report.lines():
         print(line)

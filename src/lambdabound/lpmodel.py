@@ -59,6 +59,7 @@ class Solution:
     duals: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     iterations: int = 0
+    basis: object | None = None  # solver's final basis, for a warm re-solve
 
 
 class LinearModel:

@@ -28,6 +28,10 @@ class OracleInfeasibleError(RuntimeError):
     """No complete feasible assignment exists."""
 
 
+class OracleSolveError(RuntimeError):
+    """A relaxation LP of the ladder ended without an Optimal status."""
+
+
 @dataclass(frozen=True)
 class OracleLimits:
     max_simple_paths_per_pair: int = 64
@@ -395,7 +399,7 @@ def verify_chain(
         model = build(instance, *args)[0]
         sol = simplex.solve(model)
         if sol.status != simplex.OPTIMAL:
-            raise RuntimeError(f"{model.name}: unexpected status {sol.status}")
+            raise OracleSolveError(f"{model.name}: unexpected status {sol.status}")
         return sol.objective
 
     exact_full = exact_rwap_ppp(instance, limits)

@@ -1,4 +1,4 @@
-"""Embedded LP solver: two-phase primal simplex over general variable bounds.
+"""Embedded LP solver: two-phase primal simplex and bounded dual simplex.
 
 Rows are turned into equalities with one slack column per row (slack bounds
 encode the sense), so the all-slack basis is always available; rows whose
@@ -9,6 +9,21 @@ with a full refactorization every REFACTOR_INTERVAL pivots; iterations use
 Dantzig pricing and switch to Bland's rule after BLAND_STALL consecutive
 degenerate steps, which rules out cycling. Integrality annotations are
 ignored: solves are LP relaxations.
+
+`presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
+rows whose support is entirely fixed are dropped and the rest is held as
+sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`) and appended
+rows (`add_rows`) without a rebuild, and carries the start basis of its next
+solve. Given a start basis, `solve` refactors it once. When it is dual
+feasible, where a boxed variable may first flip to the bound its reduced cost
+asks for, a bounded dual simplex restores primal feasibility with the same
+pricing, Bland fallback and product-form update; that covers a change of
+right-hand sides and an appended row whose slack enters the basis. A start
+basis that is not dual feasible, a singular refactorization or a warm end
+other than Optimal falls back to the cold two-phase path. An Optimal solve
+returns its final basis, recording an artificial left basic at zero as its
+row's slack, which is the same column up to sign. A singular refactorization
+on the cold path ends the solve with status NumericalError.
 
 Row duals follow the minimization convention: '<=' rows have dual <= 0,
 '>=' rows dual >= 0, '=' rows free. Reduced costs are c - A'y for every
@@ -37,6 +52,7 @@ OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
+NUMERICAL_ERROR = "NumericalError"
 
 REFACTOR_INTERVAL = 100
 BLAND_STALL = 1000
@@ -44,6 +60,7 @@ FIX_TOL = 1e-12
 PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-11
 RATIO_TIE = 1e-9
+TIE_PIVOT_SHARE = 0.1
 
 _NB_LOWER, _NB_UPPER, _BASIC, _NB_FREE = 0, 1, 2, 3
 
@@ -64,32 +81,180 @@ class SolveOptions:
             raise ValueError(f"unknown pivot rule {self.pivot_rule!r}")
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis over the structural and slack columns of an ArrayLP."""
+
+    head: np.ndarray  # column in each basis position
+    status: np.ndarray  # per column: nonbasic at lower/upper, basic, free
+
+
+def _violated(sense: str, rhs: float, tol: float) -> bool:
+    """Whether the empty row `0 <sense> rhs` is infeasible."""
+    return (
+        (sense == SENSE_LE and rhs < -tol)
+        or (sense == SENSE_GE and rhs > tol)
+        or (sense == SENSE_EQ and abs(rhs) > tol)
+    )
+
+
+def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
+    senses = np.array(senses, dtype=object)
+    lower = np.where(senses == SENSE_GE, -INF, 0.0).astype(float)
+    upper = np.where(senses == SENSE_LE, INF, 0.0).astype(float)
+    return lower, upper
+
+
+class ArrayLP:
+    """A LinearModel after presolve, in the array form the simplex works on.
+
+    Columns are the model's unfixed variables (`active`), then one slack per
+    kept row (`rows`, model row ids in ascending order): `cols` is [A | I]
+    and `colsT` its transpose, `lb`/`ub`/`c` their bounds and costs. `K`
+    holds the kept rows over every model variable, for the reduced costs,
+    and `b` is the kept rows' rhs less the pinned variables' share `shift`.
+    `basis` is the start basis of the next solve; None starts cold.
+    """
+
+    def __init__(self, name: str, cost, lb, ub, feasibility_tol: float):
+        """Variables only; rows come through add_rows."""
+        fixed = (ub - lb) <= FIX_TOL
+        self.name = name
+        self.cost = cost
+        self.x_fixed = np.where(fixed, lb, 0.0)
+        self.active = np.flatnonzero(~fixed)
+        self.rows = np.zeros(0, dtype=int)
+        self.num_rows = 0
+        self.cols = sp.csc_matrix((0, len(self.active)))
+        self.colsT = self.cols.T.tocsr()
+        self.K = sp.csr_matrix((0, len(cost)))
+        self.b = np.zeros(0)
+        self.shift = np.zeros(0)
+        self.lb = lb[self.active]
+        self.ub = ub[self.active]
+        self.c = cost[self.active]
+        self.feasibility_tol = feasibility_tol
+        self.infeasible = False
+        self.basis: Basis | None = None
+
+    def set_rhs(self, row_ids, values):
+        """Overwrite the right-hand sides of kept rows, given by model row id."""
+        row_ids = np.asarray(row_ids, dtype=int)
+        pos = np.searchsorted(self.rows, row_ids)
+        if (pos >= len(self.rows)).any() or (self.rows[pos] != row_ids).any():
+            raise ModelError("set_rhs on a row that presolve dropped")
+        self.b[pos] = np.asarray(values, dtype=float) - self.shift[pos]
+
+    def add_rows(self, rows):
+        """Append rows `(sense, rhs, coeffs)` as the model's next row ids.
+
+        A row whose support is entirely fixed is dropped, after checking that
+        the pinned values satisfy it. Each kept row's slack joins the start
+        basis as basic, so a basis that was dual feasible stays dual feasible.
+        """
+        na, m, n = len(self.active), len(self.b), len(self.cost)
+        col_of = np.full(n, -1)
+        col_of[self.active] = np.arange(na)
+        col_of = col_of.tolist()
+        kept, kept_rhs, kept_shift, kept_senses = [], [], [], []
+        triplets_r, triplets_c, triplets_v = [], [], []
+        full_r, full_c, full_v = [], [], []
+        for sense, rhs, coeffs in rows:
+            rid = self.num_rows
+            self.num_rows += 1
+            shift = sum(c * self.x_fixed[j] for j, c in coeffs if col_of[j] < 0)
+            live = [(col_of[j], c) for j, c in coeffs if col_of[j] >= 0]
+            rhs = rhs - shift
+            if not live:
+                self.infeasible = self.infeasible or _violated(
+                    sense, rhs, self.feasibility_tol
+                )
+                continue
+            ridx = len(kept)
+            kept.append(rid)
+            kept_rhs.append(rhs)
+            kept_shift.append(shift)
+            kept_senses.append(sense)
+            for jj, c in live:
+                triplets_r.append(ridx)
+                triplets_c.append(jj)
+                triplets_v.append(c)
+            for j, c in coeffs:
+                full_r.append(ridx)
+                full_c.append(j)
+                full_v.append(c)
+        k = len(kept)
+        if not k:
+            return
+        A = sp.vstack(
+            [
+                self.cols[:, :na],
+                sp.csc_matrix((triplets_v, (triplets_r, triplets_c)), shape=(k, na)),
+            ],
+            format="csc",
+        )
+        self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
+        self.colsT = self.cols.T.tocsr()
+        self.K = sp.vstack(
+            [self.K, sp.csr_matrix((full_v, (full_r, full_c)), shape=(k, n))], format="csr"
+        )
+        self.rows = np.concatenate([self.rows, kept])
+        self.b = np.concatenate([self.b, kept_rhs])
+        self.shift = np.concatenate([self.shift, kept_shift])
+        slack_lb, slack_ub = _slack_bounds(kept_senses)
+        self.lb = np.concatenate([self.lb, slack_lb])
+        self.ub = np.concatenate([self.ub, slack_ub])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        if self.basis is not None:
+            self.basis = Basis(
+                np.concatenate([self.basis.head, na + m + np.arange(k)]).astype(np.int32),
+                np.concatenate([self.basis.status, np.full(k, _BASIC)]).astype(np.int8),
+            )
+
+
+def presolve(
+    model: LinearModel, feasibility_tol: float = SolveOptions.feasibility_tol
+) -> ArrayLP:
+    """Pin fixed variables, drop rows whose support is entirely fixed."""
+    if model.num_variables == 0:
+        raise ModelError("model must have at least one variable")
+    lp = ArrayLP(
+        model.name,
+        np.array([v.obj for v in model.variables]),
+        np.array([v.lower for v in model.variables]),
+        np.array([v.upper for v in model.variables]),
+        feasibility_tol,
+    )
+    lp.add_rows((row.sense, row.rhs, row.coeffs) for row in model.rows)
+    return lp
+
+
 class _Core:
     """Simplex over the slack-extended equality system A x = b, l <= x <= u."""
 
-    def __init__(self, A: sp.csc_matrix, b, lb, ub, senses, options: SolveOptions):
-        m = A.shape[0]
-        n_struct = A.shape[1]
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
-        for i, sense in enumerate(senses):
-            if sense == SENSE_LE:
-                slack_lb[i], slack_ub[i] = 0.0, INF
-            elif sense == SENSE_GE:
-                slack_lb[i], slack_ub[i] = -INF, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
-
+    def __init__(self, lp: ArrayLP, options: SolveOptions):
         self.opts = options
-        self.m = m
-        self.b = np.asarray(b, dtype=float)
+        self.m = len(lp.b)
+        self.n_struct = len(lp.active)
+        self.b = lp.b
+        self.art_rows = np.zeros(0, dtype=int)
+        self.art_cols = np.zeros(0, dtype=int)
+        self.iterations = 0
+        self.bland = False
+        self._since_refactor = 0
+
+    def start_cold(self, lp: ArrayLP):
+        """Slack basis, plus a phase-1 artificial on each row the slack cannot absorb."""
+        m, n_struct = self.m, self.n_struct
+        lb, ub = lp.lb[:n_struct], lp.ub[:n_struct]
+        slack_lb, slack_ub = lp.lb[n_struct:], lp.ub[n_struct:]
 
         # nonbasic start: nearest finite bound, free variables at zero
         x_struct = np.where(lb > -INF, lb, np.where(ub < INF, ub, 0.0))
         status_struct = np.where(
             lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE)
         )
-        r = self.b - A @ x_struct
+        r = self.b - lp.cols @ np.concatenate([x_struct, np.zeros(m)])
 
         clamp = np.minimum(np.maximum(r, slack_lb), slack_ub)
         resid = r - clamp
@@ -98,54 +263,90 @@ class _Core:
         # nonbasic slacks sit on the bound they were clamped to
         slack_status = np.where(resid > 0, _NB_UPPER, _NB_LOWER)
 
-        cols = sp.hstack(
-            [A, sp.identity(m, format="csc")]
-            + (
-                [
-                    sp.csc_matrix(
-                        (np.sign(resid[art_rows]), (art_rows, np.arange(n_art))),
-                        shape=(m, n_art),
-                    )
-                ]
-                if n_art
-                else []
-            ),
-            format="csc",
-        )
-        self.A = cols
-        self.AT = cols.T.tocsr()
-        self.n = cols.shape[1]
-        self.n_struct = n_struct
+        if n_art:
+            art = sp.csc_matrix(
+                (np.sign(resid[art_rows]), (art_rows, np.arange(n_art))),
+                shape=(m, n_art),
+            )
+            self.A = sp.hstack([lp.cols, art], format="csc")
+            self.AT = self.A.T.tocsr()
+        else:
+            self.A, self.AT = lp.cols, lp.colsT
+        self.n = self.A.shape[1]
 
-        self.lb = np.concatenate([lb, slack_lb, np.zeros(n_art)])
-        self.ub = np.concatenate([ub, slack_ub, np.full(n_art, INF)])
+        self.lb = np.concatenate([lp.lb, np.zeros(n_art)])
+        self.ub = np.concatenate([lp.ub, np.full(n_art, INF)])
         self.x = np.concatenate([x_struct, clamp, np.abs(resid[art_rows])])
         self.vstatus = np.concatenate(
             [status_struct, slack_status, np.full(n_art, _NB_LOWER)]
         ).astype(int)
 
-        self.basis = np.empty(m, dtype=int)
+        self.basis = n_struct + np.arange(m)
+        self.basis[art_rows] = n_struct + m + np.arange(n_art)
+        self.vstatus[self.basis] = _BASIC
         diag = np.ones(m)
-        art_of_row = {int(row): n_struct + m + j for j, row in enumerate(art_rows)}
-        for i in range(m):
-            if i in art_of_row:
-                col = art_of_row[i]
-                diag[i] = np.sign(resid[i])
-            else:
-                col = n_struct + i
-            self.basis[i] = col
-            self.vstatus[col] = _BASIC
+        diag[art_rows] = np.sign(resid[art_rows])
         self.Binv = np.diag(diag) if m else np.zeros((0, 0))
 
-        self.art_cols = np.array(
-            [n_struct + m + j for j in range(n_art)], dtype=int
-        )
+        self.art_rows = art_rows
+        self.art_cols = n_struct + m + np.arange(n_art)
         self.c = np.zeros(self.n)
         self.d = np.zeros(self.n)
         self.fixed = (self.ub - self.lb) <= FIX_TOL
-        self.iterations = 0
-        self.bland = False
-        self._since_refactor = 0
+
+    def start_warm(self, lp: ArrayLP, start: Basis) -> bool:
+        """Refactor a stored basis under the phase-2 costs; False unless dual feasible.
+
+        Raises numpy.linalg.LinAlgError when the basis is singular.
+        """
+        self.A, self.AT = lp.cols, lp.colsT
+        self.n = self.A.shape[1]
+        self.lb, self.ub = lp.lb, lp.ub
+        self.basis = start.head.astype(int)
+        self.vstatus = start.status.astype(int)
+        if len(self.basis) != self.m or len(self.vstatus) != self.n:
+            return False
+        st = self.vstatus
+        self.x = np.where(st == _NB_UPPER, self.ub, np.where(st == _NB_LOWER, self.lb, 0.0))
+        self.x[self.basis] = 0.0
+        if not np.isfinite(self.x).all():
+            return False
+        self.c = lp.c
+        self.fixed = (self.ub - self.lb) <= FIX_TOL
+        self.refactor()
+        return self._make_dual_feasible()
+
+    def _make_dual_feasible(self) -> bool:
+        """Flip boxed nonbasics to the bound their reduced cost asks for."""
+        tol = self.opts.optimality_tol
+        st, d = self.vstatus, self.d
+        if ((st == _NB_FREE) & (np.abs(d) > tol)).any():
+            return False
+        open_nb = ~self.fixed
+        to_upper = (st == _NB_LOWER) & open_nb & (d < -tol)
+        to_lower = (st == _NB_UPPER) & open_nb & (d > tol)
+        if not (to_upper.any() or to_lower.any()):
+            return True
+        if (to_upper & (self.ub == INF)).any() or (to_lower & (self.lb == -INF)).any():
+            return False
+        st[to_upper] = _NB_UPPER
+        self.x[to_upper] = self.ub[to_upper]
+        st[to_lower] = _NB_LOWER
+        self.x[to_lower] = self.lb[to_lower]
+        self._solve_basics()
+        return True
+
+    def final_basis(self) -> Basis:
+        """The basis over structural and slack columns; basic artificials become slacks."""
+        k = self.n_struct + self.m
+        head = self.basis.copy()
+        status = self.vstatus[:k].copy()
+        art = head >= k
+        if art.any():
+            slacks = self.n_struct + self.art_rows[head[art] - k]
+            head[art] = slacks
+            status[slacks] = _BASIC
+        return Basis(head.astype(np.int32), status.astype(np.int8))
 
     # -- factorization ----------------------------------------------------
 
@@ -153,11 +354,15 @@ class _Core:
         if self.m:
             B = self.A[:, self.basis].toarray()
             self.Binv = np.linalg.inv(B)
+            self._solve_basics()
+        self._recompute_duals()
+        self._since_refactor = 0
+
+    def _solve_basics(self):
+        if self.m:
             xn = self.x.copy()
             xn[self.basis] = 0.0
             self.x[self.basis] = self.Binv @ (self.b - self.A @ xn)
-        self._recompute_duals()
-        self._since_refactor = 0
 
     def _recompute_duals(self):
         if self.m:
@@ -198,8 +403,25 @@ class _Core:
             return np.zeros(0)
         return self.Binv[:, idx] @ vals
 
+    def _replace(self, p, q, u, rho):
+        """Column q takes basis position p: product-form update of Binv."""
+        alpha = u[p]
+        factor = u / alpha
+        factor[p] = 0.0
+        # in-place rank-1 update; the transpose view is Fortran-ordered for BLAS
+        dger(-1.0, rho, factor, a=self.Binv.T, overwrite_a=1)
+        self.Binv[p, :] = rho / alpha
+
+        self.basis[p] = q
+        self.vstatus[q] = _BASIC
+        self.d[q] = 0.0
+        self.iterations += 1
+        self._since_refactor += 1
+        if self._since_refactor >= REFACTOR_INTERVAL:
+            self.refactor()
+
     def _step(self):
-        """One pivot or bound flip. Returns 'optimal'/'unbounded'/None."""
+        """One primal pivot or bound flip. Returns 'optimal'/'unbounded'/None."""
         q = self._price()
         if q is None:
             return "optimal"
@@ -253,24 +475,11 @@ class _Core:
             self.vstatus[leaving] = _NB_UPPER
 
         rho = self.Binv[p, :].copy()
-        alpha = u[p]
         dq = self.d[q]
         if dq != 0.0:
-            self.d -= (dq / alpha) * (self.AT @ rho)
-        factor = u / alpha
-        factor[p] = 0.0
-        # in-place rank-1 update; the transpose view is Fortran-ordered for BLAS
-        dger(-1.0, rho, factor, a=self.Binv.T, overwrite_a=1)
-        self.Binv[p, :] = rho / alpha
-
-        self.basis[p] = q
-        self.vstatus[q] = _BASIC
-        self.d[q] = 0.0
-        self.iterations += 1
+            self.d -= (dq / u[p]) * (self.AT @ rho)
         self._last_step = t
-        self._since_refactor += 1
-        if self._since_refactor >= REFACTOR_INTERVAL:
-            self.refactor()
+        self._replace(p, q, u, rho)
         return None
 
     def run_phase(self, costs):
@@ -292,142 +501,202 @@ class _Core:
                 if degen >= BLAND_STALL:
                     self.bland = True
 
-
-def solve(model: LinearModel, options: SolveOptions | None = None) -> Solution:
-    """Solve the LP relaxation of the model; statuses per module docstring."""
-    opts = options or SolveOptions()
-    n = model.num_variables
-    if n == 0:
-        raise ModelError("model must have at least one variable")
-
-    lb = np.array([v.lower for v in model.variables])
-    ub = np.array([v.upper for v in model.variables])
-    cost = np.array([v.obj for v in model.variables])
-
-    # presolve: pin fixed variables, drop rows whose support is entirely fixed
-    fixed = (ub - lb) <= FIX_TOL
-    x_fixed = np.where(fixed, lb, 0.0)
-    active = np.flatnonzero(~fixed)
-    col_of = {int(j): jj for jj, j in enumerate(active)}
-
-    kept_rows = []
-    kept_rhs = []
-    kept_senses = []
-    triplets_r, triplets_c, triplets_v = [], [], []
-    feas_tol = opts.feasibility_tol
-    for row in model.rows:
-        shift = sum(c * x_fixed[j] for j, c in row.coeffs if fixed[j])
-        live = [(j, c) for j, c in row.coeffs if not fixed[j]]
-        rhs = row.rhs - shift
-        if not live:
-            bad = (
-                (row.sense == SENSE_LE and rhs < -feas_tol)
-                or (row.sense == SENSE_GE and rhs > feas_tol)
-                or (row.sense == SENSE_EQ and abs(rhs) > feas_tol)
-            )
-            if bad:
-                return Solution(
-                    status=INFEASIBLE,
-                    objective=float("nan"),
-                    primal=np.zeros(n),
-                    duals=np.zeros(model.num_rows),
-                    reduced_costs=np.zeros(n),
-                )
-            continue
-        ridx = len(kept_rhs)
-        kept_rows.append(row.id)
-        kept_rhs.append(rhs)
-        kept_senses.append(row.sense)
-        for j, c in live:
-            triplets_r.append(ridx)
-            triplets_c.append(col_of[j])
-            triplets_v.append(c)
-
-    duals_full = np.zeros(model.num_rows)
-    if len(active) == 0:
-        primal = x_fixed
-        reduced = _reduced_costs(model, duals_full)
-        return Solution(
-            status=OPTIMAL,
-            objective=float(cost @ primal),
-            primal=primal,
-            duals=duals_full,
-            reduced_costs=reduced,
-        )
-
-    m = len(kept_rhs)
-    A = sp.csc_matrix(
-        (triplets_v, (triplets_r, triplets_c)), shape=(m, len(active))
-    )
-    core = _Core(A, np.array(kept_rhs), lb[active], ub[active], kept_senses, opts)
-
-    status = OPTIMAL
-    if len(core.art_cols):
-        c1 = np.zeros(core.n)
-        c1[core.art_cols] = 1.0
-        outcome = core.run_phase(c1)
-        if outcome == "iterlimit":
-            status = ITERATION_LIMIT
-        elif outcome == "unbounded":
-            raise RuntimeError("phase-1 subproblem reported unbounded")
+    def _dual_step(self):
+        """One dual pivot. Returns 'optimal'/'infeasible'/None."""
+        xB = self.x[self.basis]
+        lbB = self.lb[self.basis]
+        ubB = self.ub[self.basis]
+        below = lbB - xB
+        infeas = np.maximum(below, xB - ubB)
+        tol = self.opts.feasibility_tol
+        if self.bland:
+            rows = np.flatnonzero(infeas > tol)
+            if not len(rows):
+                return "optimal"
+            p = int(rows[np.argmin(self.basis[rows])])
         else:
-            infeas = float(core.x[core.art_cols].sum())
-            scale = max(1.0, float(np.abs(core.b).max()) if m else 1.0)
-            if infeas > feas_tol * scale:
-                return Solution(
-                    status=INFEASIBLE,
-                    objective=float("nan"),
-                    primal=np.zeros(n),
-                    duals=np.zeros(model.num_rows),
-                    reduced_costs=np.zeros(n),
-                    iterations=core.iterations,
-                )
-            core.ub[core.art_cols] = 0.0
-            core.x[core.art_cols] = 0.0
-            core.fixed[core.art_cols] = True
+            p = int(np.argmax(infeas)) if self.m else 0
+            if not self.m or infeas[p] <= tol:
+                return "optimal"
+        to_lower = below[p] > 0
+        delta = -below[p] if to_lower else infeas[p]  # x_p minus its violated bound
 
-    if status == OPTIMAL:
-        c2 = np.zeros(core.n)
-        c2[: len(active)] = cost[active]
-        outcome = core.run_phase(c2)
-        if outcome == "iterlimit":
-            status = ITERATION_LIMIT
-        elif outcome == "unbounded":
-            return Solution(
-                status=UNBOUNDED,
-                objective=float("nan"),
-                primal=np.zeros(n),
-                duals=np.zeros(model.num_rows),
-                reduced_costs=np.zeros(n),
-                iterations=core.iterations,
-            )
+        rho = self.Binv[p, :].copy()
+        alpha = self.AT @ rho  # pivot row over every column
+        # a candidate's reduced cost moves toward zero as the dual step grows
+        slope = -alpha if to_lower else alpha
+        st = self.vstatus
+        open_nb = ~self.fixed
+        elig = open_nb & (
+            ((st == _NB_LOWER) & (slope > PIVOT_TOL))
+            | ((st == _NB_UPPER) & (slope < -PIVOT_TOL))
+            | ((st == _NB_FREE) & (np.abs(slope) > PIVOT_TOL))
+        )
+        cand = np.flatnonzero(elig)
+        if not len(cand):
+            return "infeasible"
+        ratios = self.d[cand] / slope[cand]
+        ratios = np.where(st[cand] == _NB_FREE, np.abs(ratios), np.maximum(ratios, 0.0))
+        ties = cand[ratios <= ratios.min() + RATIO_TIE]
+        if self.bland:
+            q = int(ties[0])
+        else:
+            # among ties with a pivot of comparable size prefer a slack, which
+            # leaves the structural variables where they are
+            size = np.abs(alpha[ties])
+            ties = ties[size >= TIE_PIVOT_SHARE * size.max()]
+            slacks = ties[ties >= self.n_struct]
+            if len(slacks):
+                ties = slacks
+            q = int(ties[np.argmax(np.abs(alpha[ties]))])
 
-    if core._since_refactor:
-        core.refactor()
+        u = self._ftran(q)
+        theta_d = self.d[q] / u[p]
+        theta_p = delta / u[p]
+        self.x[self.basis] = xB - theta_p * u
+        self.x[q] += theta_p
+        leaving = self.basis[p]
+        if to_lower:
+            self.x[leaving] = lbB[p]
+            st[leaving] = _NB_LOWER
+        else:
+            self.x[leaving] = ubB[p]
+            st[leaving] = _NB_UPPER
+        self.d -= theta_d * alpha
+        self._last_step = theta_d
+        self._replace(p, q, u, rho)
+        return None
 
-    primal = x_fixed.copy()
-    primal[active] = core.x[: len(active)]
-    for ridx, rid in enumerate(kept_rows):
-        duals_full[rid] = core.y[ridx]
-    reduced = _reduced_costs(model, duals_full)
+    def run_dual(self):
+        """Dual simplex from a dual feasible basis to a primal feasible one.
+
+        Optimality is only declared on a fresh factorization.
+        """
+        self.bland = False
+        degen = 0
+        while True:
+            if self.iterations >= self.opts.max_iterations:
+                return "iterlimit"
+            outcome = self._dual_step()
+            if outcome == "optimal" and self._since_refactor:
+                self.refactor()
+                continue
+            if outcome is not None:
+                return outcome
+            if abs(self._last_step) > DEGEN_TOL:
+                degen = 0
+            else:
+                degen += 1
+                if degen >= BLAND_STALL:
+                    self.bland = True
+
+
+def _no_solution(lp: ArrayLP, status: str, iterations: int) -> Solution:
+    n = len(lp.cost)
     return Solution(
         status=status,
-        objective=float(cost @ primal),
-        primal=primal,
-        duals=duals_full,
-        reduced_costs=reduced,
-        iterations=core.iterations,
+        objective=float("nan"),
+        primal=np.zeros(n),
+        duals=np.zeros(lp.num_rows),
+        reduced_costs=np.zeros(n),
+        iterations=iterations,
     )
 
 
-def _reduced_costs(model: LinearModel, duals: np.ndarray) -> np.ndarray:
-    d = np.array([v.obj for v in model.variables])
-    for row in model.rows:
-        y = duals[row.id]
-        if y != 0.0:
-            for j, c in row.coeffs:
-                d[j] -= c * y
-    return d
+def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
+    if core._since_refactor:
+        core.refactor()
+    primal = lp.x_fixed.copy()
+    primal[lp.active] = core.x[: core.n_struct]
+    duals = np.zeros(lp.num_rows)
+    duals[lp.rows] = core.y
+    return Solution(
+        status=status,
+        objective=float(lp.cost @ primal),
+        primal=primal,
+        duals=duals,
+        reduced_costs=lp.cost - lp.K.T @ core.y,
+        iterations=core.iterations,
+        basis=core.final_basis() if status == OPTIMAL else None,
+    )
+
+
+def _solve_cold(lp: ArrayLP, opts: SolveOptions) -> Solution:
+    core = _Core(lp, opts)
+    core.start_cold(lp)
+    try:
+        status = OPTIMAL
+        if len(core.art_cols):
+            c1 = np.zeros(core.n)
+            c1[core.art_cols] = 1.0
+            outcome = core.run_phase(c1)
+            if outcome == "iterlimit":
+                status = ITERATION_LIMIT
+            elif outcome == "unbounded":
+                raise RuntimeError("phase-1 subproblem reported unbounded")
+            else:
+                infeas = float(core.x[core.art_cols].sum())
+                scale = max(1.0, float(np.abs(core.b).max()) if core.m else 1.0)
+                if infeas > opts.feasibility_tol * scale:
+                    return _no_solution(lp, INFEASIBLE, core.iterations)
+                core.ub[core.art_cols] = 0.0
+                core.x[core.art_cols] = 0.0
+                core.fixed[core.art_cols] = True
+
+        if status == OPTIMAL:
+            c2 = np.zeros(core.n)
+            c2[: core.n_struct] = lp.c[: core.n_struct]
+            outcome = core.run_phase(c2)
+            if outcome == "iterlimit":
+                status = ITERATION_LIMIT
+            elif outcome == "unbounded":
+                return _no_solution(lp, UNBOUNDED, core.iterations)
+        return _finish(lp, core, status)
+    except np.linalg.LinAlgError:
+        return _no_solution(lp, NUMERICAL_ERROR, core.iterations)
+
+
+def _solve_warm(lp: ArrayLP, opts: SolveOptions) -> tuple[Solution | None, int]:
+    """Dual simplex from lp.basis; (None, pivots spent) when it must fall back."""
+    core = _Core(lp, opts)
+    try:
+        if (
+            core.start_warm(lp, lp.basis)
+            and core.run_dual() == "optimal"
+            and core.run_phase(lp.c) == "optimal"
+        ):
+            return _finish(lp, core, OPTIMAL), 0
+    except np.linalg.LinAlgError:
+        pass
+    return None, core.iterations
+
+
+def solve(model: LinearModel | ArrayLP, options: SolveOptions | None = None) -> Solution:
+    """Solve the LP relaxation of a model; statuses per module docstring.
+
+    An ArrayLP with a start basis is re-solved warm when it can be; the
+    reported iterations include the pivots of a warm attempt that fell back.
+    """
+    opts = options or SolveOptions()
+    lp = model if isinstance(model, ArrayLP) else presolve(model, opts.feasibility_tol)
+    if lp.infeasible:
+        return _no_solution(lp, INFEASIBLE, 0)
+    if len(lp.active) == 0:
+        return Solution(
+            status=OPTIMAL,
+            objective=float(lp.cost @ lp.x_fixed),
+            primal=lp.x_fixed.copy(),
+            duals=np.zeros(lp.num_rows),
+            reduced_costs=lp.cost.copy(),
+        )
+    spent = 0
+    if lp.basis is not None:
+        sol, spent = _solve_warm(lp, opts)
+        if sol is not None:
+            return sol
+    sol = _solve_cold(lp, opts)
+    sol.iterations += spent
+    return sol
 
 
 def check_certificates(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import solve_checked
+from lambdabound import benders
 from lambdabound.benders import (
     BendersError,
     BendersOptions,
@@ -14,7 +15,7 @@ from lambdabound.benders import (
     pi_prime_filter,
     solve_lp_r3_benders,
 )
-from lambdabound.formulations import Cut, build_lp_r3, build_subproblem
+from lambdabound.formulations import Cut, FormulationError, build_lp_r3, build_subproblem
 from lambdabound.instance import (
     Edge,
     Instance,
@@ -24,6 +25,7 @@ from lambdabound.instance import (
     gen_cycle,
     gen_random,
 )
+from lambdabound.lpmodel import Solution
 
 
 def test_ring_closed_forms():
@@ -109,15 +111,6 @@ def test_iterate_once_contract():
     assert len(state.log) == logged
 
 
-def test_parallel_matches_serial():
-    inst = gen_random(8, 3, 5, 10, seed=42)
-    serial = solve_lp_r3_benders(inst, BendersOptions(parallel_subproblems=False))
-    parallel = solve_lp_r3_benders(inst, BendersOptions(parallel_subproblems=True))
-    assert serial.lower_bound == parallel.lower_bound
-    assert serial.iterations == parallel.iterations
-    assert np.array_equal(serial.wbar, parallel.wbar)
-
-
 def test_infeasible_instance_reports_failure():
     edges = (
         Edge(0, 0, 1), Edge(1, 1, 2), Edge(2, 0, 2),
@@ -157,9 +150,14 @@ def test_log_csv_format():
     res = solve_lp_r3_benders(inst)
     text = log_to_csv(res.log)
     lines = text.strip().split("\n")
-    assert lines[0] == "iter,master_obj,n_pi_prime,n_violated,max_violation,cuts_total,elapsed_ms"
+    assert lines[0] == (
+        "iter,master_obj,n_pi_prime,n_violated,max_violation,cuts_total,elapsed_ms,"
+        "master_pivots,sub_pivots"
+    )
     assert len(lines) == len(res.log) + 1
     assert lines[1].startswith("1,")
+    for line, rec in zip(lines[1:], res.log):
+        assert line.endswith(f",{rec.master_pivots},{rec.sub_pivots}")
 
 
 def test_options_validation():
@@ -169,3 +167,79 @@ def test_options_validation():
         BendersOptions(max_iterations=0)
     with pytest.raises(ValueError):
         BendersOptions(tau0_rule="random")
+
+
+def _log_without_time(res):
+    return [dataclasses.replace(rec, elapsed_ms=0) for rec in res.log]
+
+
+def test_deterministic_reruns():
+    inst = gen_random(8, 3, 5, 10, seed=42)
+    a, b = solve_lp_r3_benders(inst), solve_lp_r3_benders(inst)
+    assert a.status == b.status == "Converged"
+    assert a.lower_bound == b.lower_bound
+    assert np.array_equal(a.wbar, b.wbar)
+    assert _log_without_time(a) == _log_without_time(b)
+
+
+def test_warm_starts_cut_master_and_subproblem_pivots():
+    inst = gen_random(10, 2, 3, 3, seed=7)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "Converged" and len(res.log) >= 3
+    # later masters start from the previous basis: far fewer pivots than the first
+    first, later = res.log[0].master_pivots, [r.master_pivots for r in res.log[1:]]
+    assert first > 0 and max(later) < first
+    # the first round solves every subproblem cold, later rounds mostly warm
+    solved = [len(inst.failures) - r.n_pi_prime for r in res.log]
+    cold_mean = res.log[0].sub_pivots / solved[0]
+    later_mean = sum(r.sub_pivots for r in res.log[1:]) / sum(solved[1:])
+    assert later_mean < cold_mean / 2
+
+
+def test_each_failure_is_built_once(monkeypatch):
+    inst = gen_random(10, 2, 3, 3, seed=7)
+    built = []
+    original = benders.build_subproblem
+
+    def counting(instance, tau, wbar):
+        built.append(tau)
+        return original(instance, tau, wbar)
+
+    monkeypatch.setattr(benders, "build_subproblem", counting)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "Converged"
+    assert len(built) == len(set(built))
+    due = sum(len(inst.failures) - r.n_pi_prime for r in res.log)
+    assert due > len(built)  # the other solves were warm re-solves
+
+
+def test_failed_subproblem_is_a_status(monkeypatch):
+    inst = gen_random(8, 2, 4, 10, seed=1)
+    original = benders.solve
+
+    def failing(model, options=None):
+        sol = original(model, options)
+        if model.name.startswith("sub:"):
+            return Solution(status="NumericalError", objective=float("nan"), iterations=3)
+        return sol
+
+    monkeypatch.setattr(benders, "solve", failing)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "Failed"
+    assert res.offending_failure is not None and res.offending_failure != res.tau0
+    assert "NumericalError" in res.detail
+    assert f"failure {res.offending_failure}" in res.detail
+    assert np.isnan(res.lower_bound) and res.wbar is None
+
+
+def test_rejected_cut_is_a_status(monkeypatch):
+    inst = gen_random(8, 2, 4, 10, seed=1)
+
+    def reject(instance, failed_edge, wbar, solution, varmap, tol=1e-6):
+        raise FormulationError("dual point violates its feasibility system by 1e-3")
+
+    monkeypatch.setattr(benders, "cut_from_duals", reject)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "Failed"
+    assert res.offending_failure is not None
+    assert "cut rejected" in res.detail

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from helpers import parse_mps
+from lambdabound import benders
 from lambdabound.cli import CSV_HEADER, main
 from lambdabound.instance import bundled_text, load_instance
+from lambdabound.lpmodel import Solution
 
 
 def run(capsys, *argv):
@@ -257,3 +260,73 @@ def test_bench_respects_thread_cap(tmp_path, capsys, monkeypatch):
         ]
 
     assert strip_timing(serial_csv.read_text()) == strip_timing(threaded_csv.read_text())
+
+
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_bench_rejects_bad_thread_cap(tmp_path, capsys, monkeypatch, value):
+    write_cycle(tmp_path, name="c3.json", m=3, n=1, k=2)
+    monkeypatch.setenv("LAMBDA_BOUND_THREADS", value)
+    code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(tmp_path / "b.csv"))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "LAMBDA_BOUND_THREADS" in err
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["direct", "benders"])
+def test_solve_lp_r3_needs_failures(tmp_path, capsys, method):
+    path = write_cycle(tmp_path, m=3, n=1, k=1)
+    doc = json.loads(path.read_text())
+    doc["failures"] = []
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "failure set" in err
+
+
+def test_solve_benders_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    path = write_cycle(tmp_path, m=5, n=3, k=80)
+    original = benders.solve
+
+    def failing(model, options=None):
+        if model.name.startswith("sub:"):
+            return Solution(status="NumericalError", objective=float("nan"))
+        return original(model, options)
+
+    monkeypatch.setattr(benders, "solve", failing)
+    code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3",
+                         "--method", "benders")
+    assert code == 1
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "Failed" in lines[0] and "NumericalError" in lines[0]
+    assert "failure " in lines[0]
+
+
+def _singular(monkeypatch):
+    def inv(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+
+
+def test_singular_basis_ends_chain_check_in_one_line(tmp_path, capsys, monkeypatch):
+    path = write_cycle(tmp_path, m=3, n=1, k=1)
+    _singular(monkeypatch)
+    code, _, err = run(capsys, "chain-check", str(path))
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "NumericalError" in lines[0]
+
+
+def test_singular_basis_ends_solve_in_one_line(tmp_path, capsys, monkeypatch):
+    path = write_cycle(tmp_path)
+    _singular(monkeypatch)
+    code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "status: NumericalError"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import linprog_solve, solve_checked
 from lambdabound import simplex
@@ -13,7 +15,7 @@ from lambdabound.lpmodel import (
     LinearModel,
     ModelError,
 )
-from lambdabound.simplex import SolveOptions, check_certificates, solve
+from lambdabound.simplex import SolveOptions, check_certificates, presolve, solve
 
 
 def test_single_ge_row_dual():
@@ -89,6 +91,13 @@ def test_fixed_variables_and_empty_rows_presolve():
     m.add_row(SENSE_EQ, 5.0, [(x, 1.0)])  # 2 == 5 is impossible
     assert solve(m).status == simplex.INFEASIBLE
 
+    lp = presolve(m)
+    lp.set_rhs([1], [5.0])  # a kept row
+    with pytest.raises(ModelError):
+        lp.set_rhs([0], [1.0])  # dropped: its support is all pinned
+    with pytest.raises(ModelError):
+        presolve(m).set_rhs([7], [1.0])  # no such row
+
 
 def test_all_variables_fixed():
     m = LinearModel()
@@ -160,3 +169,188 @@ def test_bitwise_determinism():
     assert np.array_equal(a.primal, b.primal)
     assert np.array_equal(a.duals, b.duals)
     assert np.array_equal(a.reduced_costs, b.reduced_costs)
+
+
+def test_singular_refactor_is_a_status(monkeypatch):
+    model, _ = build_lp_r3(gen_cycle(5, 2, 80))
+
+    def singular(_):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(simplex.np.linalg, "inv", singular)
+    sol = solve(model)
+    assert sol.status == simplex.NUMERICAL_ERROR
+    assert sol.iterations > 0
+
+
+def test_singular_start_basis_falls_back_cold(monkeypatch):
+    model, _ = build_lp_r3(gen_cycle(5, 2, 80))
+    cold = solve(model)
+    lp = presolve(model)
+    lp.basis = cold.basis
+    original = np.linalg.inv
+    calls = []
+
+    def singular_once(B):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original(B)
+
+    monkeypatch.setattr(simplex.np.linalg, "inv", singular_once)
+    again = solve(lp)
+    assert again.status == simplex.OPTIMAL
+    assert again.objective == cold.objective
+    assert again.iterations == cold.iterations
+
+
+# -- warm starts -------------------------------------------------------------
+
+TOLERANCES = {  # acceptance criterion 8
+    "bound_violation": 1e-7,
+    "row_violation": 1e-7,
+    "cs_variable": 1e-6,
+}
+
+
+def _bounded_feasible(seed):
+    """A random LP with boxed variables, feasible at the integer point x0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 8))
+    hi = rng.integers(1, 9, size=n).astype(float)
+    cost = rng.integers(-5, 6, size=n).astype(float)
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    senses = list(rng.choice([SENSE_LE, SENSE_EQ, SENSE_GE], size=m))
+    x0 = rng.integers(0, hi.astype(int) + 1).astype(float)
+    return rng, hi, cost, A, senses, x0
+
+
+def _rhs_at(rng, A, senses, x):
+    """Right-hand sides that x satisfies, with random integer slack."""
+    lhs = A @ x
+    pad = rng.integers(0, 4, size=len(lhs)).astype(float)
+    return [
+        lhs[i] + pad[i] if s == SENSE_LE else lhs[i] - pad[i] if s == SENSE_GE else lhs[i]
+        for i, s in enumerate(senses)
+    ]
+
+
+def _model(hi, cost, rows):
+    model = LinearModel()
+    for j in range(len(hi)):
+        model.add_variable(0.0, hi[j], cost[j])
+    for sense, rhs, coeffs in rows:
+        model.add_row(sense, float(rhs), coeffs)
+    return model
+
+
+def _rows(A, senses, rhs):
+    return [
+        (senses[i], rhs[i], [(j, float(A[i, j])) for j in range(A.shape[1])])
+        for i in range(A.shape[0])
+    ]
+
+
+def _warm(lp):
+    """Solve lp from its start basis; also say whether the cold path ran."""
+    calls = []
+    original = simplex._solve_cold
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    simplex._solve_cold = counting
+    try:
+        return solve(lp), bool(calls)
+    finally:
+        simplex._solve_cold = original
+
+
+def _assert_matches_cold(model, warm):
+    cold = solve(model)
+    assert warm.status == cold.status == simplex.OPTIMAL
+    assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+    cert = check_certificates(model, warm)
+    scale = 1.0 + abs(warm.objective)
+    for key, tol in TOLERANCES.items():
+        assert cert[key] <= tol, (key, cert)
+    assert cert["duality_gap"] <= 1e-6 * scale, cert
+    assert cert["cs_row"] <= 1e-6 * scale, cert
+
+
+def _assert_bitwise_equal(a, b):
+    assert a.status == b.status and a.iterations == b.iterations
+    assert a.objective == b.objective
+    for name in ("primal", "duals", "reduced_costs"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def _solved(seed):
+    rng, hi, cost, A, senses, x0 = _bounded_feasible(seed)
+    rhs = _rhs_at(rng, A, senses, x0)
+    lp = presolve(_model(hi, cost, _rows(A, senses, rhs)))
+    first = solve(lp)
+    assert first.status == simplex.OPTIMAL
+    lp.basis = first.basis
+    return rng, hi, cost, A, senses, x0, rhs, lp, first
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_warm_resolve_unchanged_rhs_takes_no_pivots(seed):
+    *_, lp, first = _solved(seed)
+    again, went_cold = _warm(lp)
+    assert not went_cold
+    assert again.iterations == 0
+    assert again.objective == first.objective
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_warm_resolve_after_rhs_change(seed):
+    rng, hi, cost, A, senses, _, _, lp, _ = _solved(seed)
+    x1 = rng.integers(0, hi.astype(int) + 1).astype(float)
+    rhs = _rhs_at(rng, A, senses, x1)
+    lp.set_rhs(np.arange(len(rhs)), rhs)
+    warm, went_cold = _warm(lp)
+    assert not went_cold
+    _assert_matches_cold(_model(hi, cost, _rows(A, senses, rhs)), warm)
+    _assert_bitwise_equal(warm, solve(lp))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_warm_resolve_after_cutting_row(seed):
+    rng, hi, cost, A, senses, x0, rhs, lp, first = _solved(seed)
+    g = rng.integers(-3, 4, size=len(hi)).astype(float)
+    at_x0, at_opt = float(g @ x0), float(g @ first.primal)
+    if abs(at_x0 - at_opt) < 1e-6:
+        g, at_x0, at_opt = -cost, float(-cost @ x0), float(-cost @ first.primal)
+    if abs(at_x0 - at_opt) < 1e-6:
+        return  # x0 is optimal too: no row separates it from the optimum
+    # a row that x0 satisfies and the optimum violates
+    sense = SENSE_LE if at_x0 < at_opt else SENSE_GE
+    cut = (sense, (at_x0 + at_opt) / 2, [(j, float(g[j])) for j in range(len(g))])
+    lp.add_rows([cut])
+    warm, went_cold = _warm(lp)
+    assert not went_cold
+    model = _model(hi, cost, _rows(A, senses, rhs) + [cut])
+    _assert_matches_cold(model, warm)
+    _assert_bitwise_equal(warm, solve(lp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+def test_warm_resolve_reports_infeasible(seed, which):
+    _, hi, cost, A, senses, _, _, lp, _ = _solved(seed)
+    i = which % A.shape[0]
+    reach_hi = float(np.maximum(A[i] * hi, 0.0).sum())
+    reach_lo = float(np.minimum(A[i] * hi, 0.0).sum())
+    if senses[i] == SENSE_LE:
+        rhs = reach_lo - 1.0
+    else:
+        rhs = reach_hi + 1.0
+    lp.set_rhs([i], [rhs])
+    assert solve(lp).status == simplex.INFEASIBLE
