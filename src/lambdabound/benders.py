@@ -1,14 +1,16 @@
 """Decomposition solver for the aggregated per-failure relaxation.
 
-The restricted master keeps the full flow block of one designated failure
-(tau0, lowest edge id) as valid inequalities together with the edge capacity
-variables, and represents every other failure through dual feasibility cuts
-generated on the fly. Each iteration solves the master, skips the failures
-whose capacity the master flow provably already covers (the tau0-flow filter),
-solves the remaining violation subproblems in ascending edge order, and adds
-one cut per violated failure. Master objectives are nondecreasing because rows
-only accumulate, and every master optimum is a valid lower bound for the full
-relaxation.
+The restricted master (formulations.build_master) is the aggregated
+relaxation over one designated failure alone (tau0, lowest edge id): the edge
+capacity variables plus tau0's full flow block as valid inequalities. Every
+other failure enters through dual feasibility cuts generated on the fly from
+its violation subproblem (formulations.build_subproblem), which is the same
+flow block with a violation column in place of the capacities. Each iteration
+solves the master, skips the failures whose capacity the master flow provably
+already covers (the tau0-flow filter), solves the remaining subproblems in
+ascending edge order, and adds one cut per violated failure. Master
+objectives are nondecreasing because rows only accumulate, and every master
+optimum is a valid lower bound for the full relaxation.
 
 Solves after the first are warm re-solves. The master is presolved once into a
 simplex.ArrayLP that keeps its last basis; each cut row enters with its slack
@@ -29,9 +31,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulations import Cut, FormulationError, VarMap, build_subproblem, cut_from_duals
-from .instance import Instance, arcs, demand_matrix
-from .lpmodel import SENSE_EQ, SENSE_LE, LinearModel
+from .formulations import (
+    Cut,
+    FormulationError,
+    VarMap,
+    build_master,
+    build_subproblem,
+    cut_from_duals,
+)
+from .instance import Instance, arcs
+from .lpmodel import SENSE_LE
 from .simplex import INFEASIBLE, OPTIMAL, ArrayLP, SolveOptions, presolve, solve
 
 CONVERGED = "Converged"
@@ -46,9 +55,10 @@ class BendersError(RuntimeError):
 
 @dataclass(frozen=True)
 class BendersOptions:
+    """Run settings; tau0, the failure kept in the master, is the lowest edge id."""
+
     violation_tol: float = 1e-7
     max_iterations: int = 500
-    tau0_rule: str = "lowest-edge-id"
     filter_tol: float = 1e-9
     verify_filtered: bool = False
     solver: SolveOptions = field(default_factory=SolveOptions)
@@ -58,8 +68,6 @@ class BendersOptions:
             raise ValueError("violation_tol must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.tau0_rule != "lowest-edge-id":
-            raise ValueError(f"unknown tau0 rule {self.tau0_rule!r}")
 
 
 @dataclass
@@ -133,67 +141,6 @@ def log_to_csv(log) -> str:
             f"{rec.master_pivots},{rec.sub_pivots}"
         )
     return "\n".join(lines) + "\n"
-
-
-def build_master(instance: Instance, tau0: int):
-    """Restricted master: capacity variables plus the tau0 flow block.
-
-    The zero-inflow-at-origin rows are kept for tau0 even though they are
-    redundant for the bound: they are valid for the full relaxation and make
-    the master block identical to the subproblem structure.
-    """
-    table = arcs(instance.network)
-    q = demand_matrix(instance)
-    V, E, K = instance.num_nodes, instance.num_edges, instance.num_wavelengths
-    totals = np.zeros(V)
-    for (s, _), cnt in q.counts.items():
-        totals[s] += cnt
-    model = LinearModel(f"master:{instance.name}:t{tau0}")
-    vm = VarMap()
-    for e in range(E):
-        vm.wbar[e] = model.add_variable(0.0, float(K), 1.0, name=f"wb_e{e}")
-    for s in range(V):
-        for a in range(table.num_arcs):
-            vm.y_agg[(tau0, s, a)] = model.add_variable(
-                0.0, float(totals[s]), 0.0, name=f"ya_s{s}a{a}"
-            )
-    for s in range(V):
-        model.add_row(
-            SENSE_EQ,
-            float(totals[s]),
-            [(vm.y_agg[(tau0, s, a)], 1.0) for a in table.out_arcs[s]],
-            name=f"msrc_s{s}",
-        )
-    for s in range(V):
-        model.add_row(
-            SENSE_EQ,
-            0.0,
-            [(vm.y_agg[(tau0, s, a)], 1.0) for a in table.in_arcs[s]],
-            name=f"mnull_s{s}",
-        )
-    for s in range(V):
-        for v in range(V):
-            if v == s:
-                continue
-            coeffs = [(vm.y_agg[(tau0, s, a)], 1.0) for a in table.in_arcs[v]]
-            coeffs += [(vm.y_agg[(tau0, s, a)], -1.0) for a in table.out_arcs[v]]
-            model.add_row(SENSE_EQ, float(q.get(s, v)), coeffs, name=f"mbal_s{s}v{v}")
-    for e in range(E):
-        coeffs = [(vm.y_agg[(tau0, s, 2 * e)], 1.0) for s in range(V)]
-        coeffs += [(vm.y_agg[(tau0, s, 2 * e + 1)], 1.0) for s in range(V)]
-        coeffs.append((vm.wbar[e], -1.0))
-        model.add_row(SENSE_LE, 0.0, coeffs, name=f"mcap_e{e}")
-    for s in range(V):
-        model.add_row(
-            SENSE_EQ,
-            0.0,
-            [
-                (vm.y_agg[(tau0, s, 2 * tau0)], 1.0),
-                (vm.y_agg[(tau0, s, 2 * tau0 + 1)], 1.0),
-            ],
-            name=f"mexcl_s{s}",
-        )
-    return model, vm
 
 
 def pi_prime_filter(

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import formulations, oracle, simplex, validator
@@ -27,8 +26,21 @@ from .instance import (
 )
 from .lpmodel import export_lp, export_mps
 
-LP_MODELS = ("lp-rwap", "lp-rwap-ppp", "lp-r1", "lp-r2", "lp-r3")
-EXPORT_MODELS = LP_MODELS + ("ip-rwap", "ip-rwap-ppp", "ip-r1", "ip-r2")
+# builders are looked up in `formulations` at call time, so wrapping a
+# formulations.build_* function also wraps every solve and export that uses it
+_BUILDERS = {
+    "lp-rwap": lambda i: formulations.build_lp_rwap_agg(i)[0],
+    "lp-rwap-ppp": lambda i: formulations.build_ip_rwap_ppp(i, relax=True)[0],
+    "lp-r1": lambda i: formulations.build_ip_r1(i, relax=True)[0],
+    "lp-r2": lambda i: formulations.build_ip_r2(i, relax=True)[0],
+    "lp-r3": lambda i: formulations.build_lp_r3(i)[0],
+    "ip-rwap": lambda i: formulations.build_ip_rwap(i, relax=False)[0],
+    "ip-rwap-ppp": lambda i: formulations.build_ip_rwap_ppp(i, relax=False)[0],
+    "ip-r1": lambda i: formulations.build_ip_r1(i, relax=False)[0],
+    "ip-r2": lambda i: formulations.build_ip_r2(i, relax=False)[0],
+}
+LP_MODELS = tuple(name for name in _BUILDERS if name.startswith("lp-"))
+EXPORT_MODELS = tuple(_BUILDERS)
 
 CSV_HEADER = "name,V,E,D,model,method,objective,iterations,cuts,elapsed_ms,status,im_pct,gap_pct"
 
@@ -84,20 +96,6 @@ def _read_instance(path: str, parser) -> Instance:
         parser.error(f"{path}: {exc}")
 
 
-def _build_lp(instance: Instance, model_name: str):
-    if model_name == "lp-rwap":
-        return formulations.build_lp_rwap_agg(instance)[0]
-    if model_name == "lp-rwap-ppp":
-        return formulations.build_ip_rwap_ppp(instance, relax=True)[0]
-    if model_name == "lp-r1":
-        return formulations.build_ip_r1(instance, relax=True)[0]
-    if model_name == "lp-r2":
-        return formulations.build_ip_r2(instance, relax=True)[0]
-    if model_name == "lp-r3":
-        return formulations.build_lp_r3(instance)[0]
-    raise ValueError(model_name)
-
-
 def _solve_record(
     instance: Instance, model_name: str, method: str, log_path: str | None = None
 ) -> RunRecord:
@@ -113,7 +111,7 @@ def _solve_record(
         ok = res.status == CONVERGED
         detail = res.detail
     else:
-        sol = simplex.solve(_build_lp(instance, model_name))
+        sol = simplex.solve(_BUILDERS[model_name](instance))
         status = sol.status
         objective = sol.objective if sol.status == simplex.OPTIMAL else None
         iters, cuts = sol.iterations, None
@@ -151,6 +149,10 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _no_failures_error(path: str) -> int:
+    return _usage_error(f"{path}: lp-r3 needs a non-empty failure set")
+
+
 def cmd_gen(args, parser) -> int:
     try:
         if args.kind == "cycle":
@@ -174,7 +176,7 @@ def cmd_solve(args, parser) -> int:
         parser.error("--iteration-log requires --method benders")
     instance = _read_instance(args.instance, parser)
     if args.model == "lp-r3" and not instance.failures:
-        return _usage_error(f"{args.instance}: lp-r3 needs a non-empty failure set")
+        return _no_failures_error(args.instance)
     rec = _solve_record(instance, args.model, args.method, args.iteration_log)
     if args.record:
         _append_record(args.record, rec)
@@ -211,51 +213,34 @@ def cmd_validate(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    raw = os.environ.get("LAMBDA_BOUND_THREADS", "0") or "0"
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = -1
-    if threads < 0:
-        return _usage_error(
-            f"LAMBDA_BOUND_THREADS must be a non-negative integer, got {raw!r}"
-        )
     names = sorted(
         f
         for f in os.listdir(args.instance_dir)
         if f.endswith(".json") and not f.endswith(".solution.json")
     )
+    paths = [os.path.join(args.instance_dir, f) for f in names]
+    instances = [_read_instance(path, parser) for path in paths]
+    for path, instance in zip(paths, instances):
+        if not instance.failures:
+            return _no_failures_error(path)
 
-    def run(fname: str):
-        path = os.path.join(args.instance_dir, fname)
-        instance = _read_instance(path, parser)
+    lines = [CSV_HEADER]
+    for path, instance in zip(paths, instances):
         base = _solve_record(instance, "lp-rwap", "direct")
-        main = _solve_record(instance, "lp-r3", "benders")
+        r3 = _solve_record(instance, "lp-r3", "benders")
         ub_path = os.path.splitext(path)[0] + ".ub"
         ub = None
         if os.path.exists(ub_path):
             with open(ub_path, "r", encoding="utf-8") as fh:
                 ub = float(fh.read().strip())
-        if base.objective and main.objective is not None:
-            main.im_pct = validator.improvement(main.objective, base.objective)
+        if base.objective and r3.objective is not None:
+            r3.im_pct = validator.improvement(r3.objective, base.objective)
         if ub is not None:
             if base.objective:
                 base.gap_pct = validator.gap_report(ub, base.objective).gap_percent
-            if main.objective:
-                main.gap_pct = validator.gap_report(ub, main.objective).gap_percent
-        return [base, main]
-
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run, names))
-    else:
-        blocks = [run(f) for f in names]
-
-    lines = [CSV_HEADER]
-    for block in blocks:
-        lines.extend(rec.csv_row() for rec in block)
+            if r3.objective:
+                r3.gap_pct = validator.gap_report(ub, r3.objective).gap_percent
+        lines += [base.csv_row(), r3.csv_row()]
     text = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -294,22 +279,9 @@ def cmd_chain_check(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-_EXPORT_BUILDERS = {
-    "lp-rwap": lambda i: formulations.build_lp_rwap_agg(i)[0],
-    "lp-rwap-ppp": lambda i: formulations.build_ip_rwap_ppp(i, relax=True)[0],
-    "lp-r1": lambda i: formulations.build_ip_r1(i, relax=True)[0],
-    "lp-r2": lambda i: formulations.build_ip_r2(i, relax=True)[0],
-    "lp-r3": lambda i: formulations.build_lp_r3(i)[0],
-    "ip-rwap": lambda i: formulations.build_ip_rwap(i, relax=False)[0],
-    "ip-rwap-ppp": lambda i: formulations.build_ip_rwap_ppp(i, relax=False)[0],
-    "ip-r1": lambda i: formulations.build_ip_r1(i, relax=False)[0],
-    "ip-r2": lambda i: formulations.build_ip_r2(i, relax=False)[0],
-}
-
-
 def cmd_export(args, parser) -> int:
     instance = _read_instance(args.instance, parser)
-    model = _EXPORT_BUILDERS[args.model](instance)
+    model = _BUILDERS[args.model](instance)
     text = export_lp(model) if args.format == "lp" else export_mps(model)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

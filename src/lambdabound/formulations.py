@@ -5,6 +5,13 @@ VarMap resolving every symbol of the built constraint system. Variable and
 row orderings are fixed (lexicographic in the index tuples) so that repeated
 builds are identical and exports are byte-stable.
 
+Every model is made of two kinds of scenario block, each written by one row
+helper given one scenario (a failed edge, or None for no failure):
+_path_rows writes a per-request path block (the working block, and one backup
+block per failure), and _aggregated_rows writes an origin-aggregated flow
+block (one per failure in lp-r3, one in the no-failure aggregation, one in
+the decomposition master and one in each subproblem).
+
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
   build_ip_rwap      working-only model
@@ -12,6 +19,7 @@ Builders:
   build_ip_r2        backup-only model
   build_lp_r3        aggregated per-failure flow relaxation (continuous)
   build_lp_rwap_agg  single-scenario aggregation of the working-only LP
+  build_master       decomposition master: build_lp_r3 over one failure tau0
   build_subproblem   per-failure capacity-violation LP for a candidate w-bar
   cut_from_duals     dual feasibility cut for the decomposition master
 """
@@ -45,8 +53,7 @@ class VarMap:
     w: dict = field(default_factory=dict)  # (k, e) -> var
     y: dict = field(default_factory=dict)  # (tau, d, k, a) -> var
     wbar: dict = field(default_factory=dict)  # e -> var
-    y_agg: dict = field(default_factory=dict)  # (tau, s, a) -> var
-    y_origin: dict = field(default_factory=dict)  # (s, a) -> var
+    y_agg: dict = field(default_factory=dict)  # (tau, s, a) -> var; tau None = no failure
     eps: int | None = None
     rows_source: dict = field(default_factory=dict)  # s -> row
     rows_source_in: dict = field(default_factory=dict)  # s -> row
@@ -79,118 +86,91 @@ def _row_totals(instance: Instance):
     return q, totals
 
 
-def _add_working_block(model, vm, instance, table: ArcTable, relax: bool):
-    """Working-path variables and their flow/no-clash rows."""
-    D = instance.num_requests
-    K = instance.num_wavelengths
+def _path_vars(model, instance, table: ArcTable, relax: bool, tau=None):
+    """One variable per (request, wavelength, arc) for one scenario."""
+    prefix = "x_" if tau is None else f"yb_t{tau}"
     kind = _integrality(relax)
-    for d in range(D):
-        for k in range(K):
-            for a in range(table.num_arcs):
-                vm.x[(d, k, a)] = model.add_variable(
-                    0.0, 1.0, 0.0, kind, name=f"x_d{d}k{k}a{a}"
-                )
-    for k in range(K):
-        for e in range(instance.num_edges):
-            vm.w[(k, e)] = model.add_variable(
-                0.0, 1.0, 1.0, kind, name=f"w_k{k}e{e}"
-            )
+    return {
+        (d, k, a): model.add_variable(0.0, 1.0, 0.0, kind, name=f"{prefix}d{d}k{k}a{a}")
+        for d in range(instance.num_requests)
+        for k in range(instance.num_wavelengths)
+        for a in range(table.num_arcs)
+    }
+
+
+def _wavelength_vars(model, instance, relax: bool):
+    """Edge-wavelength usage w, one unit of cost each."""
+    kind = _integrality(relax)
+    return {
+        (k, e): model.add_variable(0.0, 1.0, 1.0, kind, name=f"w_k{k}e{e}")
+        for k in range(instance.num_wavelengths)
+        for e in range(instance.num_edges)
+    }
+
+
+def _path_rows(model, instance, table: ArcTable, y, w, tau=None):
+    """Flow, no-clash and exclusion rows of one path block (tau None = no failure).
+
+    y maps (d, k, a) to the block's variables and w maps (k, e) to the shared
+    usage variables; the exclusion rows keep every path off failed edge tau.
+    """
+    D, K = instance.num_requests, instance.num_wavelengths
+    p, t = ("w", "") if tau is None else ("b", f"t{tau}")
     for d, req in enumerate(instance.requests):
         model.add_row(
             SENSE_EQ,
             1.0,
-            [(vm.x[(d, k, a)], 1.0) for k in range(K) for a in table.out_arcs[req.s]],
-            name=f"wsrc_d{d}",
+            [(y[d, k, a], 1.0) for k in range(K) for a in table.out_arcs[req.s]],
+            name=f"{p}src_{t}d{d}",
         )
     for d, req in enumerate(instance.requests):
         model.add_row(
             SENSE_EQ,
             0.0,
-            [(vm.x[(d, k, a)], 1.0) for k in range(K) for a in table.in_arcs[req.s]],
-            name=f"wnull_d{d}",
+            [(y[d, k, a], 1.0) for k in range(K) for a in table.in_arcs[req.s]],
+            name=f"{p}null_{t}d{d}",
         )
     for d, req in enumerate(instance.requests):
         for k in range(K):
             for v in range(instance.num_nodes):
                 if v in (req.s, req.t):
                     continue
-                coeffs = [(vm.x[(d, k, a)], 1.0) for a in table.in_arcs[v]]
-                coeffs += [(vm.x[(d, k, a)], -1.0) for a in table.out_arcs[v]]
-                model.add_row(SENSE_EQ, 0.0, coeffs, name=f"wbal_d{d}k{k}v{v}")
+                coeffs = [(y[d, k, a], 1.0) for a in table.in_arcs[v]]
+                coeffs += [(y[d, k, a], -1.0) for a in table.out_arcs[v]]
+                model.add_row(SENSE_EQ, 0.0, coeffs, name=f"{p}bal_{t}d{d}k{k}v{v}")
     for k in range(K):
         for e in range(instance.num_edges):
-            coeffs = [(vm.x[(d, k, 2 * e)], 1.0) for d in range(D)]
-            coeffs += [(vm.x[(d, k, 2 * e + 1)], 1.0) for d in range(D)]
-            coeffs.append((vm.w[(k, e)], -1.0))
-            model.add_row(SENSE_LE, 0.0, coeffs, name=f"wcap_k{k}e{e}")
-
-
-def _add_backup_block(model, vm, instance, table: ArcTable, relax: bool, with_w: bool):
-    """Per-failure backup variables with flow, no-clash and exclusion rows."""
-    D = instance.num_requests
-    K = instance.num_wavelengths
-    kind = _integrality(relax)
-    if with_w and not vm.w:
-        for k in range(K):
-            for e in range(instance.num_edges):
-                vm.w[(k, e)] = model.add_variable(
-                    0.0, 1.0, 1.0, kind, name=f"w_k{k}e{e}"
-                )
-    for tau in instance.failures:
-        for d in range(D):
-            for k in range(K):
-                for a in range(table.num_arcs):
-                    vm.y[(tau, d, k, a)] = model.add_variable(
-                        0.0, 1.0, 0.0, kind, name=f"yb_t{tau}d{d}k{k}a{a}"
-                    )
-    for tau in instance.failures:
-        for d, req in enumerate(instance.requests):
-            model.add_row(
-                SENSE_EQ,
-                1.0,
-                [
-                    (vm.y[(tau, d, k, a)], 1.0)
-                    for k in range(K)
-                    for a in table.out_arcs[req.s]
-                ],
-                name=f"bsrc_t{tau}d{d}",
-            )
-        for d, req in enumerate(instance.requests):
-            model.add_row(
-                SENSE_EQ,
-                0.0,
-                [
-                    (vm.y[(tau, d, k, a)], 1.0)
-                    for k in range(K)
-                    for a in table.in_arcs[req.s]
-                ],
-                name=f"bnull_t{tau}d{d}",
-            )
-        for d, req in enumerate(instance.requests):
-            for k in range(K):
-                for v in range(instance.num_nodes):
-                    if v in (req.s, req.t):
-                        continue
-                    coeffs = [(vm.y[(tau, d, k, a)], 1.0) for a in table.in_arcs[v]]
-                    coeffs += [(vm.y[(tau, d, k, a)], -1.0) for a in table.out_arcs[v]]
-                    model.add_row(SENSE_EQ, 0.0, coeffs, name=f"bbal_t{tau}d{d}k{k}v{v}")
-        for k in range(K):
-            for e in range(instance.num_edges):
-                coeffs = [(vm.y[(tau, d, k, 2 * e)], 1.0) for d in range(D)]
-                coeffs += [(vm.y[(tau, d, k, 2 * e + 1)], 1.0) for d in range(D)]
-                coeffs.append((vm.w[(k, e)], -1.0))
-                model.add_row(SENSE_LE, 0.0, coeffs, name=f"bcap_t{tau}k{k}e{e}")
+            coeffs = [(y[d, k, a], 1.0) for d in range(D) for a in (2 * e, 2 * e + 1)]
+            coeffs.append((w[k, e], -1.0))
+            model.add_row(SENSE_LE, 0.0, coeffs, name=f"{p}cap_{t}k{k}e{e}")
+    if tau is not None:
         for d in range(D):
             for k in range(K):
                 model.add_row(
                     SENSE_EQ,
                     0.0,
-                    [
-                        (vm.y[(tau, d, k, 2 * tau)], 1.0),
-                        (vm.y[(tau, d, k, 2 * tau + 1)], 1.0),
-                    ],
-                    name=f"bexcl_t{tau}d{d}k{k}",
+                    [(y[d, k, 2 * tau], 1.0), (y[d, k, 2 * tau + 1], 1.0)],
+                    name=f"bexcl_{t}d{d}k{k}",
                 )
+
+
+def _add_working_block(model, vm, instance, table: ArcTable, relax: bool):
+    """Working-path variables, the usage variables w and the working rows."""
+    vm.x = _path_vars(model, instance, table, relax)
+    vm.w = _wavelength_vars(model, instance, relax)
+    _path_rows(model, instance, table, vm.x, vm.w)
+
+
+def _add_backup_blocks(model, vm, instance, table: ArcTable, relax: bool):
+    """One backup path block per failure; adds w when no working block did."""
+    if not vm.w:
+        vm.w = _wavelength_vars(model, instance, relax)
+    blocks = {
+        tau: _path_vars(model, instance, table, relax, tau) for tau in instance.failures
+    }
+    for tau, y in blocks.items():
+        vm.y.update(((tau, *key), vid) for key, vid in y.items())
+        _path_rows(model, instance, table, y, vm.w, tau)
 
 
 def _add_linking_block(model, vm, instance, table: ArcTable):
@@ -221,7 +201,7 @@ def build_ip_rwap_ppp(instance: Instance, relax: bool = False):
     model = LinearModel(f"rwap-ppp:{instance.name}")
     vm = VarMap()
     _add_working_block(model, vm, instance, table, relax)
-    _add_backup_block(model, vm, instance, table, relax, with_w=False)
+    _add_backup_blocks(model, vm, instance, table, relax)
     _add_linking_block(model, vm, instance, table)
     return model, vm
 
@@ -241,7 +221,7 @@ def build_ip_r1(instance: Instance, relax: bool = False):
     model = LinearModel(f"r1:{instance.name}")
     vm = VarMap()
     _add_working_block(model, vm, instance, table, relax)
-    _add_backup_block(model, vm, instance, table, relax, with_w=False)
+    _add_backup_blocks(model, vm, instance, table, relax)
     return model, vm
 
 
@@ -250,43 +230,85 @@ def build_ip_r2(instance: Instance, relax: bool = False):
     table = arcs(instance.network)
     model = LinearModel(f"r2:{instance.name}")
     vm = VarMap()
-    _add_backup_block(model, vm, instance, table, relax, with_w=True)
+    _add_backup_blocks(model, vm, instance, table, relax)
     return model, vm
 
 
-def _aggregated_flow_rows(model, vm, instance, table, q, totals, tau, tagged):
-    """Origin-aggregated flow rows for one scenario (tau None = no failure)."""
+def _aggregated_vars(model, instance, table: ArcTable, totals, tau):
+    """Origin-aggregated flows of one scenario, keyed (tau, s, a)."""
+    tag = "" if tau is None else f"t{tau}"
+    return {
+        (tau, s, a): model.add_variable(0.0, float(totals[s]), 0.0, name=f"ya_{tag}s{s}a{a}")
+        for s in range(instance.num_nodes)
+        for a in range(table.num_arcs)
+    }
+
+
+def _aggregated_rows(model, instance, table: ArcTable, q, totals, y, tau, cap_cols, cap_rhs):
+    """Rows of one origin-aggregated flow block (tau None = no failure).
+
+    Origin s sends out all of its demand and takes none back, every other
+    node v keeps q(s, v) of it, the flow over edge e less column cap_cols[e]
+    is at most cap_rhs[e], and under failure tau no flow uses edge tau.
+    Returns the row ids: source, source inflow, balance, capacity, exclusion.
+    """
     V = instance.num_nodes
-    tag = f"t{tau}" if tagged else ""
-
-    def yv(s, a):
-        return vm.y_agg[(tau, s, a)] if tagged else vm.y_origin[(s, a)]
-
-    src, src_in, bal = {}, {}, {}
+    tag = "" if tau is None else f"t{tau}"
+    src, src_in, bal, cap, excl = {}, {}, {}, {}, {}
     for s in range(V):
         src[s] = model.add_row(
             SENSE_EQ,
             float(totals[s]),
-            [(yv(s, a), 1.0) for a in table.out_arcs[s]],
+            [(y[tau, s, a], 1.0) for a in table.out_arcs[s]],
             name=f"asrc_{tag}s{s}",
         )
     for s in range(V):
         src_in[s] = model.add_row(
             SENSE_EQ,
             0.0,
-            [(yv(s, a), 1.0) for a in table.in_arcs[s]],
+            [(y[tau, s, a], 1.0) for a in table.in_arcs[s]],
             name=f"anull_{tag}s{s}",
         )
     for s in range(V):
         for v in range(V):
             if v == s:
                 continue
-            coeffs = [(yv(s, a), 1.0) for a in table.in_arcs[v]]
-            coeffs += [(yv(s, a), -1.0) for a in table.out_arcs[v]]
+            coeffs = [(y[tau, s, a], 1.0) for a in table.in_arcs[v]]
+            coeffs += [(y[tau, s, a], -1.0) for a in table.out_arcs[v]]
             bal[(s, v)] = model.add_row(
                 SENSE_EQ, float(q.get(s, v)), coeffs, name=f"abal_{tag}s{s}v{v}"
             )
-    return src, src_in, bal
+    for e in range(instance.num_edges):
+        coeffs = [(y[tau, s, a], 1.0) for s in range(V) for a in (2 * e, 2 * e + 1)]
+        coeffs.append((cap_cols[e], -1.0))
+        cap[e] = model.add_row(
+            SENSE_LE, float(cap_rhs[e]), coeffs, name=f"acap_{tag}e{e}"
+        )
+    if tau is not None:
+        for s in range(V):
+            excl[s] = model.add_row(
+                SENSE_EQ,
+                0.0,
+                [(y[tau, s, 2 * tau], 1.0), (y[tau, s, 2 * tau + 1], 1.0)],
+                name=f"aexcl_{tag}s{s}",
+            )
+    return src, src_in, bal, cap, excl
+
+
+def _aggregated_model(name: str, instance: Instance, scenarios):
+    """Edge capacities wbar, each costing one, and one flow block per scenario."""
+    table = arcs(instance.network)
+    q, totals = _row_totals(instance)
+    E, K = instance.num_edges, instance.num_wavelengths
+    model = LinearModel(name)
+    vm = VarMap()
+    for e in range(E):
+        vm.wbar[e] = model.add_variable(0.0, float(K), 1.0, name=f"wb_e{e}")
+    for tau in scenarios:
+        vm.y_agg.update(_aggregated_vars(model, instance, table, totals, tau))
+    for tau in scenarios:
+        _aggregated_rows(model, instance, table, q, totals, vm.y_agg, tau, vm.wbar, [0.0] * E)
+    return model, vm
 
 
 def build_lp_r3(instance: Instance):
@@ -295,60 +317,23 @@ def build_lp_r3(instance: Instance):
         raise FormulationError(
             "failure set is empty; use build_lp_rwap_agg for the no-failure model"
         )
-    table = arcs(instance.network)
-    q, totals = _row_totals(instance)
-    V, E, K = instance.num_nodes, instance.num_edges, instance.num_wavelengths
-    model = LinearModel(f"lp-r3:{instance.name}")
-    vm = VarMap()
-    for e in range(E):
-        vm.wbar[e] = model.add_variable(0.0, float(K), 1.0, name=f"wb_e{e}")
-    for tau in instance.failures:
-        for s in range(V):
-            for a in range(table.num_arcs):
-                vm.y_agg[(tau, s, a)] = model.add_variable(
-                    0.0, float(totals[s]), 0.0, name=f"ya_t{tau}s{s}a{a}"
-                )
-    for tau in instance.failures:
-        _aggregated_flow_rows(model, vm, instance, table, q, totals, tau, tagged=True)
-        for e in range(E):
-            coeffs = [(vm.y_agg[(tau, s, 2 * e)], 1.0) for s in range(V)]
-            coeffs += [(vm.y_agg[(tau, s, 2 * e + 1)], 1.0) for s in range(V)]
-            coeffs.append((vm.wbar[e], -1.0))
-            model.add_row(SENSE_LE, 0.0, coeffs, name=f"acap_t{tau}e{e}")
-        for s in range(V):
-            model.add_row(
-                SENSE_EQ,
-                0.0,
-                [
-                    (vm.y_agg[(tau, s, 2 * tau)], 1.0),
-                    (vm.y_agg[(tau, s, 2 * tau + 1)], 1.0),
-                ],
-                name=f"aexcl_t{tau}s{s}",
-            )
-    return model, vm
+    return _aggregated_model(f"lp-r3:{instance.name}", instance, instance.failures)
 
 
 def build_lp_rwap_agg(instance: Instance):
     """Single-scenario aggregation: working-only LP over origin flows."""
-    table = arcs(instance.network)
-    q, totals = _row_totals(instance)
-    V, E, K = instance.num_nodes, instance.num_edges, instance.num_wavelengths
-    model = LinearModel(f"lp-rwap-agg:{instance.name}")
-    vm = VarMap()
-    for e in range(E):
-        vm.wbar[e] = model.add_variable(0.0, float(K), 1.0, name=f"wb_e{e}")
-    for s in range(V):
-        for a in range(table.num_arcs):
-            vm.y_origin[(s, a)] = model.add_variable(
-                0.0, float(totals[s]), 0.0, name=f"ya_s{s}a{a}"
-            )
-    _aggregated_flow_rows(model, vm, instance, table, q, totals, None, tagged=False)
-    for e in range(E):
-        coeffs = [(vm.y_origin[(s, 2 * e)], 1.0) for s in range(V)]
-        coeffs += [(vm.y_origin[(s, 2 * e + 1)], 1.0) for s in range(V)]
-        coeffs.append((vm.wbar[e], -1.0))
-        model.add_row(SENSE_LE, 0.0, coeffs, name=f"acap_e{e}")
-    return model, vm
+    return _aggregated_model(f"lp-rwap-agg:{instance.name}", instance, (None,))
+
+
+def build_master(instance: Instance, tau0: int):
+    """Decomposition master: the relaxation restricted to failure tau0 alone.
+
+    It is build_lp_r3 over the failure set {tau0}; every other failure enters
+    later through cut rows. The zero-inflow-at-origin rows are redundant for
+    the bound but valid for the full relaxation, and they give the master
+    block the subproblem's structure.
+    """
+    return _aggregated_model(f"master:{instance.name}:t{tau0}", instance, (tau0,))
 
 
 def build_subproblem(instance: Instance, failed_edge: int, wbar):
@@ -363,38 +348,20 @@ def build_subproblem(instance: Instance, failed_edge: int, wbar):
         raise FormulationError("wbar entries must lie within [0, |K|]")
     table = arcs(instance.network)
     q, totals = _row_totals(instance)
-    V, E = instance.num_nodes, instance.num_edges
     model = LinearModel(f"sub:{instance.name}:t{failed_edge}")
     vm = VarMap()
-    for s in range(V):
-        for a in range(table.num_arcs):
-            vm.y_agg[(failed_edge, s, a)] = model.add_variable(
-                0.0, float(totals[s]), 0.0, name=f"ya_s{s}a{a}"
-            )
+    vm.y_agg = _aggregated_vars(model, instance, table, totals, failed_edge)
     vm.eps = model.add_variable(0.0, float("inf"), 1.0, name="eps")
-    src, src_in, bal = _aggregated_flow_rows(
-        model, vm, instance, table, q, totals, failed_edge, tagged=True
+    (
+        vm.rows_source,
+        vm.rows_source_in,
+        vm.rows_balance,
+        vm.rows_capacity,
+        vm.rows_failed,
+    ) = _aggregated_rows(
+        model, instance, table, q, totals, vm.y_agg, failed_edge,
+        [vm.eps] * instance.num_edges, wbar,
     )
-    vm.rows_source = src
-    vm.rows_source_in = src_in
-    vm.rows_balance = bal
-    for e in range(E):
-        coeffs = [(vm.y_agg[(failed_edge, s, 2 * e)], 1.0) for s in range(V)]
-        coeffs += [(vm.y_agg[(failed_edge, s, 2 * e + 1)], 1.0) for s in range(V)]
-        coeffs.append((vm.eps, -1.0))
-        vm.rows_capacity[e] = model.add_row(
-            SENSE_LE, float(wbar[e]), coeffs, name=f"scap_e{e}"
-        )
-    for s in range(V):
-        vm.rows_failed[s] = model.add_row(
-            SENSE_EQ,
-            0.0,
-            [
-                (vm.y_agg[(failed_edge, s, 2 * failed_edge)], 1.0),
-                (vm.y_agg[(failed_edge, s, 2 * failed_edge + 1)], 1.0),
-            ],
-            name=f"sexcl_s{s}",
-        )
     return model, vm
 
 

@@ -67,18 +67,21 @@ _NB_LOWER, _NB_UPPER, _BASIC, _NB_FREE = 0, 1, 2, 3
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Solve settings.
+
+    Pricing is fixed: Dantzig's rule, switching to Bland's rule after
+    BLAND_STALL consecutive degenerate steps.
+    """
+
     feasibility_tol: float = 1e-7
     optimality_tol: float = 1e-7
     max_iterations: int = 10_000_000
-    pivot_rule: str = "dantzig-with-bland-fallback"
 
     def __post_init__(self):
         if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.pivot_rule != "dantzig-with-bland-fallback":
-            raise ValueError(f"unknown pivot rule {self.pivot_rule!r}")
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,6 @@ def test_options_validation():
         BendersOptions(violation_tol=0)
     with pytest.raises(ValueError):
         BendersOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        BendersOptions(tau0_rule="random")
 
 
 def _log_without_time(res):

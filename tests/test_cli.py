@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import parse_mps
-from lambdabound import benders
+from lambdabound import benders, cli
 from lambdabound.cli import CSV_HEADER, main
 from lambdabound.instance import bundled_text, load_instance
 from lambdabound.lpmodel import Solution
@@ -243,37 +243,6 @@ def test_solve_infeasible_exits_nonzero(tmp_path, capsys):
     assert "Infeasible" in err
 
 
-def test_bench_respects_thread_cap(tmp_path, capsys, monkeypatch):
-    for m in (3, 4):
-        write_cycle(tmp_path, name=f"c{m}.json", m=m, n=1, k=2)
-    serial_csv = tmp_path / "serial.csv"
-    monkeypatch.setenv("LAMBDA_BOUND_THREADS", "1")
-    assert main(["bench", str(tmp_path), "--out", str(serial_csv)]) == 0
-    threaded_csv = tmp_path / "threaded.csv"
-    monkeypatch.setenv("LAMBDA_BOUND_THREADS", "2")
-    assert main(["bench", str(tmp_path), "--out", str(threaded_csv)]) == 0
-
-    def strip_timing(text):
-        return [
-            ",".join(col for i, col in enumerate(ln.split(",")) if i != 9)
-            for ln in text.strip().split("\n")
-        ]
-
-    assert strip_timing(serial_csv.read_text()) == strip_timing(threaded_csv.read_text())
-
-
-@pytest.mark.parametrize("value", ["abc", "-1"])
-def test_bench_rejects_bad_thread_cap(tmp_path, capsys, monkeypatch, value):
-    write_cycle(tmp_path, name="c3.json", m=3, n=1, k=2)
-    monkeypatch.setenv("LAMBDA_BOUND_THREADS", value)
-    code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(tmp_path / "b.csv"))
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "LAMBDA_BOUND_THREADS" in err
-    assert not (tmp_path / "b.csv").exists()
-
-
 @pytest.mark.parametrize("method", ["direct", "benders"])
 def test_solve_lp_r3_needs_failures(tmp_path, capsys, method):
     path = write_cycle(tmp_path, m=3, n=1, k=1)
@@ -285,6 +254,27 @@ def test_solve_lp_r3_needs_failures(tmp_path, capsys, method):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "failure set" in err
+
+
+def test_bench_rejects_empty_failure_set(tmp_path, capsys, monkeypatch):
+    write_cycle(tmp_path, name="a.json", m=3, n=1, k=1)
+    path = write_cycle(tmp_path, name="b.json", m=3, n=1, k=1)
+    doc = json.loads(path.read_text())
+    doc["failures"] = []
+    path.write_text(json.dumps(doc))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("bench solved before checking every instance")
+
+    monkeypatch.setattr(cli, "_solve_record", no_solve)
+    out_csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "bench", str(tmp_path), "--out", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines() == [
+        f"lambdabound: error: {path}: lp-r3 needs a non-empty failure set"
+    ]
+    assert not out_csv.exists()
 
 
 def test_solve_benders_failure_is_one_line(tmp_path, capsys, monkeypatch):

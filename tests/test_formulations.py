@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from helpers import linprog_solve, solve_checked
-from lambdabound import simplex
+from lambdabound import benders, simplex
+from lambdabound.cli import EXPORT_MODELS, main
 from lambdabound.formulations import (
     Cut,
     FormulationError,
@@ -24,6 +26,7 @@ from lambdabound.instance import (
     Request,
     gen_cycle,
     gen_random,
+    save_instance,
 )
 from lambdabound.lpmodel import BINARY, CONTINUOUS
 
@@ -251,3 +254,94 @@ def test_varmap_ids_are_unique(net4):
     model, vm = build_ip_rwap_ppp(net4)
     ids = list(vm.x.values()) + list(vm.w.values()) + list(vm.y.values())
     assert len(ids) == len(set(ids)) == model.num_variables
+
+
+# sha256 of the LP then MPS text of every CLI export model: exports must stay
+# byte-identical, so any change to a builder's variables, rows or names shows here
+EXPORT_DIGESTS = {
+    ('net4', 'lp-rwap'): 'c25f7f3f8c0cd02f67e3cbaef96de2c5b6391292324f12e761acb50032c38c55',
+    ('net4', 'lp-rwap-ppp'): 'd303da265c7064ce65a11f905ed879802d07b18fd037ecbbdfddecde5d5941af',
+    ('net4', 'lp-r1'): 'eddf4d55146df97bbad8aa3e92cf874aeddc1ba7965f66ad03f8e19ed23870ec',
+    ('net4', 'lp-r2'): '3f8bfc5d76fa213caa82cc00f8d21d23cc04a2770eb0d15077eb9675a00beef6',
+    ('net4', 'lp-r3'): '7e65e915f289c7d3f6cee4d0995b597afa49598186de1c5875e164f0ae9d87d2',
+    ('net4', 'ip-rwap'): '5d90ffe9fd74fdb283e770e0f1daba76e221e566dfd327933eb202d20672d5dd',
+    ('net4', 'ip-rwap-ppp'): '006cf1ba129d0650aface057beb3c42ea322c93899f7bbe1673fa2ab025aae38',
+    ('net4', 'ip-r1'): '08c8d36f9ae3eb90cf7794d536f83a36e6adc04760a4532c1fcd552a0d16d9a0',
+    ('net4', 'ip-r2'): 'f9605386c02ed596e2d791d92fa763075db992c8017470bba9f7f86da5f3bc13',
+    ('random6', 'lp-rwap'): '4b0b59722f913541399ff48920b51525d52c33fb08233a97c6f5bc75d7cde0d8',
+    ('random6', 'lp-rwap-ppp'): '1eb3e5d2419c3c866eacfec2caaef6e03608c9af8d189df302647acfaffe05ff',
+    ('random6', 'lp-r1'): '1bde3881e1bf3ce13e97334b8edaef8558930cdf0886311286b7989f7e5ae688',
+    ('random6', 'lp-r2'): 'b86a4affd927031467fa37b22dabefb8360861d132ccee098fc1f049386a0927',
+    ('random6', 'lp-r3'): 'ba738f5250ededa47d9c7a584352b31206c47f6a3985f42b80eed348f5780b86',
+    ('random6', 'ip-rwap'): '24bc0afe25f8c0add63f4ba392e3d31a8652ff55a12afd194d28bbce203ce159',
+    ('random6', 'ip-rwap-ppp'): 'e9a5da158a31ab733077ab1e4263c0a8ab0a51c6882fbc2b33ec6f253f4187c7',
+    ('random6', 'ip-r1'): 'd9ca3d4e7207ee961b46f3337589bc302f873ed6d872e54177440a49cb437d0f',
+    ('random6', 'ip-r2'): '48fdf2d931451170e9999f61495fc4106ad11016bc3a4f40955c8300375333b2',
+}
+
+
+def _pinned_instances(net4):
+    return {"net4": net4, "random6": gen_random(6, 2, 3, 3, seed=1)}
+
+
+def test_export_bytes_are_pinned(tmp_path, capsys, net4):
+    digests = {}
+    for label, inst in _pinned_instances(net4).items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(save_instance(inst))
+        for name in EXPORT_MODELS:
+            h = hashlib.sha256()
+            for fmt in ("lp", "mps"):
+                out = tmp_path / f"{label}.{name}.{fmt}"
+                assert main(["export", str(path), "--model", name, "--format", fmt,
+                             "--out", str(out)]) == 0
+                h.update(out.read_bytes())
+            digests[(label, name)] = h.hexdigest()
+    capsys.readouterr()
+    assert len(digests) == 18
+    assert digests == EXPORT_DIGESTS
+
+
+def _structure_digest(model):
+    """Bounds, costs, senses, right-hand sides and coefficients; not names."""
+    h = hashlib.sha256()
+    for v in model.variables:
+        h.update(repr((v.lower, v.upper, v.obj)).encode())
+    for r in model.rows:
+        h.update(repr((r.sense, r.rhs, r.coeffs)).encode())
+    return h.hexdigest()
+
+
+# master, then the subproblem of each failure at capacities 0.5
+DECOMPOSITION_DIGESTS = [
+    '306a9f143e81498a857cc8844097009e6f58df235c3bdc0d420742b4cc7a34fd',
+    'e1a78482d33043efaff1b904e9121ed7662fd5d944c5bb9a59f017a82e376544',
+    '662026cbc3096640888262b0e3d6934a48a52642c6f009529183ddda065a1e7e',
+    '4d8e6451bb29880e85985c880a6173dc0f97db3c0c02042f7bec977da8852091',
+    'b6cd10e430280512f045d2a12b92a033e7430549773f23d4e35b87e7a7a7ac57',
+    'ef9043f9328a51d1dcd4b43f9a98c0cb1fae8bcd48385a1cdfcd2d48bd87a47e',
+    '352e01e96b46506dd4ac173071863de7516018cf0d462271ff29df0e6358aa75',
+    '57aefb7fde8c876a88dfb7142306bf6438ee2bc1e3d6267671ce1e4fe5effde7',
+    'ff9173d3fb6f79e3abf444da7f7488d5c1d69262f7a1b1afccce9a159230fce1',
+]
+
+
+def test_decomposition_models_are_pinned(monkeypatch):
+    inst = gen_random(6, 2, 3, 3, seed=1)
+    presolved = []
+    original = benders.presolve
+
+    def capture(model, tol):
+        presolved.append(model)
+        return original(model, tol)
+
+    monkeypatch.setattr(benders, "presolve", capture)
+    state = benders.BendersState(inst)
+    [master] = presolved
+    assert master.name == f"master:{inst.name}:t{state.tau0}"
+    models = [master]
+    for tau in inst.failures:
+        sub, _ = build_subproblem(inst, tau, np.full(inst.num_edges, 0.5))
+        assert sub.name == f"sub:{inst.name}:t{tau}"
+        models.append(sub)
+    assert [_structure_digest(m) for m in models] == DECOMPOSITION_DIGESTS

@@ -74,8 +74,6 @@ def test_options_validation():
         SolveOptions(feasibility_tol=0.0)
     with pytest.raises(ValueError):
         SolveOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolveOptions(pivot_rule="steepest-edge")
 
 
 def test_fixed_variables_and_empty_rows_presolve():
