@@ -41,12 +41,17 @@ from .formulations import (
 )
 from .instance import Instance, arcs
 from .lpmodel import SENSE_LE
-from .simplex import INFEASIBLE, OPTIMAL, ArrayLP, SolveOptions, presolve, solve
+from .simplex import INFEASIBLE, OPTIMAL, ArrayLP, presolve, solve
 
 CONVERGED = "Converged"
 ITERATION_LIMIT = "IterationLimit"
 INFEASIBLE_STATUS = "Infeasible"
 FAILED_STATUS = "Failed"
+
+# read at call time, so that a test can lower them with monkeypatch
+VIOLATION_TOL = 1e-7  # a failure whose subproblem optimum exceeds this gets a cut
+MAX_ITERATIONS = 500
+FILTER_TOL = 1e-9  # tau0 arc flow at or below this counts as none
 
 
 class BendersError(RuntimeError):
@@ -55,19 +60,13 @@ class BendersError(RuntimeError):
 
 @dataclass(frozen=True)
 class BendersOptions:
-    """Run settings; tau0, the failure kept in the master, is the lowest edge id."""
+    """Run settings; tau0, the failure kept in the master, is the lowest edge id.
 
-    violation_tol: float = 1e-7
-    max_iterations: int = 500
-    filter_tol: float = 1e-9
+    verify_filtered re-solves every failure the tau0-flow filter skipped from
+    a fresh cold build and logs the largest violation among them.
+    """
+
     verify_filtered: bool = False
-    solver: SolveOptions = field(default_factory=SolveOptions)
-
-    def __post_init__(self):
-        if self.violation_tol <= 0:
-            raise ValueError("violation_tol must be positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass
@@ -143,9 +142,7 @@ def log_to_csv(log) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pi_prime_filter(
-    instance: Instance, master: MasterSolution, tol: float = 1e-9
-) -> set[int]:
+def pi_prime_filter(instance: Instance, master: MasterSolution) -> set[int]:
     """Failures whose arcs carry no tau0 flow; their subproblems are skipped.
 
     The master flow itself certifies these scenarios (it avoids the failed
@@ -155,7 +152,7 @@ def pi_prime_filter(
     for tau in instance.failures:
         fwd = master.flows[:, 2 * tau]
         bwd = master.flows[:, 2 * tau + 1]
-        if (fwd <= tol).all() and (bwd <= tol).all():
+        if (fwd <= FILTER_TOL).all() and (bwd <= FILTER_TOL).all():
             skipped.add(tau)
     return skipped
 
@@ -166,12 +163,11 @@ class BendersState:
     def __init__(self, instance: Instance, options: BendersOptions | None = None):
         if not instance.failures:
             raise BendersError("instance has an empty failure set")
-        opts = options or BendersOptions()
         self.instance = instance
-        self.options = opts
+        self.options = options or BendersOptions()
         self.tau0 = min(instance.failures)
         model, varmap = build_master(instance, self.tau0)
-        self.master = presolve(model, opts.solver.feasibility_tol)
+        self.master = presolve(model)
         num_arcs = arcs(instance.network).num_arcs
         self._wbar_ids = np.array([varmap.wbar[e] for e in range(instance.num_edges)])
         self._flow_ids = np.array(
@@ -201,7 +197,7 @@ class BendersState:
         return BendersError(f"failure {tau}: {why}")
 
     def _solve_master(self) -> tuple[MasterSolution, int]:
-        sol = solve(self.master, self.options.solver)
+        sol = solve(self.master)
         if sol.status != OPTIMAL:
             status = INFEASIBLE_STATUS if sol.status == INFEASIBLE else FAILED_STATUS
             raise self._stop(status, self.tau0, f"master solve ended {sol.status}")
@@ -223,10 +219,10 @@ class BendersState:
                 self._capacity_rows = np.array(
                     [varmap.rows_capacity[e] for e in range(self.instance.num_edges)]
                 )
-            lp = self.subproblems[tau] = presolve(model, self.options.solver.feasibility_tol)
+            lp = self.subproblems[tau] = presolve(model)
         else:
             lp.set_rhs(self._capacity_rows, wbar)
-        sol = solve(lp, self.options.solver)
+        sol = solve(lp)
         if sol.status == OPTIMAL:
             lp.basis = sol.basis
         return sol
@@ -235,11 +231,10 @@ class BendersState:
         """Run one master/subproblem round; returns True once converged."""
         if self.converged:
             return True
-        opts = self.options
         master, master_pivots = self._solve_master()
         self.master_solution = master
 
-        skipped = pi_prime_filter(self.instance, master, opts.filter_tol)
+        skipped = pi_prime_filter(self.instance, master)
         violated = []
         max_violation = 0.0
         sub_pivots = 0
@@ -253,16 +248,16 @@ class BendersState:
             if sol.status != OPTIMAL:
                 raise self._stop(FAILED_STATUS, tau, f"subproblem ended {sol.status}")
             max_violation = max(max_violation, sol.objective)
-            if sol.objective > opts.violation_tol:
+            if sol.objective > VIOLATION_TOL:
                 violated.append((tau, sol))
 
         filtered_max = None
-        if opts.verify_filtered and skipped:
+        if self.options.verify_filtered and skipped:
             # an independent check: a fresh cold solve, not the kept warm state
             filtered_max = 0.0
             for tau in sorted(skipped):
                 model, _ = build_subproblem(self.instance, tau, master.wbar)
-                filtered_max = max(filtered_max, solve(model, opts.solver).objective)
+                filtered_max = max(filtered_max, solve(model).objective)
 
         rows = []
         for tau, sol in violated:
@@ -307,11 +302,10 @@ def solve_lp_r3_benders(
     instance: Instance, options: BendersOptions | None = None
 ) -> BendersResult:
     """Run the decomposition to optimality of the aggregated relaxation."""
-    opts = options or BendersOptions()
-    state = BendersState(instance, opts)
+    state = BendersState(instance, options)
     status = ITERATION_LIMIT
     try:
-        for _ in range(opts.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             if state.iterate_once():
                 status = CONVERGED
                 break

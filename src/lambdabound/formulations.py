@@ -40,6 +40,10 @@ from .lpmodel import (
     Solution,
 )
 
+# cut_from_duals: the least violation worth a cut, and the slack allowed in
+# the dual point's feasibility system and in the cut's value
+CUT_TOL = 1e-6
+
 
 class FormulationError(ValueError):
     """Builder misuse or a dual point that fails its feasibility system."""
@@ -395,12 +399,11 @@ def cut_from_duals(
     wbar,
     solution: Solution,
     varmap: VarMap,
-    tol: float = 1e-6,
 ) -> Cut:
     """Turn an optimal dual point of the violation subproblem into a cut."""
     if solution.status != "Optimal":
         raise FormulationError("cut requires an Optimal subproblem solution")
-    if solution.objective <= tol:
+    if solution.objective <= CUT_TOL:
         raise FormulationError(
             "subproblem shows no violation; a cut was not warranted"
         )
@@ -420,7 +423,7 @@ def cut_from_duals(
     worst = dual_point_violation(
         instance, failed_edge, beta, phi, gamma, theta, psi, zeta
     )
-    if worst > tol:
+    if worst > CUT_TOL:
         raise FormulationError(
             f"dual point violates its feasibility system by {worst:.3e}"
         )
@@ -433,7 +436,7 @@ def cut_from_duals(
     cut = Cut(failure=failed_edge, constant=float(constant), wbar_coeffs=coeffs)
 
     value = cut.evaluate(np.asarray(wbar, dtype=float))
-    if abs(value - solution.objective) > tol * (1.0 + abs(solution.objective)):
+    if abs(value - solution.objective) > CUT_TOL * (1.0 + abs(solution.objective)):
         raise FormulationError(
             f"cut value {value:.6g} disagrees with subproblem optimum "
             f"{solution.objective:.6g}"

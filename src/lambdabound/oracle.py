@@ -11,13 +11,16 @@ limits are rejected outright, never silently truncated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .instance import Instance, arcs
 from . import formulations
 from . import simplex
+
+CHAIN_TOL = 1e-6  # slack allowed in each relation verify_chain checks
+FLOW_TOL = 1e-6  # conservation slack flow_decompose accepts; less demand is dropped
 
 
 class OracleBudgetError(RuntimeError):
@@ -118,43 +121,7 @@ def _request_paths(instance: Instance, limits: OracleLimits):
 
 def exact_rwap(instance: Instance, limits: OracleLimits | None = None) -> int:
     """Exhaustive optimum of the working-only assignment problem."""
-    limits = limits or OracleLimits()
-    D = instance.num_requests
-    if D == 0:
-        return 0
-    K = instance.num_wavelengths
-    paths = _request_paths(instance, limits)
-    min_len = [len(p[0]) if p else None for p in paths]
-    if any(m is None for m in min_len):
-        raise OracleInfeasibleError("some request has no path at all")
-    budget = _Budget(limits.max_assignments)
-    tail_min = [0] * (D + 1)
-    for d in range(D - 1, -1, -1):
-        tail_min[d] = tail_min[d + 1] + min_len[d]
-
-    best = [float("inf")]
-    occupied: set[tuple[int, int]] = set()
-
-    def go(d: int, count: int, used_wl: int):
-        if count + tail_min[d] >= best[0]:
-            return
-        if d == D:
-            best[0] = count
-            return
-        for path in paths[d]:
-            for k in range(min(K, used_wl + 1)):
-                budget.spend()
-                pairs = [(k, e) for e in path]
-                if any(p in occupied for p in pairs):
-                    continue
-                occupied.update(pairs)
-                go(d + 1, count + len(path), max(used_wl, k + 1))
-                occupied.difference_update(pairs)
-
-    go(0, 0, 0)
-    if best[0] == float("inf"):
-        raise OracleInfeasibleError("no clash-free working assignment exists")
-    return int(best[0])
+    return exact_rwap_ppp(replace(instance, failures=()), limits)
 
 
 def _scenario_options(
@@ -213,15 +180,18 @@ def _scenario_options(
 
 
 def exact_rwap_ppp(instance: Instance, limits: OracleLimits | None = None) -> int:
-    """Exhaustive optimum of the full working+backup assignment problem."""
+    """Exhaustive optimum of the full working+backup assignment problem.
+
+    With no failures this is the working-only problem.
+    """
     limits = limits or OracleLimits()
     D = instance.num_requests
     if D == 0:
         return 0
-    if not instance.failures:
-        return exact_rwap(instance, limits)
     K = instance.num_wavelengths
     paths = _request_paths(instance, limits)
+    if not all(paths):
+        raise OracleInfeasibleError("some request has no path at all")
     budget = _Budget(limits.max_assignments)
     min_len = [len(p[0]) for p in paths]
     tail_min = [0] * (D + 1)
@@ -283,16 +253,16 @@ def exact_rwap_ppp(instance: Instance, limits: OracleLimits | None = None) -> in
 
     go(0, 0, 0)
     if not found[0]:
-        raise OracleInfeasibleError("no protectable assignment exists")
+        raise OracleInfeasibleError("no feasible assignment exists")
     return int(best[0])
 
 
-def flow_decompose(instance: Instance, failed_edge, flows, q, tol: float = 1e-6):
+def flow_decompose(instance: Instance, failed_edge, flows, q):
     """Split per-origin arc flows into origin->sink path bundles.
 
     flows is a (num_nodes, num_arcs) array of aggregated arc values for one
     scenario. The input must satisfy the scenario's conservation system within
-    tol; residual circulation left after all demands are delivered is
+    FLOW_TOL; residual circulation left after all demands are delivered is
     discarded, which never increases any arc total.
     """
     table = arcs(instance.network)
@@ -304,16 +274,16 @@ def flow_decompose(instance: Instance, failed_edge, flows, q, tol: float = 1e-6)
     out_arcs, in_arcs = table.out_arcs, table.in_arcs
     for s in range(V):
         supply = sum(q.get(s, t) for t in range(V))
-        if abs(flows[s, list(out_arcs[s])].sum() - supply) > tol:
+        if abs(flows[s, list(out_arcs[s])].sum() - supply) > FLOW_TOL:
             raise ValueError(f"origin {s}: source outflow differs from demand")
-        if abs(flows[s, list(in_arcs[s])].sum()) > tol:
+        if abs(flows[s, list(in_arcs[s])].sum()) > FLOW_TOL:
             raise ValueError(f"origin {s}: nonzero inflow at the origin")
         for v in range(V):
             if v == s:
                 continue
             inflow = flows[s, list(in_arcs[v])].sum()
             outflow = flows[s, list(out_arcs[v])].sum()
-            if abs(inflow - outflow - q.get(s, v)) > tol:
+            if abs(inflow - outflow - q.get(s, v)) > FLOW_TOL:
                 raise ValueError(f"origin {s}: conservation violated at node {v}")
 
     result: list[PathFlow] = []
@@ -322,7 +292,7 @@ def flow_decompose(instance: Instance, failed_edge, flows, q, tol: float = 1e-6)
         residual = flows[s].copy()
         for t in range(V):
             remaining = float(q.get(s, t))
-            while remaining > tol:
+            while remaining > FLOW_TOL:
                 path = _positive_path(table, residual, s, t, eps)
                 if path is None:
                     raise ValueError(
@@ -390,9 +360,7 @@ class ChainReport:
         return out
 
 
-def verify_chain(
-    instance: Instance, limits: OracleLimits | None = None, tol: float = 1e-6
-) -> ChainReport:
+def verify_chain(instance: Instance, limits: OracleLimits | None = None) -> ChainReport:
     """Solve the whole relaxation ladder and check every proved relation."""
 
     def lp(build, *args):
@@ -409,6 +377,7 @@ def verify_chain(
     lp_r3 = lp(formulations.build_lp_r3)
     lp_working = lp(formulations.build_ip_rwap, True)
 
+    tol = CHAIN_TOL
     checks = [
         ("exact >= LP full model", exact_full >= lp_full - tol),
         ("LP full model >= LP R1", lp_full >= lp_r1 - tol),

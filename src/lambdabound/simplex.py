@@ -8,7 +8,8 @@ count. The basis inverse is held densely and updated by product-form pivots,
 with a full refactorization every REFACTOR_INTERVAL pivots; iterations use
 Dantzig pricing and switch to Bland's rule after BLAND_STALL consecutive
 degenerate steps, which rules out cycling. Integrality annotations are
-ignored: solves are LP relaxations.
+ignored: solves are LP relaxations. The tolerances (FEASIBILITY_TOL,
+OPTIMALITY_TOL) and the iteration cap (MAX_ITERATIONS) are module constants.
 
 `presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
 rows whose support is entirely fixed are dropped and the rest is held as
@@ -40,7 +41,6 @@ from scipy.linalg.blas import dger
 
 from .lpmodel import (
     INF,
-    SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
     LinearModel,
@@ -61,27 +61,12 @@ PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-11
 RATIO_TIE = 1e-9
 TIE_PIVOT_SHARE = 0.1
+# read at call time, so that a test can lower them with monkeypatch
+FEASIBILITY_TOL = 1e-7
+OPTIMALITY_TOL = 1e-7
+MAX_ITERATIONS = 10_000_000
 
 _NB_LOWER, _NB_UPPER, _BASIC, _NB_FREE = 0, 1, 2, 3
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Solve settings.
-
-    Pricing is fixed: Dantzig's rule, switching to Bland's rule after
-    BLAND_STALL consecutive degenerate steps.
-    """
-
-    feasibility_tol: float = 1e-7
-    optimality_tol: float = 1e-7
-    max_iterations: int = 10_000_000
-
-    def __post_init__(self):
-        if self.feasibility_tol <= 0 or self.optimality_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,17 +77,34 @@ class Basis:
     status: np.ndarray  # per column: nonbasic at lower/upper, basic, free
 
 
-def _violated(sense: str, rhs: float, tol: float) -> bool:
-    """Whether the empty row `0 <sense> rhs` is infeasible."""
-    return (
-        (sense == SENSE_LE and rhs < -tol)
-        or (sense == SENSE_GE and rhs > tol)
-        or (sense == SENSE_EQ and abs(rhs) > tol)
+def _row_matrix(rows, num_columns: int):
+    """Rows `(sense, rhs, coeffs)` as arrays of senses and rhs and a CSR matrix.
+
+    Each row's coefficients come merged and in ascending column order, as
+    LinearModel.add_row stores them.
+    """
+    senses, rhs, indptr, indices, data = [], [], [0], [], []
+    for sense, b, coeffs in rows:
+        senses.append(sense)
+        rhs.append(b)
+        indices.extend(j for j, _ in coeffs)
+        data.extend(c for _, c in coeffs)
+        indptr.append(len(indices))
+    R = sp.csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr)),
+        shape=(len(rhs), num_columns),
+    )
+    return np.array(senses, dtype=object), np.array(rhs, dtype=float), R
+
+
+def _row_excess(senses: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """How far each row `lhs <sense> rhs` is violated, given slack = rhs - lhs."""
+    return np.where(
+        senses == SENSE_LE, -slack, np.where(senses == SENSE_GE, slack, np.abs(slack))
     )
 
 
-def _slack_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
-    senses = np.array(senses, dtype=object)
+def _slack_bounds(senses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower = np.where(senses == SENSE_GE, -INF, 0.0).astype(float)
     upper = np.where(senses == SENSE_LE, INF, 0.0).astype(float)
     return lower, upper
@@ -119,7 +121,7 @@ class ArrayLP:
     `basis` is the start basis of the next solve; None starts cold.
     """
 
-    def __init__(self, name: str, cost, lb, ub, feasibility_tol: float):
+    def __init__(self, name: str, cost, lb, ub):
         """Variables only; rows come through add_rows."""
         fixed = (ub - lb) <= FIX_TOL
         self.name = name
@@ -136,7 +138,6 @@ class ArrayLP:
         self.lb = lb[self.active]
         self.ub = ub[self.active]
         self.c = cost[self.active]
-        self.feasibility_tol = feasibility_tol
         self.infeasible = False
         self.basis: Basis | None = None
 
@@ -155,56 +156,28 @@ class ArrayLP:
         the pinned values satisfy it. Each kept row's slack joins the start
         basis as basic, so a basis that was dual feasible stays dual feasible.
         """
-        na, m, n = len(self.active), len(self.b), len(self.cost)
-        col_of = np.full(n, -1)
-        col_of[self.active] = np.arange(na)
-        col_of = col_of.tolist()
-        kept, kept_rhs, kept_shift, kept_senses = [], [], [], []
-        triplets_r, triplets_c, triplets_v = [], [], []
-        full_r, full_c, full_v = [], [], []
-        for sense, rhs, coeffs in rows:
-            rid = self.num_rows
-            self.num_rows += 1
-            shift = sum(c * self.x_fixed[j] for j, c in coeffs if col_of[j] < 0)
-            live = [(col_of[j], c) for j, c in coeffs if col_of[j] >= 0]
-            rhs = rhs - shift
-            if not live:
-                self.infeasible = self.infeasible or _violated(
-                    sense, rhs, self.feasibility_tol
-                )
-                continue
-            ridx = len(kept)
-            kept.append(rid)
-            kept_rhs.append(rhs)
-            kept_shift.append(shift)
-            kept_senses.append(sense)
-            for jj, c in live:
-                triplets_r.append(ridx)
-                triplets_c.append(jj)
-                triplets_v.append(c)
-            for j, c in coeffs:
-                full_r.append(ridx)
-                full_c.append(j)
-                full_v.append(c)
-        k = len(kept)
+        na, m = len(self.active), len(self.b)
+        senses, rhs, R = _row_matrix(rows, len(self.cost))
+        rid = self.num_rows + np.arange(len(rhs))
+        self.num_rows += len(rhs)
+        shift = R @ self.x_fixed
+        live = R[:, self.active]
+        kept = np.diff(live.indptr) > 0
+        dropped = ~kept
+        self.infeasible = self.infeasible or bool(
+            (_row_excess(senses[dropped], rhs[dropped] - shift[dropped]) > FEASIBILITY_TOL).any()
+        )
+        k = int(kept.sum())
         if not k:
             return
-        A = sp.vstack(
-            [
-                self.cols[:, :na],
-                sp.csc_matrix((triplets_v, (triplets_r, triplets_c)), shape=(k, na)),
-            ],
-            format="csc",
-        )
+        A = sp.vstack([self.cols[:, :na], live[kept]], format="csc")
         self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
         self.colsT = self.cols.T.tocsr()
-        self.K = sp.vstack(
-            [self.K, sp.csr_matrix((full_v, (full_r, full_c)), shape=(k, n))], format="csr"
-        )
-        self.rows = np.concatenate([self.rows, kept])
-        self.b = np.concatenate([self.b, kept_rhs])
-        self.shift = np.concatenate([self.shift, kept_shift])
-        slack_lb, slack_ub = _slack_bounds(kept_senses)
+        self.K = sp.vstack([self.K, R[kept]], format="csr")
+        self.rows = np.concatenate([self.rows, rid[kept]])
+        self.b = np.concatenate([self.b, rhs[kept] - shift[kept]])
+        self.shift = np.concatenate([self.shift, shift[kept]])
+        slack_lb, slack_ub = _slack_bounds(senses[kept])
         self.lb = np.concatenate([self.lb, slack_lb])
         self.ub = np.concatenate([self.ub, slack_ub])
         self.c = np.concatenate([self.c, np.zeros(k)])
@@ -215,9 +188,7 @@ class ArrayLP:
             )
 
 
-def presolve(
-    model: LinearModel, feasibility_tol: float = SolveOptions.feasibility_tol
-) -> ArrayLP:
+def presolve(model: LinearModel) -> ArrayLP:
     """Pin fixed variables, drop rows whose support is entirely fixed."""
     if model.num_variables == 0:
         raise ModelError("model must have at least one variable")
@@ -226,7 +197,6 @@ def presolve(
         np.array([v.obj for v in model.variables]),
         np.array([v.lower for v in model.variables]),
         np.array([v.upper for v in model.variables]),
-        feasibility_tol,
     )
     lp.add_rows((row.sense, row.rhs, row.coeffs) for row in model.rows)
     return lp
@@ -235,8 +205,7 @@ def presolve(
 class _Core:
     """Simplex over the slack-extended equality system A x = b, l <= x <= u."""
 
-    def __init__(self, lp: ArrayLP, options: SolveOptions):
-        self.opts = options
+    def __init__(self, lp: ArrayLP):
         self.m = len(lp.b)
         self.n_struct = len(lp.active)
         self.b = lp.b
@@ -321,7 +290,7 @@ class _Core:
 
     def _make_dual_feasible(self) -> bool:
         """Flip boxed nonbasics to the bound their reduced cost asks for."""
-        tol = self.opts.optimality_tol
+        tol = OPTIMALITY_TOL
         st, d = self.vstatus, self.d
         if ((st == _NB_FREE) & (np.abs(d) > tol)).any():
             return False
@@ -379,7 +348,7 @@ class _Core:
     # -- pivoting ----------------------------------------------------------
 
     def _price(self):
-        tol = self.opts.optimality_tol
+        tol = OPTIMALITY_TOL
         score = np.full(self.n, -np.inf)
         open_nb = ~self.fixed
         mask_l = (self.vstatus == _NB_LOWER) & open_nb
@@ -485,24 +454,32 @@ class _Core:
         self._replace(p, q, u, rho)
         return None
 
-    def run_phase(self, costs):
-        """Iterate to optimality/unboundedness under the given cost vector."""
-        self.c = costs
-        self._recompute_duals()
+    def _iterate(self, step):
+        """Call `step` until it returns an outcome or the iteration cap is hit.
+
+        Pricing switches to Bland's rule after BLAND_STALL consecutive
+        degenerate steps.
+        """
         self.bland = False
         degen = 0
         while True:
-            if self.iterations >= self.opts.max_iterations:
+            if self.iterations >= MAX_ITERATIONS:
                 return "iterlimit"
-            outcome = self._step()
+            outcome = step()
             if outcome is not None:
                 return outcome
-            if self._last_step > DEGEN_TOL:
+            if abs(self._last_step) > DEGEN_TOL:
                 degen = 0
             else:
                 degen += 1
                 if degen >= BLAND_STALL:
                     self.bland = True
+
+    def run_phase(self, costs):
+        """Iterate to optimality/unboundedness under the given cost vector."""
+        self.c = costs
+        self._recompute_duals()
+        return self._iterate(self._step)
 
     def _dual_step(self):
         """One dual pivot. Returns 'optimal'/'infeasible'/None."""
@@ -511,7 +488,7 @@ class _Core:
         ubB = self.ub[self.basis]
         below = lbB - xB
         infeas = np.maximum(below, xB - ubB)
-        tol = self.opts.feasibility_tol
+        tol = FEASIBILITY_TOL
         if self.bland:
             rows = np.flatnonzero(infeas > tol)
             if not len(rows):
@@ -575,23 +552,15 @@ class _Core:
 
         Optimality is only declared on a fresh factorization.
         """
-        self.bland = False
-        degen = 0
-        while True:
-            if self.iterations >= self.opts.max_iterations:
-                return "iterlimit"
+
+        def step():
             outcome = self._dual_step()
             if outcome == "optimal" and self._since_refactor:
                 self.refactor()
-                continue
-            if outcome is not None:
-                return outcome
-            if abs(self._last_step) > DEGEN_TOL:
-                degen = 0
-            else:
-                degen += 1
-                if degen >= BLAND_STALL:
-                    self.bland = True
+                outcome = self._dual_step()
+            return outcome
+
+        return self._iterate(step)
 
 
 def _no_solution(lp: ArrayLP, status: str, iterations: int) -> Solution:
@@ -624,8 +593,8 @@ def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
     )
 
 
-def _solve_cold(lp: ArrayLP, opts: SolveOptions) -> Solution:
-    core = _Core(lp, opts)
+def _solve_cold(lp: ArrayLP) -> Solution:
+    core = _Core(lp)
     core.start_cold(lp)
     try:
         status = OPTIMAL
@@ -640,7 +609,7 @@ def _solve_cold(lp: ArrayLP, opts: SolveOptions) -> Solution:
             else:
                 infeas = float(core.x[core.art_cols].sum())
                 scale = max(1.0, float(np.abs(core.b).max()) if core.m else 1.0)
-                if infeas > opts.feasibility_tol * scale:
+                if infeas > FEASIBILITY_TOL * scale:
                     return _no_solution(lp, INFEASIBLE, core.iterations)
                 core.ub[core.art_cols] = 0.0
                 core.x[core.art_cols] = 0.0
@@ -659,9 +628,9 @@ def _solve_cold(lp: ArrayLP, opts: SolveOptions) -> Solution:
         return _no_solution(lp, NUMERICAL_ERROR, core.iterations)
 
 
-def _solve_warm(lp: ArrayLP, opts: SolveOptions) -> tuple[Solution | None, int]:
+def _solve_warm(lp: ArrayLP) -> tuple[Solution | None, int]:
     """Dual simplex from lp.basis; (None, pivots spent) when it must fall back."""
-    core = _Core(lp, opts)
+    core = _Core(lp)
     try:
         if (
             core.start_warm(lp, lp.basis)
@@ -674,14 +643,17 @@ def _solve_warm(lp: ArrayLP, opts: SolveOptions) -> tuple[Solution | None, int]:
     return None, core.iterations
 
 
-def solve(model: LinearModel | ArrayLP, options: SolveOptions | None = None) -> Solution:
+def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     """Solve the LP relaxation of a model; statuses per module docstring.
 
     An ArrayLP with a start basis is re-solved warm when it can be; the
     reported iterations include the pivots of a warm attempt that fell back.
+    Callers written for the removed options argument may still pass None
+    second (benchmark/tracing.py does); anything else is an error.
     """
-    opts = options or SolveOptions()
-    lp = model if isinstance(model, ArrayLP) else presolve(model, opts.feasibility_tol)
+    if _none is not None:
+        raise TypeError("solve() takes no options")
+    lp = model if isinstance(model, ArrayLP) else presolve(model)
     if lp.infeasible:
         return _no_solution(lp, INFEASIBLE, 0)
     if len(lp.active) == 0:
@@ -694,60 +666,41 @@ def solve(model: LinearModel | ArrayLP, options: SolveOptions | None = None) -> 
         )
     spent = 0
     if lp.basis is not None:
-        sol, spent = _solve_warm(lp, opts)
+        sol, spent = _solve_warm(lp)
         if sol is not None:
             return sol
-    sol = _solve_cold(lp, opts)
+    sol = _solve_cold(lp)
     sol.iterations += spent
     return sol
 
 
-def check_certificates(
-    model: LinearModel, sol: Solution, options: SolveOptions | None = None
-) -> dict:
+def check_certificates(model: LinearModel, sol: Solution) -> dict:
     """Primal feasibility, strong duality and complementary slackness gauges.
 
     Returns a dict of violation magnitudes for an Optimal solution; tests
-    assert them against the solve tolerances.
+    assert them against the solve tolerances. Reads the model itself, not its
+    presolved form, so that a presolve fault cannot hide.
     """
-    opts = options or SolveOptions()
-    x = sol.primal
-    y = sol.duals
-    d = sol.reduced_costs
+    x, y, d = sol.primal, sol.duals, sol.reduced_costs
+    lower = np.array([v.lower for v in model.variables])
+    upper = np.array([v.upper for v in model.variables])
+    senses, rhs, R = _row_matrix(
+        ((row.sense, row.rhs, row.coeffs) for row in model.rows), model.num_variables
+    )
 
-    bound_viol = 0.0
-    cs_var = 0.0
-    dual_obj = 0.0
-    for v in model.variables:
-        bound_viol = max(bound_viol, v.lower - x[v.id], x[v.id] - v.upper)
-        dj = d[v.id]
-        inside = (
-            x[v.id] > v.lower + opts.feasibility_tol
-            and x[v.id] < v.upper - opts.feasibility_tol
-        )
-        if inside:
-            cs_var = max(cs_var, abs(dj))
-        if abs(dj) > 1e-12:
-            anchor = v.lower if dj > 0 else v.upper
-            if not np.isfinite(anchor):
-                dual_obj = -np.inf
-            else:
-                dual_obj += dj * anchor
+    bound_viol = max(np.max(lower - x, initial=0.0), np.max(x - upper, initial=0.0))
+    inside = (x > lower + FEASIBILITY_TOL) & (x < upper - FEASIBILITY_TOL)
+    cs_var = np.max(np.abs(d[inside]), initial=0.0)
+    priced = np.abs(d) > 1e-12
+    anchor = np.where(d > 0, lower, upper)[priced]
+    if np.isfinite(anchor).all():
+        dual_obj = float(d[priced] @ anchor + y @ rhs)
+    else:
+        dual_obj = -np.inf
 
-    row_viol = 0.0
-    cs_row = 0.0
-    for row in model.rows:
-        lhs = sum(c * x[j] for j, c in row.coeffs)
-        slack = row.rhs - lhs
-        if row.sense == SENSE_LE:
-            row_viol = max(row_viol, -slack)
-        elif row.sense == SENSE_GE:
-            row_viol = max(row_viol, slack)
-        else:
-            row_viol = max(row_viol, abs(slack))
-        if abs(y[row.id]) > opts.optimality_tol:
-            cs_row = max(cs_row, abs(slack))
-        dual_obj += y[row.id] * row.rhs
+    slack = rhs - R @ x
+    row_viol = np.max(_row_excess(senses, slack), initial=0.0)
+    cs_row = np.max(np.abs(slack[np.abs(y) > OPTIMALITY_TOL]), initial=0.0)
 
     gap = abs(sol.objective - dual_obj)
     return {

@@ -20,11 +20,11 @@ from lambdabound.simplex import check_certificates
 INF = float("inf")
 
 
-def solve_checked(model, options=None):
+def solve_checked(model):
     """Solve with the embedded simplex and assert its optimality certificates."""
-    sol = simplex.solve(model, options)
+    sol = simplex.solve(model)
     if sol.status == simplex.OPTIMAL:
-        cert = check_certificates(model, sol, options)
+        cert = check_certificates(model, sol)
         scale = 1.0 + abs(sol.objective)
         assert cert["bound_violation"] <= 1e-6, cert
         assert cert["row_violation"] <= 1e-6, cert

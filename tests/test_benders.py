@@ -96,6 +96,15 @@ def test_filtered_scenarios_verify_to_zero():
             assert rec.filtered_max_violation <= 1e-7
 
 
+def test_iteration_limit(monkeypatch):
+    inst = gen_random(10, 2, 3, 3, seed=7)
+    monkeypatch.setattr(benders, "MAX_ITERATIONS", 1)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "IterationLimit"
+    assert len(res.log) == 1 and res.log[0].n_violated > 0
+    assert res.lower_bound == res.log[-1].master_objective
+
+
 def test_iterate_once_contract():
     inst = gen_cycle(3, 2, 80)
     state = BendersState(inst, BendersOptions())
@@ -160,13 +169,6 @@ def test_log_csv_format():
         assert line.endswith(f",{rec.master_pivots},{rec.sub_pivots}")
 
 
-def test_options_validation():
-    with pytest.raises(ValueError):
-        BendersOptions(violation_tol=0)
-    with pytest.raises(ValueError):
-        BendersOptions(max_iterations=0)
-
-
 def _log_without_time(res):
     return [dataclasses.replace(rec, elapsed_ms=0) for rec in res.log]
 
@@ -215,8 +217,8 @@ def test_failed_subproblem_is_a_status(monkeypatch):
     inst = gen_random(8, 2, 4, 10, seed=1)
     original = benders.solve
 
-    def failing(model, options=None):
-        sol = original(model, options)
+    def failing(model):
+        sol = original(model)
         if model.name.startswith("sub:"):
             return Solution(status="NumericalError", objective=float("nan"), iterations=3)
         return sol
@@ -233,7 +235,7 @@ def test_failed_subproblem_is_a_status(monkeypatch):
 def test_rejected_cut_is_a_status(monkeypatch):
     inst = gen_random(8, 2, 4, 10, seed=1)
 
-    def reject(instance, failed_edge, wbar, solution, varmap, tol=1e-6):
+    def reject(instance, failed_edge, wbar, solution, varmap):
         raise FormulationError("dual point violates its feasibility system by 1e-3")
 
     monkeypatch.setattr(benders, "cut_from_duals", reject)

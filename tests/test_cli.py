@@ -87,6 +87,19 @@ def test_solve_record_csv(tmp_path, capsys):
     assert lines[1].startswith("cycle-m3-n1-k1,3,3,1,lp-r3,benders,3.000000")
 
 
+def test_solve_benders_iteration_limit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "r.json"
+    assert main(["gen", "random", "--nodes", "10", "--extra-edges", "2", "--requests", "3",
+                 "--k", "3", "--seed", "7", "--out", str(path)]) == 0
+    monkeypatch.setattr(benders, "MAX_ITERATIONS", 1)
+    bound = benders.solve_lp_r3_benders(load_instance(path.read_text())).lower_bound
+    code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3",
+                         "--method", "benders")
+    assert code == 1
+    assert out.strip() == f"{bound:.6f}"
+    assert err.strip() == "status: IterationLimit"
+
+
 def test_solve_iteration_log(tmp_path, capsys):
     path = write_cycle(tmp_path, m=4, n=2, k=4)
     log = tmp_path / "iters.csv"
@@ -281,10 +294,10 @@ def test_solve_benders_failure_is_one_line(tmp_path, capsys, monkeypatch):
     path = write_cycle(tmp_path, m=5, n=3, k=80)
     original = benders.solve
 
-    def failing(model, options=None):
+    def failing(model):
         if model.name.startswith("sub:"):
             return Solution(status="NumericalError", objective=float("nan"))
-        return original(model, options)
+        return original(model)
 
     monkeypatch.setattr(benders, "solve", failing)
     code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3",

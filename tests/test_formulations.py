@@ -331,9 +331,9 @@ def test_decomposition_models_are_pinned(monkeypatch):
     presolved = []
     original = benders.presolve
 
-    def capture(model, tol):
+    def capture(model):
         presolved.append(model)
-        return original(model, tol)
+        return original(model)
 
     monkeypatch.setattr(benders, "presolve", capture)
     state = benders.BendersState(inst)

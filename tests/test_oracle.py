@@ -57,6 +57,14 @@ def test_ppp_infeasible_when_wavelengths_short():
         exact_rwap_ppp(inst)
 
 
+def test_working_only_infeasible_when_wavelengths_short():
+    import dataclasses
+
+    inst = dataclasses.replace(gen_cycle(3, 3, 3), num_wavelengths=1)
+    with pytest.raises(OracleInfeasibleError):
+        exact_rwap(inst)
+
+
 def test_budget_exhaustion():
     inst = gen_cycle(6, 3, 80)
     with pytest.raises(OracleBudgetError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from lambdabound.lpmodel import (
     LinearModel,
     ModelError,
 )
-from lambdabound.simplex import SolveOptions, check_certificates, presolve, solve
+from lambdabound.simplex import check_certificates, presolve, solve
 
 
 def test_single_ge_row_dual():
@@ -58,22 +60,36 @@ def test_unbounded_detected():
     assert solve(m).status == simplex.UNBOUNDED
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     model, _ = build_lp_r3(gen_cycle(5, 2, 80))
-    sol = solve(model, SolveOptions(max_iterations=3))
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 3)
+    sol = solve(model)
     assert sol.status == simplex.ITERATION_LIMIT
+    assert sol.iterations == 3
+
+
+def test_certificates_flag_a_corrupted_solution():
+    m = LinearModel()
+    x = m.add_variable(0, 10, 1.0)
+    y = m.add_variable(0, 10, 2.0)
+    r = m.add_row(SENSE_EQ, 5.0, [(x, 1.0), (y, 1.0)])
+    sol = solve(m)
+    assert sol.status == simplex.OPTIMAL and sol.duals[r] == pytest.approx(1.0)
+    clean = check_certificates(m, sol)
+    assert max(clean[k] for k in ("bound_violation", "row_violation", "duality_gap")) <= 1e-9
+
+    primal, duals = sol.primal.copy(), sol.duals.copy()
+    primal[x] = 11.0  # one past its upper bound, which also breaks the row
+    duals[r] = -duals[r]
+    bad = check_certificates(m, dataclasses.replace(sol, primal=primal, duals=duals))
+    assert bad["bound_violation"] == pytest.approx(1.0)
+    assert bad["row_violation"] == pytest.approx(6.0)
+    assert bad["duality_gap"] == pytest.approx(10.0)
 
 
 def test_requires_a_variable():
     with pytest.raises(ModelError):
         solve(LinearModel())
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        SolveOptions(feasibility_tol=0.0)
-    with pytest.raises(ValueError):
-        SolveOptions(max_iterations=0)
 
 
 def test_fixed_variables_and_empty_rows_presolve():
@@ -121,6 +137,35 @@ def _random_model(rng):
     return model
 
 
+def _certificates_by_loop(model, sol):
+    """check_certificates written as loops over the model, as a reference."""
+    tol = simplex.FEASIBILITY_TOL
+    x, y, d = sol.primal, sol.duals, sol.reduced_costs
+    bound_viol = cs_var = dual_obj = 0.0
+    for v in model.variables:
+        bound_viol = max(bound_viol, v.lower - x[v.id], x[v.id] - v.upper)
+        if v.lower + tol < x[v.id] < v.upper - tol:
+            cs_var = max(cs_var, abs(d[v.id]))
+        if abs(d[v.id]) > 1e-12:
+            dual_obj += d[v.id] * (v.lower if d[v.id] > 0 else v.upper)
+    row_viol = cs_row = 0.0
+    for row in model.rows:
+        slack = row.rhs - sum(c * x[j] for j, c in row.coeffs)
+        excess = {SENSE_LE: -slack, SENSE_GE: slack}.get(row.sense, abs(slack))
+        row_viol = max(row_viol, excess)
+        if abs(y[row.id]) > simplex.OPTIMALITY_TOL:
+            cs_row = max(cs_row, abs(slack))
+        dual_obj += y[row.id] * row.rhs
+    return {
+        "bound_violation": bound_viol,
+        "row_violation": row_viol,
+        "duality_gap": abs(sol.objective - dual_obj),
+        "cs_variable": cs_var,
+        "cs_row": cs_row,
+        "dual_objective": dual_obj,
+    }
+
+
 def test_random_sweep_matches_reference():
     rng = np.random.default_rng(2024)
     optima = 0
@@ -133,6 +178,8 @@ def test_random_sweep_matches_reference():
             assert got.status == simplex.OPTIMAL
             assert got.objective == pytest.approx(ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
             cert = check_certificates(model, got)
+            # array sums may round differently from the loop's running sums
+            assert cert == pytest.approx(_certificates_by_loop(model, got), rel=1e-12, abs=1e-12)
             assert cert["duality_gap"] <= 1e-6 * (1 + abs(got.objective))
             assert cert["cs_variable"] <= 1e-6
             assert cert["cs_row"] <= 1e-6 * (1 + abs(got.objective))
