@@ -18,10 +18,14 @@ basic, so that basis stays dual feasible and the dual simplex re-optimizes
 from it. A failure's subproblem is built and presolved the first time it is
 solved; later iterations overwrite only its capacity right-hand sides (the
 candidate wbar) and re-solve from its last basis. Subproblems of different
-failures share one variable and row layout, so one VarMap serves every cut.
+failures share one row layout, so one array of capacity row ids serves every
+cut. Each cut is the subproblem's weak-duality bound under its duals, which is
+valid by construction and affine in wbar (formulations.cut_from_duals).
 A master or subproblem solve that ends Infeasible stops the run with status
-Infeasible; one that ends otherwise short of Optimal, or a cut that fails its
-checks, stops it with status Failed. Either way the result names the failure.
+Infeasible; one that ends otherwise short of Optimal, or a subproblem solution
+that yields no finite cut, stops it with status Failed. Either way the result
+names the failure. A round whose every cut is already pooled stalls the run,
+which then reports IterationLimit with the last master bound.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import numpy as np
 from .formulations import (
     Cut,
     FormulationError,
-    VarMap,
     build_master,
     build_subproblem,
     cut_from_duals,
@@ -177,9 +180,8 @@ class BendersState:
             ]
         )
         self.subproblems: dict[int, ArrayLP] = {}
-        # every failure's subproblem has the same variable and row ids; the
-        # first one built supplies the layout (its y_agg keys carry its tau)
-        self.layout: VarMap | None = None
+        # every failure's subproblem has the same row ids; the first one built
+        # supplies its capacity rows
         self._capacity_rows: np.ndarray | None = None
         self.pool = CutPool()
         self.log: list[LogRecord] = []
@@ -214,8 +216,7 @@ class BendersState:
         lp = self.subproblems.get(tau)
         if lp is None:
             model, varmap = build_subproblem(self.instance, tau, wbar)
-            if self.layout is None:
-                self.layout = varmap
+            if self._capacity_rows is None:
                 self._capacity_rows = np.array(
                     [varmap.rows_capacity[e] for e in range(self.instance.num_edges)]
                 )
@@ -262,7 +263,9 @@ class BendersState:
         rows = []
         for tau, sol in violated:
             try:
-                cut = cut_from_duals(self.instance, tau, master.wbar, sol, self.layout)
+                cut = cut_from_duals(
+                    tau, master.wbar, sol, self.subproblems[tau], self._capacity_rows
+                )
             except FormulationError as exc:
                 raise self._stop(FAILED_STATUS, tau, f"cut rejected: {exc}") from exc
             if self.pool.add(cut):

@@ -24,7 +24,7 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .lpmodel import export_lp, export_mps
+from .lpmodel import ModelError, export_lp, export_mps
 
 # builders are looked up in `formulations` at call time, so wrapping a
 # formulations.build_* function also wraps every solve and export that uses it
@@ -381,7 +381,10 @@ def main(argv=None) -> int:
     }
     if args.command == "gen" and args.kind == "random" and args.k == 0:
         args.k = max(1, args.requests)
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except ModelError as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ Builders:
   build_lp_rwap_agg  single-scenario aggregation of the working-only LP
   build_master       decomposition master: build_lp_r3 over one failure tau0
   build_subproblem   per-failure capacity-violation LP for a candidate w-bar
-  cut_from_duals     dual feasibility cut for the decomposition master
+  cut_from_duals     weak-duality feasibility cut for the decomposition master
 """
 
 from __future__ import annotations
@@ -39,14 +39,12 @@ from .lpmodel import (
     LinearModel,
     Solution,
 )
+from .simplex import ArrayLP, dual_bound
 
-# cut_from_duals: the least violation worth a cut, and the slack allowed in
-# the dual point's feasibility system and in the cut's value
-CUT_TOL = 1e-6
 
 
 class FormulationError(ValueError):
-    """Builder misuse or a dual point that fails its feasibility system."""
+    """Builder misuse, or a subproblem solution that yields no finite cut."""
 
 
 @dataclass
@@ -58,12 +56,7 @@ class VarMap:
     y: dict = field(default_factory=dict)  # (tau, d, k, a) -> var
     wbar: dict = field(default_factory=dict)  # e -> var
     y_agg: dict = field(default_factory=dict)  # (tau, s, a) -> var; tau None = no failure
-    eps: int | None = None
-    rows_source: dict = field(default_factory=dict)  # s -> row
-    rows_source_in: dict = field(default_factory=dict)  # s -> row
-    rows_balance: dict = field(default_factory=dict)  # (s, v) -> row
     rows_capacity: dict = field(default_factory=dict)  # e -> row
-    rows_failed: dict = field(default_factory=dict)  # s -> row
 
 
 @dataclass(frozen=True)
@@ -254,20 +247,20 @@ def _aggregated_rows(model, instance, table: ArcTable, q, totals, y, tau, cap_co
     Origin s sends out all of its demand and takes none back, every other
     node v keeps q(s, v) of it, the flow over edge e less column cap_cols[e]
     is at most cap_rhs[e], and under failure tau no flow uses edge tau.
-    Returns the row ids: source, source inflow, balance, capacity, exclusion.
+    Returns the capacity row ids, keyed by edge.
     """
     V = instance.num_nodes
     tag = "" if tau is None else f"t{tau}"
-    src, src_in, bal, cap, excl = {}, {}, {}, {}, {}
+    cap = {}
     for s in range(V):
-        src[s] = model.add_row(
+        model.add_row(
             SENSE_EQ,
             float(totals[s]),
             [(y[tau, s, a], 1.0) for a in table.out_arcs[s]],
             name=f"asrc_{tag}s{s}",
         )
     for s in range(V):
-        src_in[s] = model.add_row(
+        model.add_row(
             SENSE_EQ,
             0.0,
             [(y[tau, s, a], 1.0) for a in table.in_arcs[s]],
@@ -279,7 +272,7 @@ def _aggregated_rows(model, instance, table: ArcTable, q, totals, y, tau, cap_co
                 continue
             coeffs = [(y[tau, s, a], 1.0) for a in table.in_arcs[v]]
             coeffs += [(y[tau, s, a], -1.0) for a in table.out_arcs[v]]
-            bal[(s, v)] = model.add_row(
+            model.add_row(
                 SENSE_EQ, float(q.get(s, v)), coeffs, name=f"abal_{tag}s{s}v{v}"
             )
     for e in range(instance.num_edges):
@@ -290,13 +283,13 @@ def _aggregated_rows(model, instance, table: ArcTable, q, totals, y, tau, cap_co
         )
     if tau is not None:
         for s in range(V):
-            excl[s] = model.add_row(
+            model.add_row(
                 SENSE_EQ,
                 0.0,
                 [(y[tau, s, 2 * tau], 1.0), (y[tau, s, 2 * tau + 1], 1.0)],
                 name=f"aexcl_{tag}s{s}",
             )
-    return src, src_in, bal, cap, excl
+    return cap
 
 
 def _aggregated_model(name: str, instance: Instance, scenarios):
@@ -355,90 +348,32 @@ def build_subproblem(instance: Instance, failed_edge: int, wbar):
     model = LinearModel(f"sub:{instance.name}:t{failed_edge}")
     vm = VarMap()
     vm.y_agg = _aggregated_vars(model, instance, table, totals, failed_edge)
-    vm.eps = model.add_variable(0.0, float("inf"), 1.0, name="eps")
-    (
-        vm.rows_source,
-        vm.rows_source_in,
-        vm.rows_balance,
-        vm.rows_capacity,
-        vm.rows_failed,
-    ) = _aggregated_rows(
+    # each origin's arc flow is at most its total, so an edge carries at most
+    # 2|D|; the box keeps every column bounded and so every dual bound finite
+    eps = model.add_variable(0.0, 2.0 * instance.num_requests, 1.0, name="eps")
+    vm.rows_capacity = _aggregated_rows(
         model, instance, table, q, totals, vm.y_agg, failed_edge,
-        [vm.eps] * instance.num_edges, wbar,
+        [eps] * instance.num_edges, wbar,
     )
     return model, vm
 
 
-def dual_point_violation(instance, failed_edge, beta, phi, gamma, theta, psi, zeta):
-    """Max violation of the subproblem's dual feasibility system.
-
-    The system is reconstructed from the instance structure alone, so a sign
-    convention bug in the solver's duals cannot hide here.
-    """
-    table = arcs(instance.network)
-    V = instance.num_nodes
-    worst = 0.0
-    for s in range(V):
-        for arc in table.arcs:
-            u, v, e = arc.tail, arc.head, arc.edge
-            lhs = theta[e] + zeta[(s, arc.id)]
-            lhs += beta[s] if u == s else -gamma[(s, u)]
-            lhs += phi[s] if v == s else gamma[(s, v)]
-            if e == failed_edge:
-                lhs += psi[s]
-            worst = max(worst, lhs)
-    worst = max(worst, -sum(theta) - 1.0)
-    worst = max(worst, max(theta) if len(theta) else 0.0)
-    worst = max(worst, max(zeta.values()) if zeta else 0.0)
-    return worst
-
-
 def cut_from_duals(
-    instance: Instance,
-    failed_edge: int,
-    wbar,
-    solution: Solution,
-    varmap: VarMap,
+    failed_edge: int, wbar, solution: Solution, lp: ArrayLP, capacity_rows
 ) -> Cut:
-    """Turn an optimal dual point of the violation subproblem into a cut."""
+    """Feasibility cut from any dual point of the presolved violation subproblem.
+
+    The weak-duality bound of lp under the solution's duals is a lower bound
+    on the subproblem optimum, and it is affine in the capacity rows'
+    right-hand sides wbar with slope theta, their signed duals. So the cut
+    bound + theta.(wbar' - wbar) <= 0 holds at every feasible wbar'.
+    """
     if solution.status != "Optimal":
         raise FormulationError("cut requires an Optimal subproblem solution")
-    if solution.objective <= CUT_TOL:
-        raise FormulationError(
-            "subproblem shows no violation; a cut was not warranted"
-        )
-    V = instance.num_nodes
-    duals = solution.duals
-    beta = {s: float(duals[varmap.rows_source[s]]) for s in range(V)}
-    phi = {s: float(duals[varmap.rows_source_in[s]]) for s in range(V)}
-    gamma = {
-        (s, v): float(duals[r]) for (s, v), r in varmap.rows_balance.items()
-    }
-    theta = [float(duals[varmap.rows_capacity[e]]) for e in range(instance.num_edges)]
-    psi = {s: float(duals[varmap.rows_failed[s]]) for s in range(V)}
-    zeta = {}
-    for (tau, s, a), vid in varmap.y_agg.items():
-        zeta[(s, a)] = min(0.0, float(solution.reduced_costs[vid]))
-
-    worst = dual_point_violation(
-        instance, failed_edge, beta, phi, gamma, theta, psi, zeta
-    )
-    if worst > CUT_TOL:
-        raise FormulationError(
-            f"dual point violates its feasibility system by {worst:.3e}"
-        )
-
-    q, totals = _row_totals(instance)
-    constant = sum(totals[s] * beta[s] for s in range(V))
-    constant += sum(q.get(s, v) * g for (s, v), g in gamma.items())
-    constant += sum(totals[s] * z for (s, _), z in zeta.items())
-    coeffs = tuple((e, th) for e, th in enumerate(theta) if th != 0.0)
-    cut = Cut(failure=failed_edge, constant=float(constant), wbar_coeffs=coeffs)
-
-    value = cut.evaluate(np.asarray(wbar, dtype=float))
-    if abs(value - solution.objective) > CUT_TOL * (1.0 + abs(solution.objective)):
-        raise FormulationError(
-            f"cut value {value:.6g} disagrees with subproblem optimum "
-            f"{solution.objective:.6g}"
-        )
-    return cut
+    bound, signed = dual_bound(lp, solution.duals)
+    if not np.isfinite(bound):
+        raise FormulationError(f"weak-duality bound is {bound}")
+    theta = signed[capacity_rows]
+    constant = bound - float(theta @ np.asarray(wbar, dtype=float))
+    coeffs = tuple((e, float(th)) for e, th in enumerate(theta) if th != 0.0)
+    return Cut(failure=failed_edge, constant=constant, wbar_coeffs=coeffs)

@@ -71,7 +71,6 @@ class Arc:
     edge: int
     tail: int
     head: int
-    forward: bool
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,8 @@ def arcs(network: Network) -> ArcTable:
     out_lists: list[list[int]] = [[] for _ in range(network.num_nodes)]
     in_lists: list[list[int]] = [[] for _ in range(network.num_nodes)]
     for e in network.edges:
-        fwd = Arc(id=2 * e.id, edge=e.id, tail=e.u, head=e.v, forward=True)
-        bwd = Arc(id=2 * e.id + 1, edge=e.id, tail=e.v, head=e.u, forward=False)
+        fwd = Arc(id=2 * e.id, edge=e.id, tail=e.u, head=e.v)
+        bwd = Arc(id=2 * e.id + 1, edge=e.id, tail=e.v, head=e.u)
         for a in (fwd, bwd):
             table.append(a)
             out_lists[a.tail].append(a.id)
@@ -137,15 +136,6 @@ class DemandMatrix:
 
     def get(self, s: int, t: int) -> int:
         return self.counts.get((s, t), 0)
-
-    def row_total(self, s: int) -> int:
-        return sum(v for (a, _), v in self.counts.items() if a == s)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def origins(self) -> tuple[int, ...]:
-        return tuple(sorted({s for (s, _) in self.counts}))
 
 
 def demand_matrix(instance: Instance) -> DemandMatrix:

@@ -1,4 +1,4 @@
-"""Ground truth for tiny instances: exhaustive optima, flow splitting, chains.
+"""Ground truth for tiny instances: exhaustive optima and relaxation chains.
 
 The exact optimizers enumerate complete assignments (path + wavelength per
 request, and per failure a backup pair for every request the failure hits)
@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .instance import Instance, arcs
+from .instance import Instance
 from . import formulations
 from . import simplex
 
 CHAIN_TOL = 1e-6  # slack allowed in each relation verify_chain checks
-FLOW_TOL = 1e-6  # conservation slack flow_decompose accepts; less demand is dropped
 
 
 class OracleBudgetError(RuntimeError):
@@ -43,16 +40,6 @@ class OracleLimits:
     def __post_init__(self):
         if self.max_simple_paths_per_pair <= 0 or self.max_assignments <= 0:
             raise ValueError("limits must be positive")
-
-
-@dataclass(frozen=True)
-class PathFlow:
-    """One origin->sink bundle of the decomposition, as an arc-id sequence."""
-
-    origin: int
-    sink: int
-    path: tuple[int, ...]
-    amount: float
 
 
 class _Budget:
@@ -255,79 +242,6 @@ def exact_rwap_ppp(instance: Instance, limits: OracleLimits | None = None) -> in
     if not found[0]:
         raise OracleInfeasibleError("no feasible assignment exists")
     return int(best[0])
-
-
-def flow_decompose(instance: Instance, failed_edge, flows, q):
-    """Split per-origin arc flows into origin->sink path bundles.
-
-    flows is a (num_nodes, num_arcs) array of aggregated arc values for one
-    scenario. The input must satisfy the scenario's conservation system within
-    FLOW_TOL; residual circulation left after all demands are delivered is
-    discarded, which never increases any arc total.
-    """
-    table = arcs(instance.network)
-    V, A = instance.num_nodes, table.num_arcs
-    flows = np.asarray(flows, dtype=float)
-    if flows.shape != (V, A):
-        raise ValueError(f"flows must have shape ({V}, {A})")
-
-    out_arcs, in_arcs = table.out_arcs, table.in_arcs
-    for s in range(V):
-        supply = sum(q.get(s, t) for t in range(V))
-        if abs(flows[s, list(out_arcs[s])].sum() - supply) > FLOW_TOL:
-            raise ValueError(f"origin {s}: source outflow differs from demand")
-        if abs(flows[s, list(in_arcs[s])].sum()) > FLOW_TOL:
-            raise ValueError(f"origin {s}: nonzero inflow at the origin")
-        for v in range(V):
-            if v == s:
-                continue
-            inflow = flows[s, list(in_arcs[v])].sum()
-            outflow = flows[s, list(out_arcs[v])].sum()
-            if abs(inflow - outflow - q.get(s, v)) > FLOW_TOL:
-                raise ValueError(f"origin {s}: conservation violated at node {v}")
-
-    result: list[PathFlow] = []
-    eps = 1e-9
-    for s in range(V):
-        residual = flows[s].copy()
-        for t in range(V):
-            remaining = float(q.get(s, t))
-            while remaining > FLOW_TOL:
-                path = _positive_path(table, residual, s, t, eps)
-                if path is None:
-                    raise ValueError(
-                        f"flow for origin {s} cannot deliver demand at {t}"
-                    )
-                amount = min(remaining, min(residual[a] for a in path))
-                for a in path:
-                    residual[a] -= amount
-                result.append(
-                    PathFlow(origin=s, sink=t, path=tuple(path), amount=amount)
-                )
-                remaining -= amount
-    return result
-
-
-def _positive_path(table, residual, s, t, eps):
-    visited = [False] * len(table.out_arcs)
-    visited[s] = True
-    trail: list[int] = []
-
-    def dfs(node):
-        if node == t:
-            return True
-        for a in table.out_arcs[node]:
-            if residual[a] > eps:
-                nxt = table.arcs[a].head
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    trail.append(a)
-                    if dfs(nxt):
-                        return True
-                    trail.pop()
-        return False
-
-    return list(trail) if dfs(s) else None
 
 
 @dataclass

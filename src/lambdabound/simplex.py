@@ -29,6 +29,11 @@ on the cold path ends the solve with status NumericalError.
 Row duals follow the minimization convention: '<=' rows have dual <= 0,
 '>=' rows dual >= 0, '=' rows free. Reduced costs are c - A'y for every
 variable, so dual objectives (rhs'y plus bound terms) certify optima.
+`dual_bound` evaluates that dual objective for any row duals, after moving
+each to its sign, so it bounds the optimum from below whatever produced them.
+
+The basis inverse is dense, so `solve` refuses a model with more than
+MAX_ROWS rows after presolve with a ModelError.
 """
 
 from __future__ import annotations
@@ -65,6 +70,8 @@ TIE_PIVOT_SHARE = 0.1
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 MAX_ITERATIONS = 10_000_000
+# the basis inverse is dense: 10,000 rows take 800 MB
+MAX_ROWS = 10_000
 
 _NB_LOWER, _NB_UPPER, _BASIC, _NB_FREE = 0, 1, 2, 3
 
@@ -654,6 +661,11 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     if _none is not None:
         raise TypeError("solve() takes no options")
     lp = model if isinstance(model, ArrayLP) else presolve(model)
+    if len(lp.b) > MAX_ROWS:
+        raise ModelError(
+            f"{lp.name}: {len(lp.b)} rows after presolve exceed the dense-basis "
+            f"limit of {MAX_ROWS}"
+        )
     if lp.infeasible:
         return _no_solution(lp, INFEASIBLE, 0)
     if len(lp.active) == 0:
@@ -672,6 +684,27 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     sol = _solve_cold(lp)
     sol.iterations += spent
     return sol
+
+
+def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:
+    """Weak-duality lower bound on the optimum of lp, valid for any row duals.
+
+    duals has one entry per model row. Each inequality row's dual is first
+    moved to its sign (<= 0 on '<=' rows, >= 0 on '>=' rows); with r = c - A'y
+    the bound is cost.x_fixed + b'y + sum_j min(r_j l_j, r_j u_j), which is
+    -inf when a reduced cost points at an infinite bound. Returns the bound
+    and the signed duals, zero on rows that presolve dropped.
+    """
+    n = len(lp.active)
+    slack_lb, slack_ub = lp.lb[n:], lp.ub[n:]
+    y = np.asarray(duals, dtype=float)[lp.rows]
+    y = np.where(slack_ub == INF, np.minimum(y, 0.0), y)
+    y = np.where(slack_lb == -INF, np.maximum(y, 0.0), y)
+    r = (lp.cost - lp.K.T @ y)[lp.active]
+    at = np.where(r > 0, lp.lb[:n], np.where(r < 0, lp.ub[:n], 0.0))
+    signed = np.zeros(lp.num_rows)
+    signed[lp.rows] = y
+    return float(lp.cost @ lp.x_fixed + lp.b @ y + r @ at), signed
 
 
 def check_certificates(model: LinearModel, sol: Solution) -> dict:

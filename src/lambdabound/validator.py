@@ -229,7 +229,6 @@ def validate(instance: Instance, solution: RwappSolution) -> ValidationReport:
 @dataclass(frozen=True)
 class GapReport:
     gap_percent: float
-    improvement_percent: float | None = None
 
 
 def improvement(bound: float, baseline: float) -> float:
@@ -239,15 +238,8 @@ def improvement(bound: float, baseline: float) -> float:
     return (bound - baseline) / baseline * 100.0
 
 
-def gap_report(
-    upper_bound: float, lower_bound: float, baseline_bound: float | None = None
-) -> GapReport:
-    """Optimality gap (UB - LB)/LB in percent, plus the optional improvement
-    of LB over a second, weaker bound."""
+def gap_report(upper_bound: float, lower_bound: float) -> GapReport:
+    """Optimality gap (UB - LB)/LB in percent."""
     if lower_bound <= 0:
         raise ValueError("lower bound must be positive for a percentage gap")
-    gap = (upper_bound - lower_bound) / lower_bound * 100.0
-    imp = None
-    if baseline_bound is not None:
-        imp = improvement(lower_bound, baseline_bound)
-    return GapReport(gap_percent=gap, improvement_percent=imp)
+    return GapReport(gap_percent=(upper_bound - lower_bound) / lower_bound * 100.0)

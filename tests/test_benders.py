@@ -235,11 +235,27 @@ def test_failed_subproblem_is_a_status(monkeypatch):
 def test_rejected_cut_is_a_status(monkeypatch):
     inst = gen_random(8, 2, 4, 10, seed=1)
 
-    def reject(instance, failed_edge, wbar, solution, varmap):
-        raise FormulationError("dual point violates its feasibility system by 1e-3")
+    def reject(failed_edge, wbar, solution, lp, capacity_rows):
+        raise FormulationError("weak-duality bound is -inf")
 
     monkeypatch.setattr(benders, "cut_from_duals", reject)
     res = solve_lp_r3_benders(inst)
     assert res.status == "Failed"
     assert res.offending_failure is not None
     assert "cut rejected" in res.detail
+
+
+def _weak_cut(failed_edge, wbar, solution, lp, capacity_rows):
+    """A valid cut that cuts off nothing: -1 <= 0."""
+    return Cut(failed_edge, -1.0, ())
+
+
+def test_stalled_run_reports_iteration_limit(monkeypatch):
+    inst = gen_random(10, 2, 3, 3, seed=7)
+    monkeypatch.setattr(benders, "cut_from_duals", _weak_cut)
+    res = solve_lp_r3_benders(inst)
+    # the second round finds only pooled cuts and stops
+    assert res.status == "IterationLimit"
+    assert len(res.log) == 2 and res.log[-1].n_violated > 0
+    assert res.log[-1].cuts_total == res.log[0].cuts_total
+    assert res.lower_bound == res.log[-1].master_objective

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import parse_mps
-from lambdabound import benders, cli
+from lambdabound import benders, cli, simplex
 from lambdabound.cli import CSV_HEADER, main
+from lambdabound.formulations import Cut
 from lambdabound.instance import bundled_text, load_instance
 from lambdabound.lpmodel import Solution
 
@@ -97,6 +98,21 @@ def test_solve_benders_iteration_limit(tmp_path, capsys, monkeypatch):
                          "--method", "benders")
     assert code == 1
     assert out.strip() == f"{bound:.6f}"
+    assert err.strip() == "status: IterationLimit"
+
+
+def test_solve_benders_stalled_run(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "r.json"
+    assert main(["gen", "random", "--nodes", "10", "--extra-edges", "2", "--requests", "3",
+                 "--k", "3", "--seed", "7", "--out", str(path)]) == 0
+    monkeypatch.setattr(benders, "cut_from_duals",
+                        lambda tau, *_: Cut(tau, -1.0, ()))
+    res = benders.solve_lp_r3_benders(load_instance(path.read_text()))
+    assert res.status == "IterationLimit"
+    code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3",
+                         "--method", "benders")
+    assert code == 1
+    assert out.strip() == f"{res.lower_bound:.6f}"
     assert err.strip() == "status: IterationLimit"
 
 
@@ -308,6 +324,16 @@ def test_solve_benders_failure_is_one_line(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1
     assert "Failed" in lines[0] and "NumericalError" in lines[0]
     assert "failure " in lines[0]
+
+
+def test_solve_refuses_rows_beyond_dense_limit(net4_files, capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ROWS", 10)
+    code, out, err = run(capsys, "solve", str(net4_files[0]), "--model", "lp-rwap-ppp")
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("lambdabound: error: ") and "limit of 10" in lines[0]
 
 
 def _singular(monkeypatch):

@@ -28,7 +28,7 @@ from lambdabound.instance import (
     gen_random,
     save_instance,
 )
-from lambdabound.lpmodel import BINARY, CONTINUOUS
+from lambdabound.lpmodel import BINARY, CONTINUOUS, Solution
 
 
 def _sizes(instance):
@@ -218,31 +218,68 @@ def test_subproblem_argument_checks():
         build_subproblem(inst, 0, np.full(3, 99.0))
 
 
+def _capacity_rows(instance, vm):
+    return np.array([vm.rows_capacity[e] for e in range(instance.num_edges)])
+
+
+def _cut_at(instance, tau, wbar):
+    """The subproblem's optimum at wbar and the cut from its duals."""
+    sub, vm = build_subproblem(instance, tau, wbar)
+    lp = simplex.presolve(sub)
+    sol = simplex.solve(lp)
+    assert sol.status == simplex.OPTIMAL
+    return sol.objective, cut_from_duals(tau, wbar, sol, lp, _capacity_rows(instance, vm))
+
+
 def test_cut_matches_subproblem_value():
     inst = gen_cycle(3, 2, 80)
     wbar = np.zeros(3)
     sub, vm = build_subproblem(inst, 2, wbar)
     sol = solve_checked(sub)
-    cut = cut_from_duals(inst, 2, wbar, sol, vm)
+    cut = cut_from_duals(2, wbar, sol, simplex.presolve(sub), _capacity_rows(inst, vm))
     assert cut.failure == 2
-    assert cut.evaluate(wbar) == pytest.approx(2.0, abs=1e-6)
-    assert all(c <= 1e-9 for _, c in cut.wbar_coeffs)
+    assert cut.evaluate(wbar) == pytest.approx(2.0, abs=1e-9)
+    assert all(c <= 0.0 for _, c in cut.wbar_coeffs)
 
     # at feasible capacities every valid cut must be satisfied
     model, vm3 = build_lp_r3(inst)
     opt = solve_checked(model)
     feas = np.array([opt.primal[vm3.wbar[e]] for e in range(3)])
-    assert cut.evaluate(feas) <= 1e-6
+    assert cut.evaluate(feas) <= 1e-9
 
 
-def test_cut_requires_violation():
+def test_cut_requires_optimal_solution():
     inst = gen_cycle(3, 2, 80)
     wbar = np.full(3, 80.0)
+    # no violation: the cut is still valid, and tight at zero
+    value, cut = _cut_at(inst, 2, wbar)
+    assert value == pytest.approx(0.0, abs=1e-9)
+    assert cut.evaluate(wbar) == pytest.approx(0.0, abs=1e-9)
+
     sub, vm = build_subproblem(inst, 2, wbar)
-    sol = solve_checked(sub)
-    assert sol.objective <= 1e-9
-    with pytest.raises(FormulationError, match="no violation"):
-        cut_from_duals(inst, 2, wbar, sol, vm)
+    failed = Solution(status="NumericalError", objective=float("nan"))
+    with pytest.raises(FormulationError, match="Optimal"):
+        cut_from_duals(2, wbar, failed, simplex.presolve(sub), _capacity_rows(inst, vm))
+
+
+def test_cuts_are_valid_at_every_capacity():
+    """Each cut is at most the subproblem optimum at any capacities in [0, |K|]^E
+    and equals it at the capacities it was made at."""
+    rng = np.random.default_rng(6)
+    for inst in (
+        gen_cycle(4, 2, 3),
+        gen_random(6, 2, 3, 3, seed=1),
+        gen_random(7, 2, 4, 4, seed=8),
+    ):
+        K, E = inst.num_wavelengths, inst.num_edges
+        for tau in inst.failures[:4]:
+            for _ in range(3):
+                wbar = rng.uniform(0, K, size=E)
+                value, cut = _cut_at(inst, tau, wbar)
+                assert abs(cut.evaluate(wbar) - value) <= 1e-9
+                for _ in range(4):
+                    other = rng.uniform(0, K, size=E)
+                    assert cut.evaluate(other) <= _cut_at(inst, tau, other)[0] + 1e-9
 
 
 def test_cut_evaluate_is_affine():
@@ -315,14 +352,14 @@ def _structure_digest(model):
 # master, then the subproblem of each failure at capacities 0.5
 DECOMPOSITION_DIGESTS = [
     '306a9f143e81498a857cc8844097009e6f58df235c3bdc0d420742b4cc7a34fd',
-    'e1a78482d33043efaff1b904e9121ed7662fd5d944c5bb9a59f017a82e376544',
-    '662026cbc3096640888262b0e3d6934a48a52642c6f009529183ddda065a1e7e',
-    '4d8e6451bb29880e85985c880a6173dc0f97db3c0c02042f7bec977da8852091',
-    'b6cd10e430280512f045d2a12b92a033e7430549773f23d4e35b87e7a7a7ac57',
-    'ef9043f9328a51d1dcd4b43f9a98c0cb1fae8bcd48385a1cdfcd2d48bd87a47e',
-    '352e01e96b46506dd4ac173071863de7516018cf0d462271ff29df0e6358aa75',
-    '57aefb7fde8c876a88dfb7142306bf6438ee2bc1e3d6267671ce1e4fe5effde7',
-    'ff9173d3fb6f79e3abf444da7f7488d5c1d69262f7a1b1afccce9a159230fce1',
+    '26556d574d337567a217f24c229552437f6c9d231e076dd5700aa2005f92f39d',
+    'aba1d8247db5ebadc7cec1b651807b8d1ff76b9ac5e3dcaa27a97332984da13b',
+    '59f9ca690c5b93c0878d316db16fcf20d1dca42b27ebae546e2f48fb397d931c',
+    '3c65bfd00cd9d1c8d3a13095ac4708f6291e675bbee5ecfbee36fa44d788bc59',
+    '3259096d100eed240f0ae20ff25c28187cfe2c3b7b7e463f92578dd049cd6d27',
+    'e3eea3351a622b21cce8c2ef1cb66412d0a332bd4865643d11a86d66b8356ecc',
+    '0e5ed686d793658ece81a82fb39f3167d260ba6ffbee6284ebef2c0d7a75a8aa',
+    '125fc182b8aabeec8e99c2d4f33932faf671016c163c89807418804a55703850',
 ]
 
 

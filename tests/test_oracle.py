@@ -1,17 +1,14 @@
-import numpy as np
 import pytest
 
 from helpers import solve_checked
 from lambdabound.formulations import build_ip_rwap, build_lp_r3
-from lambdabound.instance import arcs, demand_matrix, gen_cycle, gen_random
+from lambdabound.instance import gen_cycle, gen_random
 from lambdabound.oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
     OracleLimits,
-    PathFlow,
     exact_rwap,
     exact_rwap_ppp,
-    flow_decompose,
     simple_paths,
     verify_chain,
 )
@@ -83,74 +80,6 @@ def test_simple_paths_order_and_count():
     assert paths[0] == (4,)  # shortest first
     assert paths[1] == (0, 1, 2, 3)
     assert len(paths) == 2
-
-
-def _flow_array(inst, entries):
-    table = arcs(inst.network)
-    flows = np.zeros((inst.num_nodes, table.num_arcs))
-    for s, arc, value in entries:
-        flows[s, arc] = value
-    return flows
-
-
-def test_decompose_single_path():
-    inst = gen_cycle(3, 2, 2)  # two requests 0 -> 2
-    q = demand_matrix(inst)
-    # all mass on 0->1->2 (forward arcs of edges 0 and 1)
-    flows = _flow_array(inst, [(0, 0, 2.0), (0, 2, 2.0)])
-    out = flow_decompose(inst, 0, flows, q)
-    assert out == [PathFlow(origin=0, sink=2, path=(0, 2), amount=2.0)]
-
-
-def test_decompose_split_paths():
-    inst = gen_cycle(3, 2, 2)
-    q = demand_matrix(inst)
-    # one unit on the direct edge (arc 4), one on the two-hop path
-    flows = _flow_array(inst, [(0, 4, 1.0), (0, 0, 1.0), (0, 2, 1.0)])
-    out = flow_decompose(inst, 1, flows, q)
-    assert sorted(pf.path for pf in out) == [(0, 2), (4,)]
-    assert all(pf.amount == pytest.approx(1.0) for pf in out)
-
-
-def test_decompose_requires_conservation():
-    inst = gen_cycle(3, 1, 1)
-    q = demand_matrix(inst)
-    flows = _flow_array(inst, [(0, 0, 1.0)])  # vanishes at node 1
-    with pytest.raises(ValueError, match="conservation|deliver|demand"):
-        flow_decompose(inst, 0, flows, q)
-
-
-def test_decompose_solver_output():
-    inst = gen_random(6, 2, 3, 3, seed=11)
-    model, vm = build_lp_r3(inst)
-    sol = solve_checked(model)
-    q = demand_matrix(inst)
-    table = arcs(inst.network)
-    for tau in inst.failures[:3]:
-        flows = np.zeros((inst.num_nodes, table.num_arcs))
-        for (t, s, a), vid in vm.y_agg.items():
-            if t == tau:
-                flows[s, a] = sol.primal[vid]
-        parts = flow_decompose(inst, tau, flows, q)
-        # every demand delivered exactly
-        for s in range(inst.num_nodes):
-            for t in range(inst.num_nodes):
-                want = q.get(s, t)
-                got = sum(p.amount for p in parts if p.origin == s and p.sink == t)
-                assert got == pytest.approx(want, abs=1e-6)
-        # path mass never exceeds the arc flows (cycles may only be dropped)
-        mass = np.zeros_like(flows)
-        for p in parts:
-            for a in p.path:
-                mass[p.origin, a] += p.amount
-        assert (mass <= flows + 1e-6).all()
-        # leftover is circulation: balanced at every node per origin
-        rest = flows - mass
-        for s in range(inst.num_nodes):
-            for v in range(inst.num_nodes):
-                inflow = rest[s, list(table.in_arcs[v])].sum()
-                outflow = rest[s, list(table.out_arcs[v])].sum()
-                assert inflow == pytest.approx(outflow, abs=1e-6)
 
 
 def test_chain_on_minimal_ring():

@@ -297,6 +297,33 @@ def _rows(A, senses, rhs):
     ]
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dual_bound_is_a_lower_bound(seed):
+    rng, _, _, _, senses, _, _, lp, first = _solved(seed)
+    tol = 1e-9 * (1 + abs(first.objective))
+    bound, signed = simplex.dual_bound(lp, first.duals)
+    assert abs(bound - first.objective) <= tol
+    y = rng.normal(scale=3.0, size=lp.num_rows)
+    bound, signed = simplex.dual_bound(lp, y)
+    assert bound <= first.objective + tol
+    senses = np.array(senses)
+    assert (signed[senses == SENSE_LE] <= 0).all() and (signed[senses == SENSE_GE] >= 0).all()
+
+
+def test_dual_bound_with_open_and_fixed_columns():
+    # min x + 3z, x + z >= 3, x >= 0, z pinned at 2: optimum 7
+    m = LinearModel()
+    x = m.add_variable(0.0, INF, 1.0)
+    z = m.add_variable(2.0, 2.0, 3.0)
+    m.add_row(SENSE_GE, 3.0, [(x, 1.0), (z, 1.0)])
+    lp = presolve(m)
+    assert simplex.dual_bound(lp, [1.0])[0] == 7.0  # r = 0 meets the open bound
+    assert simplex.dual_bound(lp, [2.0])[0] == -INF  # r < 0 points at it
+    bound, signed = simplex.dual_bound(lp, [-1.0])  # wrong sign on a '>=' row
+    assert bound == 6.0 and signed[0] == 0.0
+
+
 def _warm(lp):
     """Solve lp from its start basis; also say whether the cold path ran."""
     calls = []
