@@ -4,9 +4,13 @@ Rows are turned into equalities with one slack column per row (slack bounds
 encode the sense), so the all-slack basis is always available; rows whose
 initial slack value violates its bounds get a phase-1 artificial column.
 Variables sit nonbasic at a bound, which keeps box bounds out of the row
-count. The basis inverse is held densely and updated by product-form pivots,
-with a full refactorization every REFACTOR_INTERVAL pivots; iterations use
-Dantzig pricing and switch to Bland's rule after BLAND_STALL consecutive
+count. The basis is held as a sparse LU factorization (SuperLU, COLAMD
+ordering) with a product-form eta file on top, one eta per pivot, and is
+refactored every REFACTOR_INTERVAL pivots. FTRAN solves with the LU and then
+applies the etas in order; BTRAN applies them in reverse, then solves with
+the transposed LU. SuperLU is single-threaded and no dense BLAS update
+remains, so pivot paths do not depend on the BLAS thread count. Iterations
+use Dantzig pricing and switch to Bland's rule after BLAND_STALL consecutive
 degenerate steps, which rules out cycling. Integrality annotations are
 ignored: solves are LP relaxations. The tolerances (FEASIBILITY_TOL,
 OPTIMALITY_TOL) and the iteration cap (MAX_ITERATIONS) are module constants.
@@ -18,7 +22,7 @@ rows (`add_rows`) without a rebuild, and carries the start basis of its next
 solve. Given a start basis, `solve` refactors it once. When it is dual
 feasible, where a boxed variable may first flip to the bound its reduced cost
 asks for, a bounded dual simplex restores primal feasibility with the same
-pricing, Bland fallback and product-form update; that covers a change of
+pricing, Bland fallback and eta updates; that covers a change of
 right-hand sides and an appended row whose slack enters the basis. A start
 basis that is not dual feasible, a singular refactorization or a warm end
 other than Optimal falls back to the cold two-phase path. An Optimal solve
@@ -32,8 +36,8 @@ variable, so dual objectives (rhs'y plus bound terms) certify optima.
 `dual_bound` evaluates that dual objective for any row duals, after moving
 each to its sign, so it bounds the optimum from below whatever produced them.
 
-The basis inverse is dense, so `solve` refuses a model with more than
-MAX_ROWS rows after presolve with a ModelError.
+`solve` refuses a model with more than MAX_ROWS rows after presolve with a
+ModelError, which bounds the time a single solve can take.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dger
+from scipy.sparse.linalg import splu
 
 from .lpmodel import (
     INF,
@@ -59,7 +63,7 @@ UNBOUNDED = "Unbounded"
 ITERATION_LIMIT = "IterationLimit"
 NUMERICAL_ERROR = "NumericalError"
 
-REFACTOR_INTERVAL = 100
+REFACTOR_INTERVAL = 20
 BLAND_STALL = 1000
 FIX_TOL = 1e-12
 PIVOT_TOL = 1e-9
@@ -70,7 +74,10 @@ TIE_PIVOT_SHARE = 0.1
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 MAX_ITERATIONS = 10_000_000
-# the basis inverse is dense: 10,000 rows take 800 MB
+# rows after presolve that solve accepts. It bounds solve time (the relaxed
+# ip-rwap-ppp of gen_cycle(5, 2, 80), 22,104 rows, ran over 600 s) and keeps
+# the eta file's dot products at most 10,000 long, which OpenBLAS runs on one
+# thread whatever its thread count, so pivot paths stay independent of it
 MAX_ROWS = 10_000
 
 _NB_LOWER, _NB_UPPER, _BASIC, _NB_FREE = 0, 1, 2, 3
@@ -263,9 +270,7 @@ class _Core:
         self.basis = n_struct + np.arange(m)
         self.basis[art_rows] = n_struct + m + np.arange(n_art)
         self.vstatus[self.basis] = _BASIC
-        diag = np.ones(m)
-        diag[art_rows] = np.sign(resid[art_rows])
-        self.Binv = np.diag(diag) if m else np.zeros((0, 0))
+        self._factor()
 
         self.art_rows = art_rows
         self.art_cols = n_struct + m + np.arange(n_art)
@@ -329,27 +334,48 @@ class _Core:
 
     # -- factorization ----------------------------------------------------
 
+    def _factor(self):
+        """LU-factor the basis matrix and clear the eta file.
+
+        Raises numpy.linalg.LinAlgError when the basis is singular.
+        """
+        self.etas = []
+        try:
+            self.lu = splu(self.A[:, self.basis], permc_spec="COLAMD")
+        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+            if "singular" not in str(err):
+                raise
+            raise np.linalg.LinAlgError(str(err)) from err
+
     def refactor(self):
-        if self.m:
-            B = self.A[:, self.basis].toarray()
-            self.Binv = np.linalg.inv(B)
-            self._solve_basics()
+        self._factor()
+        self._solve_basics()
         self._recompute_duals()
         self._since_refactor = 0
 
+    def _ftran_dense(self, a):
+        """B^-1 a: the LU solve, then each eta in pivot order."""
+        w = self.lu.solve(a)
+        for p, eta in self.etas:
+            if w[p]:
+                w += w[p] * eta
+        return w
+
+    def _btran(self, v):
+        """B^-T v: each eta in reverse pivot order, then the transposed LU solve."""
+        v = v.copy()
+        for p, eta in reversed(self.etas):
+            v[p] += eta @ v
+        return self.lu.solve(v, trans="T")
+
     def _solve_basics(self):
-        if self.m:
-            xn = self.x.copy()
-            xn[self.basis] = 0.0
-            self.x[self.basis] = self.Binv @ (self.b - self.A @ xn)
+        xn = self.x.copy()
+        xn[self.basis] = 0.0
+        self.x[self.basis] = self._ftran_dense(self.b - self.A @ xn)
 
     def _recompute_duals(self):
-        if self.m:
-            y = self.Binv.T @ self.c[self.basis]
-        else:
-            y = np.zeros(0)
-        self.y = y
-        self.d = self.c - self.AT @ y
+        self.y = self._btran(self.c[self.basis])
+        self.d = self.c - self.AT @ self.y
         self.d[self.basis] = 0.0
 
     # -- pivoting ----------------------------------------------------------
@@ -376,20 +402,25 @@ class _Core:
 
     def _ftran(self, q):
         s, e = self.A.indptr[q], self.A.indptr[q + 1]
-        idx = self.A.indices[s:e]
-        vals = self.A.data[s:e]
-        if self.m == 0:
-            return np.zeros(0)
-        return self.Binv[:, idx] @ vals
+        a = np.zeros(self.m)
+        a[self.A.indices[s:e]] = self.A.data[s:e]
+        return self._ftran_dense(a)
 
-    def _replace(self, p, q, u, rho):
-        """Column q takes basis position p: product-form update of Binv."""
-        alpha = u[p]
-        factor = u / alpha
-        factor[p] = 0.0
-        # in-place rank-1 update; the transpose view is Fortran-ordered for BLAS
-        dger(-1.0, rho, factor, a=self.Binv.T, overwrite_a=1)
-        self.Binv[p, :] = rho / alpha
+    def _pivot_row(self, p):
+        """rho = e_p' B^-1."""
+        e = np.zeros(self.m)
+        e[p] = 1.0
+        return self._btran(e)
+
+    def _replace(self, p, q, u):
+        """Column q takes basis position p, given u = B^-1 a_q: append an eta.
+
+        The new inverse is E^-1 B^-1 with E^-1 = I + eta e_p', where
+        eta = -u / u_p except eta_p = 1 / u_p - 1.
+        """
+        eta = -u / u[p]
+        eta[p] = 1.0 / u[p] - 1.0
+        self.etas.append((p, eta))
 
         self.basis[p] = q
         self.vstatus[q] = _BASIC
@@ -453,12 +484,11 @@ class _Core:
             self.x[leaving] = self.ub[leaving]
             self.vstatus[leaving] = _NB_UPPER
 
-        rho = self.Binv[p, :].copy()
         dq = self.d[q]
         if dq != 0.0:
-            self.d -= (dq / u[p]) * (self.AT @ rho)
+            self.d -= (dq / u[p]) * (self.AT @ self._pivot_row(p))
         self._last_step = t
-        self._replace(p, q, u, rho)
+        self._replace(p, q, u)
         return None
 
     def _iterate(self, step):
@@ -508,8 +538,7 @@ class _Core:
         to_lower = below[p] > 0
         delta = -below[p] if to_lower else infeas[p]  # x_p minus its violated bound
 
-        rho = self.Binv[p, :].copy()
-        alpha = self.AT @ rho  # pivot row over every column
+        alpha = self.AT @ self._pivot_row(p)  # pivot row over every column
         # a candidate's reduced cost moves toward zero as the dual step grows
         slope = -alpha if to_lower else alpha
         st = self.vstatus
@@ -551,7 +580,7 @@ class _Core:
             st[leaving] = _NB_UPPER
         self.d -= theta_d * alpha
         self._last_step = theta_d
-        self._replace(p, q, u, rho)
+        self._replace(p, q, u)
         return None
 
     def run_dual(self):
@@ -602,8 +631,8 @@ def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
 
 def _solve_cold(lp: ArrayLP) -> Solution:
     core = _Core(lp)
-    core.start_cold(lp)
     try:
+        core.start_cold(lp)
         status = OPTIMAL
         if len(core.art_cols):
             c1 = np.zeros(core.n)
@@ -663,7 +692,7 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     lp = model if isinstance(model, ArrayLP) else presolve(model)
     if len(lp.b) > MAX_ROWS:
         raise ModelError(
-            f"{lp.name}: {len(lp.b)} rows after presolve exceed the dense-basis "
+            f"{lp.name}: {len(lp.b)} rows after presolve exceed the row "
             f"limit of {MAX_ROWS}"
         )
     if lp.infeasible:

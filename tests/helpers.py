@@ -7,17 +7,35 @@ the embedded simplex.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
+import lambdabound
 from lambdabound import simplex
 from lambdabound.lpmodel import BINARY, SENSE_GE, SENSE_LE
 from lambdabound.simplex import check_certificates
 
 INF = float("inf")
+
+
+def run_python(args, blas_threads: int) -> subprocess.CompletedProcess:
+    """Run `python *args` on this package with OPENBLAS_NUM_THREADS set.
+
+    The thread count only takes effect in a fresh interpreter, before numpy
+    loads OpenBLAS.
+    """
+    src = os.path.dirname(os.path.dirname(lambdabound.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 def solve_checked(model):

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import solve_checked
+from helpers import run_python, solve_checked
 from lambdabound import benders
 from lambdabound.benders import (
     BendersError,
@@ -49,6 +51,22 @@ def test_matches_direct_solve():
         direct = solve_checked(build_lp_r3(inst)[0]).objective
         assert res.status == "Converged"
         assert abs(res.lower_bound - direct) <= 1e-6 * (1 + direct)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(6, 10),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(0, 4),
+    st.integers(0, 2**16),
+)
+def test_matches_direct_solve_on_random_shapes(nodes, extra, requests, spare_k, seed):
+    inst = gen_random(nodes, extra, requests, requests + spare_k, seed=seed)
+    res = solve_lp_r3_benders(inst)
+    direct = solve_checked(build_lp_r3(inst)[0]).objective
+    assert res.status == "Converged"
+    assert abs(res.lower_bound - direct) <= 1e-6 * (1 + abs(direct))
 
 
 def test_master_monotone_and_final_bound():
@@ -180,6 +198,26 @@ def test_deterministic_reruns():
     assert a.lower_bound == b.lower_bound
     assert np.array_equal(a.wbar, b.wbar)
     assert _log_without_time(a) == _log_without_time(b)
+
+
+_LOG_CHILD = """
+import dataclasses
+from lambdabound.benders import solve_lp_r3_benders
+from lambdabound.instance import gen_random
+res = solve_lp_r3_benders(gen_random(12, 4, 6, 6, seed=7))
+print(res.status, res.lower_bound.hex(), [float(w).hex() for w in res.wbar])
+for rec in res.log:
+    print(dataclasses.replace(rec, elapsed_ms=0))
+"""
+
+
+def test_log_does_not_depend_on_blas_threads():
+    # chosen because a dense basis inverse, updated through BLAS, took another
+    # pivot path here at two OpenBLAS threads than at one
+    one, two = (run_python(["-c", _LOG_CHILD], t) for t in (1, 2))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout.startswith("Converged ")
+    assert one.stdout == two.stdout
 
 
 def test_warm_starts_cut_master_and_subproblem_pivots():

@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from helpers import parse_mps
+from helpers import parse_mps, run_python
 from lambdabound import benders, cli, simplex
 from lambdabound.cli import CSV_HEADER, main
 from lambdabound.formulations import Cut
@@ -203,6 +202,20 @@ def test_chain_check_ring(tmp_path, capsys):
     assert len([ln for ln in out.splitlines() if ln.startswith(("exact", "LP"))]) == 6
 
 
+@pytest.mark.parametrize("blas_threads", [1, 2])
+def test_chain_check_seed_402(tmp_path, blas_threads):
+    # its full-model LP once hit a singular basis at two OpenBLAS threads
+    path = tmp_path / "r.json"
+    assert main(["gen", "random", "--nodes", "6", "--extra-edges", "2", "--requests",
+                 "2", "--k", "2", "--seed", "402", "--out", str(path)]) == 0
+    done = run_python(["-m", "lambdabound.cli", "chain-check", str(path)], blas_threads)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["exact", "optimum", "9"]
+    assert lines[1].split() == ["LP", "full", "model", "8.000000"]
+    assert lines[-1] == "PASS"
+
+
 def test_chain_check_refuses_large_models(tmp_path, capsys):
     path = write_cycle(tmp_path, m=5, n=3, k=80)  # k blows up the full model
     code, _, err = run(capsys, "chain-check", str(path))
@@ -337,10 +350,10 @@ def test_solve_refuses_rows_beyond_dense_limit(net4_files, capsys, monkeypatch):
 
 
 def _singular(monkeypatch):
-    def inv(_):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def splu(*_, **__):
+        raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(np.linalg, "inv", inv)
+    monkeypatch.setattr(simplex, "splu", splu)
 
 
 def test_singular_basis_ends_chain_check_in_one_line(tmp_path, capsys, monkeypatch):

@@ -30,6 +30,15 @@ def test_single_ge_row_dual():
     assert sol.duals[r] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_model_without_rows():
+    m = LinearModel()
+    m.add_variable(0, 4, -1.0)
+    m.add_variable(-1, 3, 2.0)
+    sol = solve_checked(m)
+    assert sol.status == simplex.OPTIMAL
+    assert sol.objective == -6.0
+
+
 def test_binding_equality():
     m = LinearModel()
     x = m.add_variable(0, 10, 1.0)
@@ -218,11 +227,17 @@ def test_bitwise_determinism():
 
 def test_singular_refactor_is_a_status(monkeypatch):
     model, _ = build_lp_r3(gen_cycle(5, 2, 80))
+    original = simplex.splu
+    calls = []
 
-    def singular(_):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular_after_start(B, **kw):
+        # the cold start's slack basis factors; every refactor is singular
+        calls.append(1)
+        if len(calls) > 1:
+            raise RuntimeError("Factor is exactly singular")
+        return original(B, **kw)
 
-    monkeypatch.setattr(simplex.np.linalg, "inv", singular)
+    monkeypatch.setattr(simplex, "splu", singular_after_start)
     sol = solve(model)
     assert sol.status == simplex.NUMERICAL_ERROR
     assert sol.iterations > 0
@@ -233,19 +248,41 @@ def test_singular_start_basis_falls_back_cold(monkeypatch):
     cold = solve(model)
     lp = presolve(model)
     lp.basis = cold.basis
-    original = np.linalg.inv
+    original = simplex.splu
     calls = []
 
-    def singular_once(B):
+    def singular_once(B, **kw):
         calls.append(1)
         if len(calls) == 1:
-            raise np.linalg.LinAlgError("Singular matrix")
-        return original(B)
+            raise RuntimeError("Factor is exactly singular")
+        return original(B, **kw)
 
-    monkeypatch.setattr(simplex.np.linalg, "inv", singular_once)
+    monkeypatch.setattr(simplex, "splu", singular_once)
     again = solve(lp)
     assert again.status == simplex.OPTIMAL
     assert again.objective == cold.objective
+    assert again.iterations == cold.iterations
+
+
+def test_dependent_start_basis_falls_back_cold():
+    m = LinearModel()
+    x = m.add_variable(0, 4, -1.0)
+    y = m.add_variable(0, 4, -2.0)
+    m.add_row(SENSE_LE, 5.0, [(x, 1.0), (y, 1.0)])
+    m.add_row(SENSE_GE, 1.0, [(x, 2.0), (y, 2.0)])
+    cold = solve(m)
+    lp = presolve(m)
+    # x and y have the same column, so a basis of both is singular
+    lp.basis = simplex.Basis(
+        np.array([0, 1], dtype=np.int32),
+        np.array([simplex._BASIC, simplex._BASIC, simplex._NB_LOWER, simplex._NB_UPPER],
+                 dtype=np.int8),
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        simplex._Core(lp).start_warm(lp, lp.basis)
+    again = solve(lp)
+    assert cold.status == again.status == simplex.OPTIMAL
+    assert again.objective == cold.objective == pytest.approx(-9.0)
     assert again.iterations == cold.iterations
 
 
