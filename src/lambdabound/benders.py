@@ -306,7 +306,7 @@ def solve_lp_r3_benders(
 ) -> BendersResult:
     """Run the decomposition to optimality of the aggregated relaxation."""
     state = BendersState(instance, options)
-    status = ITERATION_LIMIT
+    status, detail, last = ITERATION_LIMIT, None, None
     try:
         for _ in range(MAX_ITERATIONS):
             if state.iterate_once():
@@ -314,22 +314,11 @@ def solve_lp_r3_benders(
                 break
             if state.stalled:
                 break
+        last = state.master_solution
     except BendersError as exc:
         if state.stop_status is None:
             raise
-        return BendersResult(
-            status=state.stop_status,
-            lower_bound=float("nan"),
-            wbar=None,
-            tau0=state.tau0,
-            iterations=len(state.log),
-            cuts_added=state.pool.total,
-            log=state.log,
-            pool=state.pool,
-            offending_failure=state.offending_failure,
-            detail=str(exc),
-        )
-    last = state.master_solution
+        status, detail = state.stop_status, str(exc)
     return BendersResult(
         status=status,
         lower_bound=last.objective if last is not None else float("nan"),
@@ -339,4 +328,6 @@ def solve_lp_r3_benders(
         cuts_added=state.pool.total,
         log=state.log,
         pool=state.pool,
+        offending_failure=state.offending_failure,
+        detail=detail,
     )

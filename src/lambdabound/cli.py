@@ -190,6 +190,8 @@ def cmd_solve(args, parser) -> int:
 
 
 def cmd_validate(args, parser) -> int:
+    if args.lower_bound is not None and not 0 < args.lower_bound < float("inf"):
+        return _usage_error("--lower-bound must be positive and finite")
     instance = _read_instance(args.instance, parser)
     try:
         with open(args.solution, "r", encoding="utf-8") as fh:
@@ -220,19 +222,25 @@ def cmd_bench(args, parser) -> int:
     )
     paths = [os.path.join(args.instance_dir, f) for f in names]
     instances = [_read_instance(path, parser) for path in paths]
+    ubs = []  # the optional upper-bound sidecar <name>.ub of each instance
     for path, instance in zip(paths, instances):
         if not instance.failures:
             return _no_failures_error(path)
-
-    lines = [CSV_HEADER]
-    for path, instance in zip(paths, instances):
-        base = _solve_record(instance, "lp-rwap", "direct")
-        r3 = _solve_record(instance, "lp-r3", "benders")
         ub_path = os.path.splitext(path)[0] + ".ub"
         ub = None
         if os.path.exists(ub_path):
             with open(ub_path, "r", encoding="utf-8") as fh:
-                ub = float(fh.read().strip())
+                text = fh.read()
+            try:
+                ub = float(text)
+            except ValueError:
+                return _usage_error(f"{ub_path}: upper bound is not a number")
+        ubs.append(ub)
+
+    lines = [CSV_HEADER]
+    for instance, ub in zip(instances, ubs):
+        base = _solve_record(instance, "lp-rwap", "direct")
+        r3 = _solve_record(instance, "lp-r3", "benders")
         if base.objective and r3.objective is not None:
             r3.im_pct = validator.improvement(r3.objective, base.objective)
         if ub is not None:
@@ -385,6 +393,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args, parser)
     except ModelError as exc:
         return _usage_error(str(exc))
+    except OSError as exc:  # a path to read or write that cannot be used
+        where = f"{exc.filename}: " if exc.filename else ""
+        return _usage_error(f"{where}{exc.strerror or exc}")
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 Rows are turned into equalities with one slack column per row (slack bounds
 encode the sense), so the all-slack basis is always available; rows whose
 initial slack value violates its bounds get a phase-1 artificial column.
+A cold start is that slack/artificial basis, entered through the same set-up
+as a stored start basis: nonbasics go to their bounds, then one refactor.
 Variables sit nonbasic at a bound, which keeps box bounds out of the row
 count. The basis is held as a sparse LU factorization (SuperLU, COLAMD
 ordering) with a product-form eta file on top, one eta per pivot, and is
@@ -19,11 +21,11 @@ OPTIMALITY_TOL) and the iteration cap (MAX_ITERATIONS) are module constants.
 rows whose support is entirely fixed are dropped and the rest is held as
 sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`) and appended
 rows (`add_rows`) without a rebuild, and carries the start basis of its next
-solve. Given a start basis, `solve` refactors it once. When it is dual
-feasible, where a boxed variable may first flip to the bound its reduced cost
-asks for, a bounded dual simplex restores primal feasibility with the same
-pricing, Bland fallback and eta updates; that covers a change of
-right-hand sides and an appended row whose slack enters the basis. A start
+solve. When that basis is dual feasible, where a boxed variable may first
+flip to the bound its reduced cost asks for, a bounded dual simplex restores
+primal feasibility with the same pricing, Bland fallback and eta updates;
+that covers a change of right-hand sides and an appended row whose slack
+enters the basis. Primal and dual pivots share one basis change. A start
 basis that is not dual feasible, a singular refactorization or a warm end
 other than Optimal falls back to the cold two-phase path. An Optimal solve
 returns its final basis, recording an artificial left basic at zero as its
@@ -129,10 +131,10 @@ class ArrayLP:
 
     Columns are the model's unfixed variables (`active`), then one slack per
     kept row (`rows`, model row ids in ascending order): `cols` is [A | I]
-    and `colsT` its transpose, `lb`/`ub`/`c` their bounds and costs. `K`
-    holds the kept rows over every model variable, for the reduced costs,
-    and `b` is the kept rows' rhs less the pinned variables' share `shift`.
-    `basis` is the start basis of the next solve; None starts cold.
+    and `lb`/`ub`/`c` are their bounds and costs. `K` holds the kept rows
+    over every model variable, for the reduced costs, and `b` is the kept
+    rows' rhs less the pinned variables' share `shift`. `basis` is the start
+    basis of the next solve; None starts cold.
     """
 
     def __init__(self, name: str, cost, lb, ub):
@@ -145,7 +147,6 @@ class ArrayLP:
         self.rows = np.zeros(0, dtype=int)
         self.num_rows = 0
         self.cols = sp.csc_matrix((0, len(self.active)))
-        self.colsT = self.cols.T.tocsr()
         self.K = sp.csr_matrix((0, len(cost)))
         self.b = np.zeros(0)
         self.shift = np.zeros(0)
@@ -186,7 +187,6 @@ class ArrayLP:
             return
         A = sp.vstack([self.cols[:, :na], live[kept]], format="csc")
         self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
-        self.colsT = self.cols.T.tocsr()
         self.K = sp.vstack([self.K, R[kept]], format="csr")
         self.rows = np.concatenate([self.rows, rid[kept]])
         self.b = np.concatenate([self.b, rhs[kept] - shift[kept]])
@@ -223,31 +223,46 @@ class _Core:
         self.m = len(lp.b)
         self.n_struct = len(lp.active)
         self.b = lp.b
-        self.art_rows = np.zeros(0, dtype=int)
-        self.art_cols = np.zeros(0, dtype=int)
+        self.A, self.lb, self.ub = lp.cols, lp.lb, lp.ub
         self.iterations = 0
-        self.bland = False
-        self._since_refactor = 0
+
+    def _load(self, head, status, costs) -> bool:
+        """Enter a basis: nonbasics at their bounds, then costs and a refactor.
+
+        Returns False when a nonbasic sits at an infinite bound. Raises
+        numpy.linalg.LinAlgError when the basis is singular.
+        """
+        self.basis, self.vstatus = head, status
+        self.x = self._at_bounds(status)
+        self.x[head] = 0.0
+        if not np.isfinite(self.x).all():
+            return False
+        self.AT = self.A.T  # a CSR view of the CSC columns, not a copy
+        self.c = costs
+        self.fixed = (self.ub - self.lb) <= FIX_TOL
+        self.refactor()
+        return True
+
+    def _at_bounds(self, st):
+        """Column values with each nonbasic at the bound its status names, free at 0."""
+        return np.where(st == _NB_UPPER, self.ub, np.where(st == _NB_LOWER, self.lb, 0.0))
 
     def start_cold(self, lp: ArrayLP):
-        """Slack basis, plus a phase-1 artificial on each row the slack cannot absorb."""
+        """Slack basis, plus a phase-1 artificial on each row the slack cannot absorb.
+
+        Loads the phase-1 costs: one on each artificial.
+        """
         m, n_struct = self.m, self.n_struct
-        lb, ub = lp.lb[:n_struct], lp.ub[:n_struct]
-        slack_lb, slack_ub = lp.lb[n_struct:], lp.ub[n_struct:]
-
-        # nonbasic start: nearest finite bound, free variables at zero
-        x_struct = np.where(lb > -INF, lb, np.where(ub < INF, ub, 0.0))
-        status_struct = np.where(
-            lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE)
-        )
-        r = self.b - lp.cols @ np.concatenate([x_struct, np.zeros(m)])
-
-        clamp = np.minimum(np.maximum(r, slack_lb), slack_ub)
-        resid = r - clamp
+        lb, ub = lp.lb, lp.ub
+        # nonbasic start: nearest finite bound, free variables at zero; every
+        # slack bound is 0 or infinite, so the slacks start at zero
+        status = np.where(lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE))
+        r = self.b - lp.cols @ self._at_bounds(status)
+        resid = r - np.clip(r, lb[n_struct:], ub[n_struct:])
         art_rows = np.flatnonzero(np.abs(resid) > FIX_TOL)
         n_art = len(art_rows)
-        # nonbasic slacks sit on the bound they were clamped to
-        slack_status = np.where(resid > 0, _NB_UPPER, _NB_LOWER)
+        # a slack that cannot absorb its row sits on the bound r passes
+        status[n_struct:] = np.where(resid > 0, _NB_UPPER, _NB_LOWER)
 
         if n_art:
             art = sp.csc_matrix(
@@ -255,50 +270,25 @@ class _Core:
                 shape=(m, n_art),
             )
             self.A = sp.hstack([lp.cols, art], format="csc")
-            self.AT = self.A.T.tocsr()
-        else:
-            self.A, self.AT = lp.cols, lp.colsT
-        self.n = self.A.shape[1]
-
-        self.lb = np.concatenate([lp.lb, np.zeros(n_art)])
-        self.ub = np.concatenate([lp.ub, np.full(n_art, INF)])
-        self.x = np.concatenate([x_struct, clamp, np.abs(resid[art_rows])])
-        self.vstatus = np.concatenate(
-            [status_struct, slack_status, np.full(n_art, _NB_LOWER)]
-        ).astype(int)
-
-        self.basis = n_struct + np.arange(m)
-        self.basis[art_rows] = n_struct + m + np.arange(n_art)
-        self.vstatus[self.basis] = _BASIC
-        self._factor()
-
+            self.lb = np.concatenate([lp.lb, np.zeros(n_art)])
+            self.ub = np.concatenate([lp.ub, np.full(n_art, INF)])
+            status = np.concatenate([status, np.full(n_art, _NB_LOWER)])
         self.art_rows = art_rows
         self.art_cols = n_struct + m + np.arange(n_art)
-        self.c = np.zeros(self.n)
-        self.d = np.zeros(self.n)
-        self.fixed = (self.ub - self.lb) <= FIX_TOL
+        head = n_struct + np.arange(m)
+        head[art_rows] = self.art_cols
+        status[head] = _BASIC
+        self._load(head, status, np.concatenate([np.zeros(n_struct + m), np.ones(n_art)]))
 
-    def start_warm(self, lp: ArrayLP, start: Basis) -> bool:
-        """Refactor a stored basis under the phase-2 costs; False unless dual feasible.
+    def start_warm(self, start: Basis, costs) -> bool:
+        """Load a stored basis under the given costs; False unless dual feasible.
 
         Raises numpy.linalg.LinAlgError when the basis is singular.
         """
-        self.A, self.AT = lp.cols, lp.colsT
-        self.n = self.A.shape[1]
-        self.lb, self.ub = lp.lb, lp.ub
-        self.basis = start.head.astype(int)
-        self.vstatus = start.status.astype(int)
-        if len(self.basis) != self.m or len(self.vstatus) != self.n:
+        if len(start.head) != self.m or len(start.status) != len(self.lb):
             return False
-        st = self.vstatus
-        self.x = np.where(st == _NB_UPPER, self.ub, np.where(st == _NB_LOWER, self.lb, 0.0))
-        self.x[self.basis] = 0.0
-        if not np.isfinite(self.x).all():
-            return False
-        self.c = lp.c
-        self.fixed = (self.ub - self.lb) <= FIX_TOL
-        self.refactor()
-        return self._make_dual_feasible()
+        head, status = start.head.astype(int), start.status.astype(int)
+        return self._load(head, status, costs) and self._make_dual_feasible()
 
     def _make_dual_feasible(self) -> bool:
         """Flip boxed nonbasics to the bound their reduced cost asks for."""
@@ -334,8 +324,8 @@ class _Core:
 
     # -- factorization ----------------------------------------------------
 
-    def _factor(self):
-        """LU-factor the basis matrix and clear the eta file.
+    def refactor(self):
+        """LU-factor the basis matrix, clear the eta file, recompute x_B and duals.
 
         Raises numpy.linalg.LinAlgError when the basis is singular.
         """
@@ -346,9 +336,6 @@ class _Core:
             if "singular" not in str(err):
                 raise
             raise np.linalg.LinAlgError(str(err)) from err
-
-    def refactor(self):
-        self._factor()
         self._solve_basics()
         self._recompute_duals()
         self._since_refactor = 0
@@ -382,7 +369,7 @@ class _Core:
 
     def _price(self):
         tol = OPTIMALITY_TOL
-        score = np.full(self.n, -np.inf)
+        score = np.full(len(self.d), -np.inf)
         open_nb = ~self.fixed
         mask_l = (self.vstatus == _NB_LOWER) & open_nb
         mask_u = (self.vstatus == _NB_UPPER) & open_nb
@@ -412,12 +399,20 @@ class _Core:
         e[p] = 1.0
         return self._btran(e)
 
-    def _replace(self, p, q, u):
-        """Column q takes basis position p, given u = B^-1 a_q: append an eta.
+    def _pivot(self, p, q, u, step, to_lower):
+        """Column q takes basis position p, given u = B^-1 a_q.
 
-        The new inverse is E^-1 B^-1 with E^-1 = I + eta e_p', where
+        x_q moves by `step` and the basics by -step * u; the leaving variable
+        goes to its lower bound if `to_lower`, else to its upper. The new
+        inverse is E^-1 B^-1 with E^-1 = I + eta e_p', where
         eta = -u / u_p except eta_p = 1 / u_p - 1.
         """
+        self.x[self.basis] -= step * u
+        self.x[q] += step
+        leaving = self.basis[p]
+        self.x[leaving] = self.lb[leaving] if to_lower else self.ub[leaving]
+        self.vstatus[leaving] = _NB_LOWER if to_lower else _NB_UPPER
+
         eta = -u / u[p]
         eta[p] = 1.0 / u[p] - 1.0
         self.etas.append((p, eta))
@@ -474,21 +469,11 @@ class _Core:
             p = int(cand[np.argmax(np.abs(delta[cand]))])
 
         t = max(t_block, 0.0)
-        self.x[self.basis] = xB - t * delta
-        self.x[q] = self.x[q] + sigma * t
-        leaving = self.basis[p]
-        if delta[p] > 0:
-            self.x[leaving] = self.lb[leaving]
-            self.vstatus[leaving] = _NB_LOWER
-        else:
-            self.x[leaving] = self.ub[leaving]
-            self.vstatus[leaving] = _NB_UPPER
-
         dq = self.d[q]
         if dq != 0.0:
             self.d -= (dq / u[p]) * (self.AT @ self._pivot_row(p))
         self._last_step = t
-        self._replace(p, q, u)
+        self._pivot(p, q, u, sigma * t, delta[p] > 0)
         return None
 
     def _iterate(self, step):
@@ -521,10 +506,8 @@ class _Core:
     def _dual_step(self):
         """One dual pivot. Returns 'optimal'/'infeasible'/None."""
         xB = self.x[self.basis]
-        lbB = self.lb[self.basis]
-        ubB = self.ub[self.basis]
-        below = lbB - xB
-        infeas = np.maximum(below, xB - ubB)
+        below = self.lb[self.basis] - xB
+        infeas = np.maximum(below, xB - self.ub[self.basis])
         tol = FEASIBILITY_TOL
         if self.bland:
             rows = np.flatnonzero(infeas > tol)
@@ -568,19 +551,9 @@ class _Core:
 
         u = self._ftran(q)
         theta_d = self.d[q] / u[p]
-        theta_p = delta / u[p]
-        self.x[self.basis] = xB - theta_p * u
-        self.x[q] += theta_p
-        leaving = self.basis[p]
-        if to_lower:
-            self.x[leaving] = lbB[p]
-            st[leaving] = _NB_LOWER
-        else:
-            self.x[leaving] = ubB[p]
-            st[leaving] = _NB_UPPER
         self.d -= theta_d * alpha
         self._last_step = theta_d
-        self._replace(p, q, u)
+        self._pivot(p, q, u, delta / u[p], to_lower)
         return None
 
     def run_dual(self):
@@ -611,22 +584,28 @@ def _no_solution(lp: ArrayLP, status: str, iterations: int) -> Solution:
     )
 
 
-def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
-    if core._since_refactor:
-        core.refactor()
+def _solution(lp: ArrayLP, status: str, x, y, iterations=0, basis=None) -> Solution:
+    """The model-space solution with active columns at x and kept-row duals y."""
     primal = lp.x_fixed.copy()
-    primal[lp.active] = core.x[: core.n_struct]
+    primal[lp.active] = x
     duals = np.zeros(lp.num_rows)
-    duals[lp.rows] = core.y
+    duals[lp.rows] = y
     return Solution(
         status=status,
         objective=float(lp.cost @ primal),
         primal=primal,
         duals=duals,
-        reduced_costs=lp.cost - lp.K.T @ core.y,
-        iterations=core.iterations,
-        basis=core.final_basis() if status == OPTIMAL else None,
+        reduced_costs=lp.cost - lp.K.T @ y,
+        iterations=iterations,
+        basis=basis,
     )
+
+
+def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
+    if core._since_refactor:
+        core.refactor()
+    basis = core.final_basis() if status == OPTIMAL else None
+    return _solution(lp, status, core.x[: core.n_struct], core.y, core.iterations, basis)
 
 
 def _solve_cold(lp: ArrayLP) -> Solution:
@@ -635,9 +614,7 @@ def _solve_cold(lp: ArrayLP) -> Solution:
         core.start_cold(lp)
         status = OPTIMAL
         if len(core.art_cols):
-            c1 = np.zeros(core.n)
-            c1[core.art_cols] = 1.0
-            outcome = core.run_phase(c1)
+            outcome = core._iterate(core._step)  # phase 1, under the loaded costs
             if outcome == "iterlimit":
                 status = ITERATION_LIMIT
             elif outcome == "unbounded":
@@ -652,9 +629,7 @@ def _solve_cold(lp: ArrayLP) -> Solution:
                 core.fixed[core.art_cols] = True
 
         if status == OPTIMAL:
-            c2 = np.zeros(core.n)
-            c2[: core.n_struct] = lp.c[: core.n_struct]
-            outcome = core.run_phase(c2)
+            outcome = core.run_phase(np.concatenate([lp.c, np.zeros(len(core.art_cols))]))
             if outcome == "iterlimit":
                 status = ITERATION_LIMIT
             elif outcome == "unbounded":
@@ -669,7 +644,7 @@ def _solve_warm(lp: ArrayLP) -> tuple[Solution | None, int]:
     core = _Core(lp)
     try:
         if (
-            core.start_warm(lp, lp.basis)
+            core.start_warm(lp.basis, lp.c)
             and core.run_dual() == "optimal"
             and core.run_phase(lp.c) == "optimal"
         ):
@@ -698,13 +673,7 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     if lp.infeasible:
         return _no_solution(lp, INFEASIBLE, 0)
     if len(lp.active) == 0:
-        return Solution(
-            status=OPTIMAL,
-            objective=float(lp.cost @ lp.x_fixed),
-            primal=lp.x_fixed.copy(),
-            duals=np.zeros(lp.num_rows),
-            reduced_costs=lp.cost.copy(),
-        )
+        return _solution(lp, OPTIMAL, np.zeros(0), np.zeros(0))
     spent = 0
     if lp.basis is not None:
         sol, spent = _solve_warm(lp)

@@ -39,12 +39,6 @@ class RwappSolution:
     working: tuple[Assignment, ...]
     backups: tuple[tuple[int, tuple[Assignment, ...]], ...]  # (failure, per-request)
 
-    def backup_block(self, failure: int):
-        for f, block in self.backups:
-            if f == failure:
-                return block
-        raise KeyError(failure)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -96,6 +90,8 @@ def load_solution(text: str, instance: Instance) -> RwappSolution:
     for i, rec in enumerate(doc["backups"]):
         if not isinstance(rec, dict) or "failure" not in rec or "assignments" not in rec:
             raise SolutionFormatError(f"backups[{i}]: expected failure and assignments")
+        if isinstance(rec["failure"], bool) or not isinstance(rec["failure"], int):
+            raise SolutionFormatError(f"backups[{i}]: failure must be an edge id")
         block = tuple(
             parse_assignment(a, f"backups[{i}].assignments[{j}]")
             for j, a in enumerate(rec["assignments"])

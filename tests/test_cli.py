@@ -372,3 +372,58 @@ def test_singular_basis_ends_solve_in_one_line(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.strip() == "status: NumericalError"
+
+
+def _bad_lower_bound(tmp_path, inst, sol):
+    return ["validate", str(inst), str(sol), "--lower-bound", "0"]
+
+
+def _bad_sidecar(tmp_path, inst, sol):
+    (tmp_path / "net4.ub").write_text("abc\n")
+    return ["bench", str(tmp_path), "--out", str(tmp_path / "t.csv")]
+
+
+def _missing_bench_dir(tmp_path, inst, sol):
+    return ["bench", str(tmp_path / "nodir"), "--out", str(tmp_path / "t.csv")]
+
+
+def _gen_into_missing_dir(tmp_path, inst, sol):
+    out = tmp_path / "nodir" / "x.json"
+    return ["gen", "cycle", "--m", "3", "--n", "1", "--k", "1", "--out", str(out)]
+
+
+def _export_into_missing_dir(tmp_path, inst, sol):
+    out = tmp_path / "nodir" / "x.lp"
+    return ["export", str(inst), "--model", "lp-r3", "--format", "lp", "--out", str(out)]
+
+
+def _record_into_directory(tmp_path, inst, sol):
+    return ["solve", str(inst), "--model", "lp-rwap", "--record", str(tmp_path)]
+
+
+def _failure_not_an_edge_id(tmp_path, inst, sol):
+    doc = json.loads(sol.read_text())
+    doc["backups"][0]["failure"] = "x"
+    sol.write_text(json.dumps(doc))
+    return ["validate", str(inst), str(sol)]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (_bad_lower_bound, 2, "lambdabound: error: --lower-bound"),
+        (_bad_sidecar, 2, "lambdabound: error: "),
+        (_missing_bench_dir, 2, "lambdabound: error: "),
+        (_gen_into_missing_dir, 2, "lambdabound: error: "),
+        (_export_into_missing_dir, 2, "lambdabound: error: "),
+        (_record_into_directory, 2, "lambdabound: error: "),
+        (_failure_not_an_edge_id, 1, "malformed solution: backups[0]"),
+    ],
+)
+def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, prefix):
+    got, out, err = run(capsys, *argv(tmp_path, *net4_files))
+    assert got == code
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), err
+    assert "Traceback" not in err

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import solve_checked
-from lambdabound.formulations import build_ip_rwap, build_lp_r3
+from helpers import milp_solve, solve_checked
+from lambdabound.formulations import build_ip_rwap, build_ip_rwap_ppp, build_lp_r3
 from lambdabound.instance import gen_cycle, gen_random
 from lambdabound.oracle import (
     OracleBudgetError,
@@ -119,3 +121,21 @@ def test_working_only_lp_matches_exact_on_rings():
         inst = gen_cycle(m, n, n)
         lp = solve_checked(build_ip_rwap(inst, relax=True)[0]).objective
         assert exact_rwap(inst) >= lp - 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(3, 5),
+    st.integers(0, 2),
+    st.integers(1, 2),
+    st.integers(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_optima_match_milp(nodes, extra, requests, spare, seed):
+    """The exhaustive oracle against HiGHS on the integer models it solves."""
+    inst = gen_random(nodes, extra, requests, requests + spare, seed)
+    pairs = ((exact_rwap_ppp, build_ip_rwap_ppp), (exact_rwap, build_ip_rwap))
+    for exact, build in pairs:
+        ref = milp_solve(build(inst, relax=False)[0])
+        assert ref.success, (inst.name, ref.message)
+        assert exact(inst) == pytest.approx(ref.fun, abs=1e-6), inst.name

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import linprog_solve, solve_checked
 from lambdabound import simplex
-from lambdabound.formulations import build_lp_r3
-from lambdabound.instance import gen_cycle
+from lambdabound.benders import solve_lp_r3_benders
+from lambdabound.formulations import build_ip_rwap_ppp, build_lp_r3
+from lambdabound.instance import gen_cycle, gen_random
 from lambdabound.lpmodel import (
     INF,
     SENSE_EQ,
@@ -279,11 +280,49 @@ def test_dependent_start_basis_falls_back_cold():
                  dtype=np.int8),
     )
     with pytest.raises(np.linalg.LinAlgError):
-        simplex._Core(lp).start_warm(lp, lp.basis)
+        simplex._Core(lp).start_warm(lp.basis, lp.c)
     again = solve(lp)
     assert cold.status == again.status == simplex.OPTIMAL
     assert again.objective == cold.objective == pytest.approx(-9.0)
     assert again.iterations == cold.iterations
+
+
+def _open_columns_model():
+    """min x - y + 2z - 3w with x free, y >= 0 and z <= 3 open, w boxed."""
+    m = LinearModel()
+    x = m.add_variable(-INF, INF, 1.0)
+    y = m.add_variable(0.0, INF, -1.0)
+    z = m.add_variable(-INF, 3.0, 2.0)
+    w = m.add_variable(0.0, 4.0, -3.0)
+    m.add_row(SENSE_GE, 2.0, [(x, 1.0), (y, -1.0)])
+    m.add_row(SENSE_LE, 6.0, [(y, 1.0), (w, 1.0)])
+    m.add_row(SENSE_EQ, 1.0, [(x, 1.0), (z, 1.0), (w, -1.0)])
+    m.add_row(SENSE_GE, -5.0, [(z, 1.0), (y, -1.0)])
+    return m
+
+
+def test_pivot_paths_are_pinned(net4):
+    """Pivot counts of cold solves and of a decomposition's warm re-solves.
+
+    A change to the simplex that keeps every pivot path leaves these exact.
+    """
+    cases = [
+        (build_lp_r3(gen_cycle(5, 2, 80))[0], 31, 10.0),
+        (build_ip_rwap_ppp(net4, relax=True)[0], 165, 3.0),
+        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 739, 8.0),
+        (_open_columns_model(), 5, -12.0),
+    ]
+    for model, pivots, objective in cases:
+        sol = solve_checked(model)
+        assert sol.status == simplex.OPTIMAL, model.name
+        assert sol.iterations == pivots, model.name
+        assert sol.objective == pytest.approx(objective, abs=1e-9), model.name
+
+    res = solve_lp_r3_benders(gen_random(10, 2, 3, 3, seed=7))
+    assert (res.iterations, res.cuts_added) == (7, 34)
+    assert [(rec.master_pivots, rec.sub_pivots) for rec in res.log] == [
+        (31, 135), (7, 69), (7, 124), (7, 15), (7, 42), (9, 16), (1, 6)
+    ]
 
 
 # -- warm starts -------------------------------------------------------------
