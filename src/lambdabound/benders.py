@@ -15,12 +15,18 @@ optimum is a valid lower bound for the full relaxation.
 Solves after the first are warm re-solves. The master is presolved once into a
 simplex.ArrayLP that keeps its last basis; each cut row enters with its slack
 basic, so that basis stays dual feasible and the dual simplex re-optimizes
-from it. A failure's subproblem is built and presolved the first time it is
-solved; later iterations overwrite only its capacity right-hand sides (the
-candidate wbar) and re-solve from its last basis. Subproblems of different
-failures share one row layout, so one array of capacity row ids serves every
-cut. Each cut is the subproblem's weak-duality bound under its duals, which is
-valid by construction and affine in wbar (formulations.cut_from_duals).
+from it. The subproblems of all failures share one presolved template, the
+subproblem built with no failure: each round overwrites its capacity
+right-hand sides with the candidate wbar, and failure tau is applied by
+fixing at zero the flow columns of arcs 2tau and 2tau+1 of every origin and
+reopening those of the failure solved before. The run keeps one basis per
+failure. A failure re-solves from its own last basis, and its first solve
+starts from the last optimal basis of any failure: costs are shared and
+every reopened column is boxed, so that basis is dual feasible once its
+nonbasics flip to the right bounds. Only the first subproblem solve of a run
+is cold. Each cut is the template's weak-duality bound under its duals while
+tau's bounds are applied, which is valid by construction and affine in wbar
+(formulations.cut_from_duals).
 A master or subproblem solve that ends Infeasible stops the run with status
 Infeasible; one that ends otherwise short of Optimal, or a subproblem solution
 that yields no finite cut, stops it with status Failed. Either way the result
@@ -44,7 +50,7 @@ from .formulations import (
 )
 from .instance import Instance, arcs
 from .lpmodel import SENSE_LE
-from .simplex import INFEASIBLE, OPTIMAL, ArrayLP, presolve, solve
+from .simplex import INFEASIBLE, OPTIMAL, Basis, presolve, solve
 
 CONVERGED = "Converged"
 ITERATION_LIMIT = "IterationLimit"
@@ -160,6 +166,17 @@ def pi_prime_filter(instance: Instance, master: MasterSolution) -> set[int]:
     return skipped
 
 
+def _flow_ids(instance: Instance, varmap, tau) -> np.ndarray:
+    """Model ids of scenario tau's flow columns, by origin and arc."""
+    num_arcs = arcs(instance.network).num_arcs
+    return np.array(
+        [
+            [varmap.y_agg[(tau, s, a)] for a in range(num_arcs)]
+            for s in range(instance.num_nodes)
+        ]
+    )
+
+
 class BendersState:
     """Mutable algorithm state; iterate_once is idempotent after convergence."""
 
@@ -171,18 +188,24 @@ class BendersState:
         self.tau0 = min(instance.failures)
         model, varmap = build_master(instance, self.tau0)
         self.master = presolve(model)
-        num_arcs = arcs(instance.network).num_arcs
         self._wbar_ids = np.array([varmap.wbar[e] for e in range(instance.num_edges)])
-        self._flow_ids = np.array(
-            [
-                [varmap.y_agg[(self.tau0, s, a)] for a in range(num_arcs)]
-                for s in range(instance.num_nodes)
-            ]
+        self._flow_ids = _flow_ids(instance, varmap, self.tau0)
+        model, varmap = build_subproblem(instance, None, np.zeros(instance.num_edges))
+        self.subproblem = presolve(model)
+        self._capacity_rows = np.array(
+            [varmap.rows_capacity[e] for e in range(instance.num_edges)]
         )
-        self.subproblems: dict[int, ArrayLP] = {}
-        # every failure's subproblem has the same row ids; the first one built
-        # supplies its capacity rows
-        self._capacity_rows: np.ndarray | None = None
+        # failure tau closes the unpinned flow columns of its two arcs
+        flows = _flow_ids(instance, varmap, None)
+        upper = np.array([v.upper for v in model.variables])
+        self._closed = {}
+        for tau in instance.failures:
+            ids = flows[:, 2 * tau : 2 * tau + 2].ravel()
+            ids = ids[np.isin(ids, self.subproblem.active)]
+            self._closed[tau] = (ids, upper[ids])
+        self._applied: int | None = None  # the failure whose columns are closed
+        self.bases: dict[int, Basis] = {}
+        self._last_basis: Basis | None = None
         self.pool = CutPool()
         self.log: list[LogRecord] = []
         self.converged = False
@@ -213,19 +236,17 @@ class BendersState:
         return master, sol.iterations
 
     def _solve_subproblem(self, tau: int, wbar):
-        lp = self.subproblems.get(tau)
-        if lp is None:
-            model, varmap = build_subproblem(self.instance, tau, wbar)
-            if self._capacity_rows is None:
-                self._capacity_rows = np.array(
-                    [varmap.rows_capacity[e] for e in range(self.instance.num_edges)]
-                )
-            lp = self.subproblems[tau] = presolve(model)
-        else:
-            lp.set_rhs(self._capacity_rows, wbar)
+        """Solve failure tau at capacities wbar on the template, warm when it can."""
+        lp = self.subproblem
+        lp.set_rhs(self._capacity_rows, wbar)
+        if self._applied is not None:
+            lp.set_upper(*self._closed[self._applied])
+        lp.set_upper(self._closed[tau][0], 0.0)
+        self._applied = tau
+        lp.basis = self.bases.get(tau, self._last_basis)
         sol = solve(lp)
         if sol.status == OPTIMAL:
-            lp.basis = sol.basis
+            self.bases[tau] = self._last_basis = sol.basis
         return sol
 
     def iterate_once(self) -> bool:
@@ -236,7 +257,7 @@ class BendersState:
         self.master_solution = master
 
         skipped = pi_prime_filter(self.instance, master)
-        violated = []
+        cuts = []
         max_violation = 0.0
         sub_pivots = 0
         for tau in sorted(self.instance.failures):
@@ -249,8 +270,17 @@ class BendersState:
             if sol.status != OPTIMAL:
                 raise self._stop(FAILED_STATUS, tau, f"subproblem ended {sol.status}")
             max_violation = max(max_violation, sol.objective)
-            if sol.objective > VIOLATION_TOL:
-                violated.append((tau, sol))
+            if sol.objective <= VIOLATION_TOL:
+                continue
+            # the cut reads the template's bounds, so tau's must still be applied
+            try:
+                cuts.append(
+                    cut_from_duals(
+                        tau, master.wbar, sol, self.subproblem, self._capacity_rows
+                    )
+                )
+            except FormulationError as exc:
+                raise self._stop(FAILED_STATUS, tau, f"cut rejected: {exc}") from exc
 
         filtered_max = None
         if self.options.verify_filtered and skipped:
@@ -260,22 +290,15 @@ class BendersState:
                 model, _ = build_subproblem(self.instance, tau, master.wbar)
                 filtered_max = max(filtered_max, solve(model).objective)
 
-        rows = []
-        for tau, sol in violated:
-            try:
-                cut = cut_from_duals(
-                    tau, master.wbar, sol, self.subproblems[tau], self._capacity_rows
-                )
-            except FormulationError as exc:
-                raise self._stop(FAILED_STATUS, tau, f"cut rejected: {exc}") from exc
-            if self.pool.add(cut):
-                rows.append(
-                    (
-                        SENSE_LE,
-                        -cut.constant,
-                        [(int(self._wbar_ids[e]), c) for e, c in cut.wbar_coeffs],
-                    )
-                )
+        rows = [
+            (
+                SENSE_LE,
+                -cut.constant,
+                [(int(self._wbar_ids[e]), c) for e, c in cut.wbar_coeffs],
+            )
+            for cut in cuts
+            if self.pool.add(cut)
+        ]
         self.master.add_rows(rows)
 
         self.log.append(
@@ -283,7 +306,7 @@ class BendersState:
                 iteration=len(self.log) + 1,
                 master_objective=master.objective,
                 n_pi_prime=len(skipped),
-                n_violated=len(violated),
+                n_violated=len(cuts),
                 max_violation=max_violation,
                 cuts_total=self.pool.total,
                 elapsed_ms=int(1000 * (time.perf_counter() - self._t0)),
@@ -293,7 +316,7 @@ class BendersState:
             )
         )
 
-        if not violated:
+        if not cuts:
             self.converged = True
         elif not rows:
             # every violated cut was a duplicate: numerically stuck

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from . import formulations, oracle, simplex, validator
@@ -97,14 +98,13 @@ def _read_instance(path: str, parser) -> Instance:
 
 
 def _solve_record(
-    instance: Instance, model_name: str, method: str, log_path: str | None = None
+    instance: Instance, model_name: str, method: str, log_file=None
 ) -> RunRecord:
     t0 = time.perf_counter()
     if method == "benders":
         res = solve_lp_r3_benders(instance)
-        if log_path:
-            with open(log_path, "w", encoding="utf-8") as fh:
-                fh.write(log_to_csv(res.log))
+        if log_file is not None:
+            log_file.write(log_to_csv(res.log))
         status = res.status
         objective = None if res.offending_failure is not None else res.lower_bound
         iters, cuts = res.iterations, res.cuts_added
@@ -136,12 +136,11 @@ def _solve_record(
     return rec
 
 
-def _append_record(path: str, record: RunRecord):
-    new = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8") as fh:
-        if new:
-            fh.write(CSV_HEADER + "\n")
-        fh.write(record.csv_row() + "\n")
+def _append_record(fh, record: RunRecord):
+    """Append a row to a file opened for appending; an empty file gets the header."""
+    if fh.tell() == 0:
+        fh.write(CSV_HEADER + "\n")
+    fh.write(record.csv_row() + "\n")
 
 
 def _usage_error(message: str) -> int:
@@ -177,9 +176,16 @@ def cmd_solve(args, parser) -> int:
     instance = _read_instance(args.instance, parser)
     if args.model == "lp-r3" and not instance.failures:
         return _no_failures_error(args.instance)
-    rec = _solve_record(instance, args.model, args.method, args.iteration_log)
-    if args.record:
-        _append_record(args.record, rec)
+    with ExitStack() as files:
+        # opened before the solve, so that a path that cannot be written
+        # fails at once instead of after the whole run
+        log, record = (
+            files.enter_context(open(path, mode, encoding="utf-8")) if path else None
+            for path, mode in ((args.iteration_log, "w"), (args.record, "a"))
+        )
+        rec = _solve_record(instance, args.model, args.method, log)
+        if record is not None:
+            _append_record(record, rec)
     if rec.objective is not None:
         print(f"{rec.objective:.6f}")
     if not rec.ok:
@@ -234,7 +240,11 @@ def cmd_bench(args, parser) -> int:
             try:
                 ub = float(text)
             except ValueError:
-                return _usage_error(f"{ub_path}: upper bound is not a number")
+                ub = float("nan")
+            if not 0 < ub < float("inf"):
+                return _usage_error(
+                    f"{ub_path}: upper bound must be a positive finite number"
+                )
         ubs.append(ub)
 
     lines = [CSV_HEADER]

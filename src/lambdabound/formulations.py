@@ -20,7 +20,8 @@ Builders:
   build_lp_r3        aggregated per-failure flow relaxation (continuous)
   build_lp_rwap_agg  single-scenario aggregation of the working-only LP
   build_master       decomposition master: build_lp_r3 over one failure tau0
-  build_subproblem   per-failure capacity-violation LP for a candidate w-bar
+  build_subproblem   per-failure capacity-violation LP for a candidate w-bar,
+                     or with no failure the template shared by all failures
   cut_from_duals     weak-duality feasibility cut for the decomposition master
 """
 
@@ -40,7 +41,6 @@ from .lpmodel import (
     Solution,
 )
 from .simplex import ArrayLP, dual_bound
-
 
 
 class FormulationError(ValueError):
@@ -333,9 +333,15 @@ def build_master(instance: Instance, tau0: int):
     return _aggregated_model(f"master:{instance.name}:t{tau0}", instance, (tau0,))
 
 
-def build_subproblem(instance: Instance, failed_edge: int, wbar):
-    """Minimum capacity-violation LP for one failure, given candidate capacities."""
-    if failed_edge not in instance.failures:
+def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
+    """Minimum capacity-violation LP for one failure, given candidate capacities.
+
+    With failed_edge None no edge is cut and no exclusion rows are written:
+    that is the template a decomposition run shares between its failures,
+    cutting edge tau by fixing the flow columns of arcs 2tau and 2tau+1 at
+    zero, which is what the exclusion rows of failure tau say.
+    """
+    if failed_edge is not None and failed_edge not in instance.failures:
         raise FormulationError(f"edge {failed_edge} is not in the failure set")
     K = instance.num_wavelengths
     wbar = np.asarray(wbar, dtype=float)
@@ -345,7 +351,8 @@ def build_subproblem(instance: Instance, failed_edge: int, wbar):
         raise FormulationError("wbar entries must lie within [0, |K|]")
     table = arcs(instance.network)
     q, totals = _row_totals(instance)
-    model = LinearModel(f"sub:{instance.name}:t{failed_edge}")
+    tag = "" if failed_edge is None else f":t{failed_edge}"
+    model = LinearModel(f"sub:{instance.name}{tag}")
     vm = VarMap()
     vm.y_agg = _aggregated_vars(model, instance, table, totals, failed_edge)
     # each origin's arc flow is at most its total, so an edge carries at most

@@ -19,18 +19,19 @@ OPTIMALITY_TOL) and the iteration cap (MAX_ITERATIONS) are module constants.
 
 `presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
 rows whose support is entirely fixed are dropped and the rest is held as
-sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`) and appended
-rows (`add_rows`) without a rebuild, and carries the start basis of its next
-solve. When that basis is dual feasible, where a boxed variable may first
-flip to the bound its reduced cost asks for, a bounded dual simplex restores
-primal feasibility with the same pricing, Bland fallback and eta updates;
-that covers a change of right-hand sides and an appended row whose slack
-enters the basis. Primal and dual pivots share one basis change. A start
-basis that is not dual feasible, a singular refactorization or a warm end
-other than Optimal falls back to the cold two-phase path. An Optimal solve
-returns its final basis, recording an artificial left basic at zero as its
-row's slack, which is the same column up to sign. A singular refactorization
-on the cold path ends the solve with status NumericalError.
+sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`), new upper
+bounds (`set_upper`) and appended rows (`add_rows`) without a rebuild, and
+carries the start basis of its next solve. When that basis is dual feasible,
+where a boxed variable may first flip to the bound its reduced cost asks for,
+a bounded dual simplex restores primal feasibility with the same pricing,
+Bland fallback and eta updates; that covers a change of right-hand sides, a
+change of bounds on boxed columns and an appended row whose slack enters the
+basis. Primal and dual pivots share one basis change. A start basis that is
+not dual feasible, a singular refactorization or a warm end other than
+Optimal falls back to the cold two-phase path. An Optimal solve returns its
+final basis, recording an artificial left basic at zero as its row's slack,
+which is the same column up to sign. A singular refactorization on the cold
+path ends the solve with status NumericalError.
 
 Row duals follow the minimization convention: '<=' rows have dual <= 0,
 '>=' rows dual >= 0, '=' rows free. Reduced costs are c - A'y for every
@@ -126,6 +127,15 @@ def _slack_bounds(senses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _positions(kept: np.ndarray, ids, error: str) -> np.ndarray:
+    """Positions of model ids in the ascending id array kept; ModelError if absent."""
+    ids = np.asarray(ids, dtype=int)
+    pos = np.searchsorted(kept, ids)
+    if (pos >= len(kept)).any() or (kept[pos] != ids).any():
+        raise ModelError(error)
+    return pos
+
+
 class ArrayLP:
     """A LinearModel after presolve, in the array form the simplex works on.
 
@@ -158,11 +168,17 @@ class ArrayLP:
 
     def set_rhs(self, row_ids, values):
         """Overwrite the right-hand sides of kept rows, given by model row id."""
-        row_ids = np.asarray(row_ids, dtype=int)
-        pos = np.searchsorted(self.rows, row_ids)
-        if (pos >= len(self.rows)).any() or (self.rows[pos] != row_ids).any():
-            raise ModelError("set_rhs on a row that presolve dropped")
+        pos = _positions(self.rows, row_ids, "set_rhs on a row that presolve dropped")
         self.b[pos] = np.asarray(values, dtype=float) - self.shift[pos]
+
+    def set_upper(self, var_ids, values):
+        """Overwrite the upper bounds of unpinned variables, given by model variable id.
+
+        An upper bound equal to the lower one fixes the column for the next
+        solve; a later call can open it again.
+        """
+        pos = _positions(self.active, var_ids, "set_upper on a variable that presolve pinned")
+        self.ub[pos] = values
 
     def add_rows(self, rows):
         """Append rows `(sense, rhs, coeffs)` as the model's next row ids.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import run_python, solve_checked
-from lambdabound import benders
+from lambdabound import benders, simplex
 from lambdabound.benders import (
     BendersError,
     BendersOptions,
@@ -17,7 +17,13 @@ from lambdabound.benders import (
     pi_prime_filter,
     solve_lp_r3_benders,
 )
-from lambdabound.formulations import Cut, FormulationError, build_lp_r3, build_subproblem
+from lambdabound.formulations import (
+    Cut,
+    FormulationError,
+    build_lp_r3,
+    build_subproblem,
+    cut_from_duals,
+)
 from lambdabound.instance import (
     Edge,
     Instance,
@@ -227,11 +233,22 @@ def test_warm_starts_cut_master_and_subproblem_pivots():
     # later masters start from the previous basis: far fewer pivots than the first
     first, later = res.log[0].master_pivots, [r.master_pivots for r in res.log[1:]]
     assert first > 0 and max(later) < first
-    # the first round solves every subproblem cold, later rounds mostly warm
-    solved = [len(inst.failures) - r.n_pi_prime for r in res.log]
-    cold_mean = res.log[0].sub_pivots / solved[0]
-    later_mean = sum(r.sub_pivots for r in res.log[1:]) / sum(solved[1:])
-    assert later_mean < cold_mean / 2
+
+
+def test_one_cold_solve_for_the_master_and_one_for_the_subproblems(monkeypatch):
+    inst = gen_random(10, 2, 3, 3, seed=7)
+    cold = []
+    original = simplex._solve_cold
+
+    def counting(lp):
+        cold.append(lp.name.split(":")[0])
+        return original(lp)
+
+    monkeypatch.setattr(simplex, "_solve_cold", counting)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "Converged" and len(res.log) >= 3
+    # every other subproblem solve, each failure's first one included, was warm
+    assert sorted(cold) == ["master", "sub"]
 
 
 def test_each_failure_is_built_once(monkeypatch):
@@ -246,9 +263,34 @@ def test_each_failure_is_built_once(monkeypatch):
     monkeypatch.setattr(benders, "build_subproblem", counting)
     res = solve_lp_r3_benders(inst)
     assert res.status == "Converged"
-    assert len(built) == len(set(built))
-    due = sum(len(inst.failures) - r.n_pi_prime for r in res.log)
-    assert due > len(built)  # the other solves were warm re-solves
+    # one template per run, shared by every failure through its column bounds
+    assert built == [None]
+    assert sum(len(inst.failures) - r.n_pi_prime for r in res.log) > len(inst.failures)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(6, 10),
+    st.integers(0, 3),
+    st.integers(1, 4),
+    st.integers(0, 4),
+    st.integers(0, 2**16),
+)
+def test_template_matches_each_failures_subproblem(nodes, extra, requests, spare_k, seed):
+    inst = gen_random(nodes, extra, requests, requests + spare_k, seed=seed)
+    rng = np.random.default_rng(seed)
+    K, E = inst.num_wavelengths, inst.num_edges
+    state = BendersState(inst)
+    wbar = rng.uniform(0, K, size=E)
+    for tau in inst.failures:
+        sol = state._solve_subproblem(tau, wbar)
+        ref = solve_checked(build_subproblem(inst, tau, wbar)[0]).objective
+        assert sol.status == "Optimal"
+        assert abs(sol.objective - ref) <= 1e-9 * (1 + abs(ref))
+        cut = cut_from_duals(tau, wbar, sol, state.subproblem, state._capacity_rows)
+        other = rng.uniform(0, K, size=E)
+        opt = solve_checked(build_subproblem(inst, tau, other)[0]).objective
+        assert cut.evaluate(other) <= opt + 1e-9 * (1 + abs(opt))
 
 
 def test_failed_subproblem_is_a_status(monkeypatch):

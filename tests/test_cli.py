@@ -383,6 +383,16 @@ def _bad_sidecar(tmp_path, inst, sol):
     return ["bench", str(tmp_path), "--out", str(tmp_path / "t.csv")]
 
 
+def _infinite_sidecar(tmp_path, inst, sol):
+    (tmp_path / "net4.ub").write_text("inf\n")
+    return ["bench", str(tmp_path), "--out", str(tmp_path / "t.csv")]
+
+
+def _nan_sidecar(tmp_path, inst, sol):
+    (tmp_path / "net4.ub").write_text("nan\n")
+    return ["bench", str(tmp_path), "--out", str(tmp_path / "t.csv")]
+
+
 def _missing_bench_dir(tmp_path, inst, sol):
     return ["bench", str(tmp_path / "nodir"), "--out", str(tmp_path / "t.csv")]
 
@@ -413,6 +423,8 @@ def _failure_not_an_edge_id(tmp_path, inst, sol):
     [
         (_bad_lower_bound, 2, "lambdabound: error: --lower-bound"),
         (_bad_sidecar, 2, "lambdabound: error: "),
+        (_infinite_sidecar, 2, "lambdabound: error: "),
+        (_nan_sidecar, 2, "lambdabound: error: "),
         (_missing_bench_dir, 2, "lambdabound: error: "),
         (_gen_into_missing_dir, 2, "lambdabound: error: "),
         (_export_into_missing_dir, 2, "lambdabound: error: "),
@@ -427,3 +439,19 @@ def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, pref
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--iteration-log", "--record"])
+def test_unwritable_solve_outputs_fail_before_the_solve(tmp_path, capsys, monkeypatch, flag):
+    path = write_cycle(tmp_path, m=3, n=1, k=1)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran before its output paths were checked")
+
+    monkeypatch.setattr(cli, "solve_lp_r3_benders", no_solve)
+    code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3",
+                         "--method", "benders", flag, str(tmp_path / "nodir" / "x.csv"))
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lambdabound: error: "), err

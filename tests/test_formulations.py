@@ -349,6 +349,9 @@ def _structure_digest(model):
     return h.hexdigest()
 
 
+# the subproblem template of a decomposition run: no failure, capacities 0
+TEMPLATE_DIGEST = 'a01818c8853ab4b0364381f95bb8425379e722694e5db1894afa4c6d49d1914a'
+
 # master, then the subproblem of each failure at capacities 0.5
 DECOMPOSITION_DIGESTS = [
     '306a9f143e81498a857cc8844097009e6f58df235c3bdc0d420742b4cc7a34fd',
@@ -374,8 +377,10 @@ def test_decomposition_models_are_pinned(monkeypatch):
 
     monkeypatch.setattr(benders, "presolve", capture)
     state = benders.BendersState(inst)
-    [master] = presolved
+    master, template = presolved
     assert master.name == f"master:{inst.name}:t{state.tau0}"
+    assert template.name == f"sub:{inst.name}"
+    assert _structure_digest(template) == TEMPLATE_DIGEST
     models = [master]
     for tau in inst.failures:
         sub, _ = build_subproblem(inst, tau, np.full(inst.num_edges, 0.5))
