@@ -27,17 +27,21 @@ nonbasics flip to the right bounds. Only the first subproblem solve of a run
 is cold. Each cut is the template's weak-duality bound under its duals while
 tau's bounds are applied, which is valid by construction and affine in wbar
 (formulations.cut_from_duals).
-A master or subproblem solve that ends Infeasible stops the run with status
-Infeasible; one that ends otherwise short of Optimal, or a subproblem solution
-that yields no finite cut, stops it with status Failed. Either way the result
-names the failure. A round whose every cut is already pooled stalls the run,
-which then reports IterationLimit with the last master bound.
+Each round returns the run's status once it stops. A master or subproblem
+solve that ends Infeasible stops it with status Infeasible; one that ends
+otherwise short of Optimal, or a subproblem solution that yields no finite
+cut, stops it with status Failed. Either way the result names the failure and
+carries no bound. A round with no violated failure converges the run, and a
+round whose every cut is already pooled stalls it, which then reports
+IterationLimit with the last master bound, as does a run that reaches
+MAX_ITERATIONS rounds. There are no run settings: tau0 is the lowest edge id
+and the tolerances are module constants.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,42 +68,7 @@ FILTER_TOL = 1e-9  # tau0 arc flow at or below this counts as none
 
 
 class BendersError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class BendersOptions:
-    """Run settings; tau0, the failure kept in the master, is the lowest edge id.
-
-    verify_filtered re-solves every failure the tau0-flow filter skipped from
-    a fresh cold build and logs the largest violation among them.
-    """
-
-    verify_filtered: bool = False
-
-
-@dataclass
-class CutPool:
-    """Per-failure cut lists; duplicates (same constant and coefficients) dropped."""
-
-    by_failure: dict = field(default_factory=dict)
-    total: int = 0
-
-    def add(self, cut: Cut) -> bool:
-        bucket = self.by_failure.setdefault(cut.failure, [])
-        for existing in bucket:
-            if (
-                existing.constant == cut.constant
-                and existing.wbar_coeffs == cut.wbar_coeffs
-            ):
-                return False
-        bucket.append(cut)
-        self.total += 1
-        return True
-
-    def all_cuts(self):
-        for tau in sorted(self.by_failure):
-            yield from self.by_failure[tau]
+    """The instance has no failure to decompose over."""
 
 
 @dataclass
@@ -118,7 +87,6 @@ class LogRecord:
     max_violation: float
     cuts_total: int
     elapsed_ms: int
-    filtered_max_violation: float | None = None
     master_pivots: int = 0
     sub_pivots: int = 0
 
@@ -132,7 +100,7 @@ class BendersResult:
     iterations: int
     cuts_added: int
     log: list
-    pool: CutPool
+    cuts: tuple[Cut, ...]  # the pooled cuts, in the order they entered the master
     offending_failure: int | None = None
     detail: str | None = None  # why the run stopped at offending_failure
 
@@ -177,14 +145,17 @@ def _flow_ids(instance: Instance, varmap, tau) -> np.ndarray:
     )
 
 
-class BendersState:
-    """Mutable algorithm state; iterate_once is idempotent after convergence."""
+def _stop_status(sol) -> str:
+    return INFEASIBLE_STATUS if sol.status == INFEASIBLE else FAILED_STATUS
 
-    def __init__(self, instance: Instance, options: BendersOptions | None = None):
+
+class BendersState:
+    """Mutable algorithm state, advanced one round at a time by iterate_once."""
+
+    def __init__(self, instance: Instance):
         if not instance.failures:
             raise BendersError("instance has an empty failure set")
         self.instance = instance
-        self.options = options or BendersOptions()
         self.tau0 = min(instance.failures)
         model, varmap = build_master(instance, self.tau0)
         self.master = presolve(model)
@@ -206,34 +177,12 @@ class BendersState:
         self._applied: int | None = None  # the failure whose columns are closed
         self.bases: dict[int, Basis] = {}
         self._last_basis: Basis | None = None
-        self.pool = CutPool()
+        self.cuts: dict[Cut, None] = {}  # the pool; equal cuts enter it once
         self.log: list[LogRecord] = []
-        self.converged = False
-        self.stop_status: str | None = None
-        self.offending_failure: int | None = None
-        self.stalled = False
         self.master_solution: MasterSolution | None = None
+        self.offending_failure: int | None = None
+        self.detail: str | None = None  # why the run stopped at offending_failure
         self._t0 = time.perf_counter()
-
-    def _stop(self, status: str, tau: int, why: str) -> BendersError:
-        """Record why the run cannot go on; the caller raises the result."""
-        self.stop_status = status
-        self.offending_failure = tau
-        return BendersError(f"failure {tau}: {why}")
-
-    def _solve_master(self) -> tuple[MasterSolution, int]:
-        sol = solve(self.master)
-        if sol.status != OPTIMAL:
-            status = INFEASIBLE_STATUS if sol.status == INFEASIBLE else FAILED_STATUS
-            raise self._stop(status, self.tau0, f"master solve ended {sol.status}")
-        self.master.basis = sol.basis
-        master = MasterSolution(
-            objective=sol.objective,
-            # the solve meets the bounds [0, |K|] only to its feasibility tolerance
-            wbar=np.clip(sol.primal[self._wbar_ids], 0.0, self.instance.num_wavelengths),
-            flows=sol.primal[self._flow_ids],
-        )
-        return master, sol.iterations
 
     def _solve_subproblem(self, tau: int, wbar):
         """Solve failure tau at capacities wbar on the template, warm when it can."""
@@ -249,12 +198,21 @@ class BendersState:
             self.bases[tau] = self._last_basis = sol.basis
         return sol
 
-    def iterate_once(self) -> bool:
-        """Run one master/subproblem round; returns True once converged."""
-        if self.converged:
-            return True
-        master, master_pivots = self._solve_master()
-        self.master_solution = master
+    def iterate_once(self) -> str | None:
+        """Run one master/subproblem round; None while the run goes on, else its status."""
+        sol = solve(self.master)
+        if sol.status != OPTIMAL:
+            self.offending_failure = self.tau0
+            self.detail = f"failure {self.tau0}: master solve ended {sol.status}"
+            return _stop_status(sol)
+        self.master.basis = sol.basis
+        master_pivots = sol.iterations
+        master = self.master_solution = MasterSolution(
+            objective=sol.objective,
+            # the solve meets the bounds [0, |K|] only to its feasibility tolerance
+            wbar=np.clip(sol.primal[self._wbar_ids], 0.0, self.instance.num_wavelengths),
+            flows=sol.primal[self._flow_ids],
+        )
 
         skipped = pi_prime_filter(self.instance, master)
         cuts = []
@@ -265,10 +223,10 @@ class BendersState:
                 continue
             sol = self._solve_subproblem(tau, master.wbar)
             sub_pivots += sol.iterations
-            if sol.status == INFEASIBLE:
-                raise self._stop(INFEASIBLE_STATUS, tau, "subproblem is infeasible")
             if sol.status != OPTIMAL:
-                raise self._stop(FAILED_STATUS, tau, f"subproblem ended {sol.status}")
+                self.offending_failure = tau
+                self.detail = f"failure {tau}: subproblem ended {sol.status}"
+                return _stop_status(sol)
             max_violation = max(max_violation, sol.objective)
             if sol.objective <= VIOLATION_TOL:
                 continue
@@ -280,26 +238,20 @@ class BendersState:
                     )
                 )
             except FormulationError as exc:
-                raise self._stop(FAILED_STATUS, tau, f"cut rejected: {exc}") from exc
+                self.offending_failure = tau
+                self.detail = f"failure {tau}: cut rejected: {exc}"
+                return FAILED_STATUS
 
-        filtered_max = None
-        if self.options.verify_filtered and skipped:
-            # an independent check: a fresh cold solve, not the kept warm state
-            filtered_max = 0.0
-            for tau in sorted(skipped):
-                model, _ = build_subproblem(self.instance, tau, master.wbar)
-                filtered_max = max(filtered_max, solve(model).objective)
-
-        rows = [
+        new = [cut for cut in cuts if cut not in self.cuts]
+        self.cuts.update(dict.fromkeys(new))
+        self.master.add_rows(
             (
                 SENSE_LE,
                 -cut.constant,
                 [(int(self._wbar_ids[e]), c) for e, c in cut.wbar_coeffs],
             )
-            for cut in cuts
-            if self.pool.add(cut)
-        ]
-        self.master.add_rows(rows)
+            for cut in new
+        )
 
         self.log.append(
             LogRecord(
@@ -308,49 +260,42 @@ class BendersState:
                 n_pi_prime=len(skipped),
                 n_violated=len(cuts),
                 max_violation=max_violation,
-                cuts_total=self.pool.total,
+                cuts_total=len(self.cuts),
                 elapsed_ms=int(1000 * (time.perf_counter() - self._t0)),
-                filtered_max_violation=filtered_max,
                 master_pivots=master_pivots,
                 sub_pivots=sub_pivots,
             )
         )
-
         if not cuts:
-            self.converged = True
-        elif not rows:
-            # every violated cut was a duplicate: numerically stuck
-            self.stalled = True
-        return self.converged
+            return CONVERGED
+        if not new:
+            return ITERATION_LIMIT  # every violated cut was pooled: numerically stuck
+        return None
 
 
-def solve_lp_r3_benders(
-    instance: Instance, options: BendersOptions | None = None
-) -> BendersResult:
-    """Run the decomposition to optimality of the aggregated relaxation."""
-    state = BendersState(instance, options)
-    status, detail, last = ITERATION_LIMIT, None, None
-    try:
-        for _ in range(MAX_ITERATIONS):
-            if state.iterate_once():
-                status = CONVERGED
-                break
-            if state.stalled:
-                break
-        last = state.master_solution
-    except BendersError as exc:
-        if state.stop_status is None:
-            raise
-        status, detail = state.stop_status, str(exc)
+def solve_lp_r3_benders(instance: Instance, _none=None, /) -> BendersResult:
+    """Run the decomposition to optimality of the aggregated relaxation.
+
+    Callers written for the removed options argument may still pass None
+    second (benchmark/tracing.py does); anything else is an error.
+    """
+    if _none is not None:
+        raise TypeError("solve_lp_r3_benders() takes no options")
+    state = BendersState(instance)
+    status = None
+    while status is None and len(state.log) < MAX_ITERATIONS:
+        status = state.iterate_once()
+    # a run stopped at a failure reports no bound
+    last = state.master_solution if state.offending_failure is None else None
     return BendersResult(
-        status=status,
+        status=status or ITERATION_LIMIT,
         lower_bound=last.objective if last is not None else float("nan"),
         wbar=last.wbar if last is not None else None,
         tau0=state.tau0,
         iterations=len(state.log),
-        cuts_added=state.pool.total,
+        cuts_added=len(state.cuts),
         log=state.log,
-        pool=state.pool,
+        cuts=tuple(state.cuts),
         offending_failure=state.offending_failure,
-        detail=detail,
+        detail=state.detail,
     )

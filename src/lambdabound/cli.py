@@ -45,6 +45,10 @@ EXPORT_MODELS = tuple(_BUILDERS)
 
 CSV_HEADER = "name,V,E,D,model,method,objective,iterations,cuts,elapsed_ms,status,im_pct,gap_pct"
 
+# chain-check refuses an instance whose full model needs more linking rows;
+# read at call time, so that a test can lower it with monkeypatch
+CHAIN_MAX_ROWS = 5000
+
 
 @dataclass
 class RunRecord:
@@ -268,23 +272,22 @@ def cmd_bench(args, parser) -> int:
 
 def cmd_chain_check(args, parser) -> int:
     instance = _read_instance(args.instance, parser)
+    if not instance.failures:  # the ladder includes lp-r3
+        return _no_failures_error(args.instance)
     # the ladder solves the full model, whose rows scale with |Pi||D||K||E|;
     # refuse clearly instead of grinding on a non-tiny instance
     D, K = instance.num_requests, instance.num_wavelengths
     A, P = 2 * instance.num_edges, len(instance.failures)
     full_rows = 2 * P * D * K * A
-    if full_rows > args.max_rows:
+    if full_rows > CHAIN_MAX_ROWS:
         print(
             f"chain-check: full model needs ~{full_rows} linking rows "
-            f"(limit {args.max_rows}); this check is meant for tiny instances",
+            f"(limit {CHAIN_MAX_ROWS}); this check is meant for tiny instances",
             file=sys.stderr,
         )
         return 1
-    limits = oracle.OracleLimits(
-        max_simple_paths_per_pair=args.max_paths, max_assignments=args.budget
-    )
     try:
-        report = oracle.verify_chain(instance, limits)
+        report = oracle.verify_chain(instance)
     except (oracle.OracleBudgetError, oracle.OracleInfeasibleError) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return 1
@@ -299,6 +302,8 @@ def cmd_chain_check(args, parser) -> int:
 
 def cmd_export(args, parser) -> int:
     instance = _read_instance(args.instance, parser)
+    if args.model == "lp-r3" and not instance.failures:
+        return _no_failures_error(args.instance)
     model = _BUILDERS[args.model](instance)
     text = export_lp(model) if args.format == "lp" else export_mps(model)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -309,14 +314,11 @@ def cmd_export(args, parser) -> int:
 
 def cmd_oracle(args, parser) -> int:
     instance = _read_instance(args.instance, parser)
-    limits = oracle.OracleLimits(
-        max_simple_paths_per_pair=args.max_paths, max_assignments=args.budget
-    )
     try:
         if args.mode == "rwap":
-            value = oracle.exact_rwap(instance, limits)
+            value = oracle.exact_rwap(instance)
         else:
-            value = oracle.exact_rwap_ppp(instance, limits)
+            value = oracle.exact_rwap_ppp(instance)
     except (oracle.OracleBudgetError, oracle.OracleInfeasibleError) as exc:
         print(f"oracle: {exc}", file=sys.stderr)
         return 1
@@ -365,10 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain-check", help="oracle and relaxation-ladder check")
     p.add_argument("instance")
-    p.add_argument("--max-paths", type=int, default=64)
-    p.add_argument("--budget", type=int, default=10_000_000)
-    p.add_argument("--max-rows", type=int, default=5000,
-                   help="refuse when the full model would exceed this many linking rows")
 
     p = sub.add_parser("export", help="write LP or MPS text for a model")
     p.add_argument("instance")
@@ -379,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive exact optimum (tiny instances)")
     p.add_argument("instance")
     p.add_argument("--mode", choices=("ppp", "rwap"), default="ppp")
-    p.add_argument("--max-paths", type=int, default=64)
-    p.add_argument("--budget", type=int, default=10_000_000)
 
     return parser
 

@@ -64,42 +64,27 @@ class Network:
 
 
 @dataclass(frozen=True)
-class Arc:
-    """One direction of an edge; forward runs u -> v, backward v -> u."""
-
-    id: int
-    edge: int
-    tail: int
-    head: int
-
-
-@dataclass(frozen=True)
 class ArcTable:
-    """All 2|E| directed arcs plus per-node out/in incidence lists."""
+    """Per-node out/in incidence lists of the 2|E| directed arcs.
 
-    arcs: tuple[Arc, ...]
+    Arc 2e runs u -> v along edge e and arc 2e+1 runs v -> u.
+    """
+
+    num_arcs: int
     out_arcs: tuple[tuple[int, ...], ...]
     in_arcs: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_arcs(self) -> int:
-        return len(self.arcs)
 
 
 def arcs(network: Network) -> ArcTable:
     """Build the arc table; arc ids are 2e (forward) and 2e+1 (backward)."""
-    table = []
     out_lists: list[list[int]] = [[] for _ in range(network.num_nodes)]
     in_lists: list[list[int]] = [[] for _ in range(network.num_nodes)]
     for e in network.edges:
-        fwd = Arc(id=2 * e.id, edge=e.id, tail=e.u, head=e.v)
-        bwd = Arc(id=2 * e.id + 1, edge=e.id, tail=e.v, head=e.u)
-        for a in (fwd, bwd):
-            table.append(a)
-            out_lists[a.tail].append(a.id)
-            in_lists[a.head].append(a.id)
+        for a, tail, head in ((2 * e.id, e.u, e.v), (2 * e.id + 1, e.v, e.u)):
+            out_lists[tail].append(a)
+            in_lists[head].append(a)
     return ArcTable(
-        arcs=tuple(table),
+        num_arcs=2 * network.num_edges,
         out_arcs=tuple(tuple(lst) for lst in out_lists),
         in_arcs=tuple(tuple(lst) for lst in in_lists),
     )

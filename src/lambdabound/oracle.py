@@ -5,8 +5,10 @@ request, and per failure a backup pair for every request the failure hits)
 under all feasibility rules, with branch-and-bound pruning. Wavelengths are
 interchangeable, so working assignments are enumerated up to renaming (first
 use in request order); backup wavelengths are enumerated in full, which keeps
-the reduction exact. Instances whose path counts or search volume exceed the
-limits are rejected outright, never silently truncated.
+the reduction exact. Instances with more than MAX_PATHS_PER_PAIR simple paths
+between a request's end nodes, or whose search takes more than
+MAX_ASSIGNMENTS assignment steps, are rejected outright, never silently
+truncated.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ from . import formulations
 from . import simplex
 
 CHAIN_TOL = 1e-6  # slack allowed in each relation verify_chain checks
+# read at call time, so that a test can lower them with monkeypatch
+MAX_PATHS_PER_PAIR = 64
+MAX_ASSIGNMENTS = 10_000_000
 
 
 class OracleBudgetError(RuntimeError):
-    """Search volume or path count beyond the configured limits."""
+    """Search volume or path count beyond MAX_ASSIGNMENTS or MAX_PATHS_PER_PAIR."""
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -30,16 +35,6 @@ class OracleInfeasibleError(RuntimeError):
 
 class OracleSolveError(RuntimeError):
     """A relaxation LP of the ladder ended without an Optimal status."""
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_simple_paths_per_pair: int = 64
-    max_assignments: int = 10_000_000
-
-    def __post_init__(self):
-        if self.max_simple_paths_per_pair <= 0 or self.max_assignments <= 0:
-            raise ValueError("limits must be positive")
 
 
 class _Budget:
@@ -93,22 +88,20 @@ def simple_paths(instance: Instance, s: int, t: int, cap: int):
     return paths
 
 
-def _request_paths(instance: Instance, limits: OracleLimits):
+def _request_paths(instance: Instance):
     cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
     out = []
     for req in instance.requests:
         key = (req.s, req.t)
         if key not in cache:
-            cache[key] = simple_paths(
-                instance, req.s, req.t, limits.max_simple_paths_per_pair
-            )
+            cache[key] = simple_paths(instance, req.s, req.t, MAX_PATHS_PER_PAIR)
         out.append(cache[key])
     return out
 
 
-def exact_rwap(instance: Instance, limits: OracleLimits | None = None) -> int:
+def exact_rwap(instance: Instance) -> int:
     """Exhaustive optimum of the working-only assignment problem."""
-    return exact_rwap_ppp(replace(instance, failures=()), limits)
+    return exact_rwap_ppp(replace(instance, failures=()))
 
 
 def _scenario_options(
@@ -166,20 +159,19 @@ def _scenario_options(
     return minimal
 
 
-def exact_rwap_ppp(instance: Instance, limits: OracleLimits | None = None) -> int:
+def exact_rwap_ppp(instance: Instance) -> int:
     """Exhaustive optimum of the full working+backup assignment problem.
 
     With no failures this is the working-only problem.
     """
-    limits = limits or OracleLimits()
     D = instance.num_requests
     if D == 0:
         return 0
     K = instance.num_wavelengths
-    paths = _request_paths(instance, limits)
+    paths = _request_paths(instance)
     if not all(paths):
         raise OracleInfeasibleError("some request has no path at all")
-    budget = _Budget(limits.max_assignments)
+    budget = _Budget(MAX_ASSIGNMENTS)
     min_len = [len(p[0]) for p in paths]
     tail_min = [0] * (D + 1)
     for d in range(D - 1, -1, -1):
@@ -274,7 +266,7 @@ class ChainReport:
         return out
 
 
-def verify_chain(instance: Instance, limits: OracleLimits | None = None) -> ChainReport:
+def verify_chain(instance: Instance) -> ChainReport:
     """Solve the whole relaxation ladder and check every proved relation."""
 
     def lp(build, *args):
@@ -284,7 +276,7 @@ def verify_chain(instance: Instance, limits: OracleLimits | None = None) -> Chai
             raise OracleSolveError(f"{model.name}: unexpected status {sol.status}")
         return sol.objective
 
-    exact_full = exact_rwap_ppp(instance, limits)
+    exact_full = exact_rwap_ppp(instance)
     lp_full = lp(formulations.build_ip_rwap_ppp, True)
     lp_r1 = lp(formulations.build_ip_r1, True)
     lp_r2 = lp(formulations.build_ip_r2, True)

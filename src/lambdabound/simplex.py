@@ -624,8 +624,10 @@ def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
     return _solution(lp, status, core.x[: core.n_struct], core.y, core.iterations, basis)
 
 
-def _solve_cold(lp: ArrayLP) -> Solution:
+def _solve_cold(lp: ArrayLP, spent: int = 0) -> Solution:
+    """Two-phase primal simplex; the pivot count and its cap start from spent."""
     core = _Core(lp)
+    core.iterations = spent
     try:
         core.start_cold(lp)
         status = OPTIMAL
@@ -673,8 +675,9 @@ def _solve_warm(lp: ArrayLP) -> tuple[Solution | None, int]:
 def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     """Solve the LP relaxation of a model; statuses per module docstring.
 
-    An ArrayLP with a start basis is re-solved warm when it can be; the
-    reported iterations include the pivots of a warm attempt that fell back.
+    An ArrayLP with a start basis is re-solved warm when it can be. A warm
+    attempt that falls back hands its pivot count to the cold solve, so the
+    reported iterations and MAX_ITERATIONS cover both.
     Callers written for the removed options argument may still pass None
     second (benchmark/tracing.py does); anything else is an error.
     """
@@ -690,14 +693,10 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
         return _no_solution(lp, INFEASIBLE, 0)
     if len(lp.active) == 0:
         return _solution(lp, OPTIMAL, np.zeros(0), np.zeros(0))
-    spent = 0
-    if lp.basis is not None:
-        sol, spent = _solve_warm(lp)
-        if sol is not None:
-            return sol
-    sol = _solve_cold(lp)
-    sol.iterations += spent
-    return sol
+    if lp.basis is None:
+        return _solve_cold(lp)
+    sol, spent = _solve_warm(lp)
+    return sol if sol is not None else _solve_cold(lp, spent)
 
 
 def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:

@@ -17,7 +17,8 @@ import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 import lambdabound
-from lambdabound import simplex
+from lambdabound import benders, simplex
+from lambdabound.formulations import build_subproblem
 from lambdabound.lpmodel import BINARY, SENSE_GE, SENSE_LE
 from lambdabound.simplex import check_certificates
 
@@ -50,6 +51,31 @@ def solve_checked(model):
         assert cert["cs_variable"] <= 1e-6, cert
         assert cert["cs_row"] <= 1e-6 * scale, cert
     return sol
+
+
+def spy_filtered_violations(monkeypatch) -> list:
+    """Cold-solve every failure that benders.pi_prime_filter skips.
+
+    Wraps whatever filter is in place, a test's replacement included. Each
+    call (one per decomposition round) appends to the returned list the
+    largest optimum of `build_subproblem(instance, tau, wbar)` over the
+    skipped failures tau at the master's wbar, 0.0 when it skips none.
+    """
+    original = benders.pi_prime_filter
+    worst = []
+
+    def spy(instance, master):
+        skipped = original(instance, master)
+        optima = [0.0]
+        for tau in sorted(skipped):
+            sol = solve_checked(build_subproblem(instance, tau, master.wbar)[0])
+            assert sol.status == simplex.OPTIMAL, (instance.name, tau, sol.status)
+            optima.append(sol.objective)
+        worst.append(max(optima))
+        return skipped
+
+    monkeypatch.setattr(benders, "pi_prime_filter", spy)
+    return worst
 
 
 class LinprogData:

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import run_python, solve_checked
+from helpers import run_python, solve_checked, spy_filtered_violations
 from lambdabound import benders, simplex
 from lambdabound.benders import (
     BendersError,
-    BendersOptions,
     BendersState,
-    CutPool,
     MasterSolution,
     log_to_csv,
     pi_prime_filter,
@@ -87,7 +85,8 @@ def test_cut_pool_soundness_at_convergence():
     inst = gen_random(7, 2, 4, 10, seed=8)
     res = solve_lp_r3_benders(inst)
     assert res.status == "Converged"
-    for cut in res.pool.all_cuts():
+    assert len(res.cuts) == res.cuts_added
+    for cut in res.cuts:
         assert cut.evaluate(res.wbar) <= 1e-6
         assert cut.failure != res.tau0
     for tau in inst.failures:  # including the filtered ones
@@ -109,15 +108,29 @@ def test_filter_definition():
     assert pi_prime_filter(inst, idle) == {0, 1, 2, 3}
 
 
-def test_filtered_scenarios_verify_to_zero():
+def test_filtered_scenarios_verify_to_zero(monkeypatch):
     inst = gen_cycle(5, 1, 80)
-    res = solve_lp_r3_benders(inst, BendersOptions(verify_filtered=True))
+    filtered = spy_filtered_violations(monkeypatch)
+    res = solve_lp_r3_benders(inst)
     assert res.status == "Converged"
     assert res.log, "expected at least one iteration"
+    assert len(filtered) == len(res.log)
     for rec in res.log:
         assert rec.n_pi_prime >= 1
-        if rec.filtered_max_violation is not None:
-            assert rec.filtered_max_violation <= 1e-7
+    assert max(filtered) <= 1e-7
+
+
+def test_filter_check_catches_a_filter_that_skips_everything(monkeypatch):
+    # negative control for the check above: a filter that skips violated
+    # failures ends the run early at a wrong bound, and the check sees it
+    inst = gen_cycle(5, 1, 80)
+    monkeypatch.setattr(benders, "pi_prime_filter", lambda instance, _: set(instance.failures))
+    filtered = spy_filtered_violations(monkeypatch)
+    res = solve_lp_r3_benders(inst)
+    assert res.status == "Converged"
+    assert res.lower_bound == pytest.approx(1.0, abs=1e-6)  # 5 with the real filter
+    assert len(filtered) == len(res.log)
+    assert max(filtered) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_iteration_limit(monkeypatch):
@@ -131,17 +144,25 @@ def test_iteration_limit(monkeypatch):
 
 def test_iterate_once_contract():
     inst = gen_cycle(3, 2, 80)
-    state = BendersState(inst, BendersOptions())
-    converged = state.iterate_once()
+    state = BendersState(inst)
+    statuses = [state.iterate_once()]
     rec = state.log[0]
     assert rec.master_objective > 0  # tau0 rows already force flow
     assert rec.n_pi_prime >= 1  # tau0 itself never yields a subproblem
     assert len(inst.failures) - rec.n_pi_prime <= len(inst.failures) - 1
-    while not converged:
-        converged = state.iterate_once()
-    logged = len(state.log)
-    assert state.iterate_once() is True  # idempotent after convergence
-    assert len(state.log) == logged
+    while statuses[-1] is None:
+        statuses.append(state.iterate_once())
+    # None while the run goes on, then the status it stops with; one record a round
+    assert statuses[-1] == "Converged"
+    assert len(state.log) == len(statuses)
+    assert state.offending_failure is None and state.detail is None
+
+
+def test_options_slot_takes_only_none():
+    inst = gen_cycle(3, 1, 80)
+    assert solve_lp_r3_benders(inst, None).status == "Converged"
+    with pytest.raises(TypeError):
+        solve_lp_r3_benders(inst, object())
 
 
 def test_infeasible_instance_reports_failure():
@@ -169,13 +190,15 @@ def test_empty_failure_set_rejected():
 
 
 def test_cut_pool_dedup():
-    pool = CutPool()
-    cut = Cut(failure=1, constant=1.0, wbar_coeffs=((0, -1.0),))
-    assert pool.add(cut) is True
-    assert pool.add(Cut(failure=1, constant=1.0, wbar_coeffs=((0, -1.0),))) is False
-    assert pool.total == 1
-    assert pool.add(Cut(failure=1, constant=2.0, wbar_coeffs=((0, -1.0),))) is True
-    assert pool.total == 2
+    # the pool is keyed by the cut: the same failure, constant and coefficients
+    pool = dict.fromkeys([
+        Cut(failure=1, constant=1.0, wbar_coeffs=((0, -1.0),)),
+        Cut(failure=1, constant=1.0, wbar_coeffs=((0, -1.0),)),
+        Cut(failure=1, constant=2.0, wbar_coeffs=((0, -1.0),)),
+        Cut(failure=2, constant=1.0, wbar_coeffs=((0, -1.0),)),
+        Cut(failure=1, constant=1.0, wbar_coeffs=((1, -1.0),)),
+    ])
+    assert len(pool) == 4
 
 
 def test_log_csv_format():

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -223,6 +224,18 @@ def test_chain_check_refuses_large_models(tmp_path, capsys):
     assert "tiny instances" in err
 
 
+def test_chain_check_row_limit_is_read_at_call_time(tmp_path, capsys, monkeypatch):
+    path = write_cycle(tmp_path, m=3, n=1, k=1)  # 2 * 3 * 1 * 1 * 6 = 36 linking rows
+    monkeypatch.setattr(cli, "CHAIN_MAX_ROWS", 35)
+    code, out, err = run(capsys, "chain-check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [
+        "chain-check: full model needs ~36 linking rows (limit 35); "
+        "this check is meant for tiny instances"
+    ]
+
+
 def test_export_and_cross_solve(tmp_path, capsys):
     path = write_cycle(tmp_path, m=3, n=1, k=1)
     out_file = tmp_path / "model.mps"
@@ -411,6 +424,23 @@ def _record_into_directory(tmp_path, inst, sol):
     return ["solve", str(inst), "--model", "lp-rwap", "--record", str(tmp_path)]
 
 
+def _no_failures(inst):
+    doc = json.loads(inst.read_text())
+    doc["failures"] = []
+    inst.write_text(json.dumps(doc))
+
+
+def _export_lp_r3_without_failures(tmp_path, inst, sol):
+    _no_failures(inst)
+    out = tmp_path / "x.lp"
+    return ["export", str(inst), "--model", "lp-r3", "--format", "lp", "--out", str(out)]
+
+
+def _chain_check_without_failures(tmp_path, inst, sol):
+    _no_failures(inst)
+    return ["chain-check", str(inst)]
+
+
 def _failure_not_an_edge_id(tmp_path, inst, sol):
     doc = json.loads(sol.read_text())
     doc["backups"][0]["failure"] = "x"
@@ -429,6 +459,8 @@ def _failure_not_an_edge_id(tmp_path, inst, sol):
         (_gen_into_missing_dir, 2, "lambdabound: error: "),
         (_export_into_missing_dir, 2, "lambdabound: error: "),
         (_record_into_directory, 2, "lambdabound: error: "),
+        (_export_lp_r3_without_failures, 2, "lambdabound: error: "),
+        (_chain_check_without_failures, 2, "lambdabound: error: "),
         (_failure_not_an_edge_id, 1, "malformed solution: backups[0]"),
     ],
 )
@@ -439,6 +471,8 @@ def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, pref
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix), err
     assert "Traceback" not in err
+    if "without_failures" in argv.__name__:
+        assert lines[0].endswith("net4.json: lp-r3 needs a non-empty failure set")
 
 
 @pytest.mark.parametrize("flag", ["--iteration-log", "--record"])
@@ -455,3 +489,38 @@ def test_unwritable_solve_outputs_fail_before_the_solve(tmp_path, capsys, monkey
     assert out == ""
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("lambdabound: error: "), err
+
+
+# every option the CLI takes: inputs, output paths and model or method
+# choices. Run settings are module constants (cli.CHAIN_MAX_ROWS,
+# oracle.MAX_PATHS_PER_PAIR, oracle.MAX_ASSIGNMENTS, benders.MAX_ITERATIONS),
+# so a flag that tunes a run does not belong here.
+CLI_OPTIONS = {
+    ("gen", "cycle"): {"--m", "--n", "--k", "--out"},
+    ("gen", "random"): {"--nodes", "--extra-edges", "--requests", "--k", "--seed", "--out"},
+    ("solve",): {"--model", "--method", "--record", "--iteration-log"},
+    ("validate",): {"--lower-bound"},
+    ("bench",): {"--out"},
+    ("chain-check",): set(),
+    ("export",): {"--model", "--format", "--out"},
+    ("oracle",): {"--mode"},
+}
+
+
+def _leaf_options(parser, path=()):
+    """(subcommand path, its option strings) for each leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, {
+            opt
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+            for opt in a.option_strings
+        }
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_options(child, path + (name,))
+
+
+def test_no_tuning_flags():
+    assert dict(_leaf_options(cli.build_parser())) == CLI_OPTIONS

@@ -197,10 +197,9 @@ def test_arc_table_single_edge():
     net = Network(node_labels=(0, 1), edges=(Edge(0, 0, 1),))
     table = arcs(net)
     assert table.num_arcs == 2
-    assert table.out_arcs[0] == (0,)
-    assert table.in_arcs[0] == (1,)
-    assert table.arcs[0].tail == 0 and table.arcs[0].head == 1
-    assert table.arcs[1].tail == 1 and table.arcs[1].head == 0
+    # arc 0 runs 0 -> 1, arc 1 runs 1 -> 0
+    assert table.out_arcs == ((0,), (1,))
+    assert table.in_arcs == ((1,), (0,))
 
 
 def test_arc_table_cycle():
@@ -215,8 +214,9 @@ def test_arc_table_parallel_edges():
     net = Network(node_labels=(0, 1), edges=(Edge(0, 0, 1), Edge(1, 0, 1)))
     table = arcs(net)
     assert table.num_arcs == 4
-    assert {a.edge for a in table.arcs} == {0, 1}
-    assert table.out_arcs[0] == (0, 2)
+    # arcs 2e and 2e+1 belong to edge e
+    assert table.out_arcs == ((0, 2), (1, 3))
+    assert table.in_arcs == ((1, 3), (0, 2))
 
 
 def test_parallel_edges_roundtrip():

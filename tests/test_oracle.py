@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 from helpers import milp_solve, solve_checked
 from lambdabound.formulations import build_ip_rwap, build_ip_rwap_ppp, build_lp_r3
 from lambdabound.instance import gen_cycle, gen_random
+from lambdabound import oracle
 from lambdabound.oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
-    OracleLimits,
     exact_rwap,
     exact_rwap_ppp,
     simple_paths,
@@ -64,16 +64,18 @@ def test_working_only_infeasible_when_wavelengths_short():
         exact_rwap(inst)
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     inst = gen_cycle(6, 3, 80)
+    monkeypatch.setattr(oracle, "MAX_ASSIGNMENTS", 10)
     with pytest.raises(OracleBudgetError):
-        exact_rwap_ppp(inst, OracleLimits(max_assignments=10))
+        exact_rwap_ppp(inst)
 
 
-def test_path_cap_rejects_instead_of_truncating():
+def test_path_cap_rejects_instead_of_truncating(monkeypatch):
     inst = gen_random(6, 5, 2, 2, seed=3)
+    monkeypatch.setattr(oracle, "MAX_PATHS_PER_PAIR", 1)
     with pytest.raises(OracleBudgetError):
-        exact_rwap(inst, OracleLimits(max_simple_paths_per_pair=1))
+        exact_rwap(inst)
 
 
 def test_simple_paths_order_and_count():

@@ -78,6 +78,18 @@ def test_iteration_limit_status(monkeypatch):
     assert sol.iterations == 3
 
 
+def test_iteration_limit_caps_a_warm_attempt_and_its_cold_fallback(monkeypatch):
+    model, _ = build_lp_r3(gen_random(8, 2, 4, 10, seed=1))
+    lp = presolve(model)
+    lp.basis = solve(lp).basis
+    capacities = [i for i, row in enumerate(model.rows) if row.name.startswith("acap_")]
+    lp.set_rhs(capacities, np.full(len(capacities), 1.5))
+    monkeypatch.setattr(simplex, "MAX_ITERATIONS", 3)
+    sol = solve(lp)
+    assert sol.status == simplex.ITERATION_LIMIT
+    assert sol.iterations == 3
+
+
 def test_certificates_flag_a_corrupted_solution():
     m = LinearModel()
     x = m.add_variable(0, 10, 1.0)
