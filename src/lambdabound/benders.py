@@ -52,7 +52,7 @@ from .formulations import (
     build_subproblem,
     cut_from_duals,
 )
-from .instance import Instance, arcs
+from .instance import Instance
 from .lpmodel import SENSE_LE
 from .simplex import INFEASIBLE, OPTIMAL, Basis, presolve, solve
 
@@ -134,17 +134,6 @@ def pi_prime_filter(instance: Instance, master: MasterSolution) -> set[int]:
     return skipped
 
 
-def _flow_ids(instance: Instance, varmap, tau) -> np.ndarray:
-    """Model ids of scenario tau's flow columns, by origin and arc."""
-    num_arcs = arcs(instance.network).num_arcs
-    return np.array(
-        [
-            [varmap.y_agg[(tau, s, a)] for a in range(num_arcs)]
-            for s in range(instance.num_nodes)
-        ]
-    )
-
-
 def _stop_status(sol) -> str:
     return INFEASIBLE_STATUS if sol.status == INFEASIBLE else FAILED_STATUS
 
@@ -159,15 +148,13 @@ class BendersState:
         self.tau0 = min(instance.failures)
         model, varmap = build_master(instance, self.tau0)
         self.master = presolve(model)
-        self._wbar_ids = np.array([varmap.wbar[e] for e in range(instance.num_edges)])
-        self._flow_ids = _flow_ids(instance, varmap, self.tau0)
+        self._wbar_ids = varmap.wbar
+        self._flow_ids = varmap.y_agg[self.tau0]
         model, varmap = build_subproblem(instance, None, np.zeros(instance.num_edges))
         self.subproblem = presolve(model)
-        self._capacity_rows = np.array(
-            [varmap.rows_capacity[e] for e in range(instance.num_edges)]
-        )
+        self._capacity_rows = varmap.rows_capacity
         # failure tau closes the unpinned flow columns of its two arcs
-        flows = _flow_ids(instance, varmap, None)
+        flows = varmap.y_agg[None]
         upper = np.array([v.upper for v in model.variables])
         self._closed = {}
         for tau in instance.failures:

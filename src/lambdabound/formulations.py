@@ -1,16 +1,19 @@
 """Model builders for working/backup wavelength assignment and its relaxations.
 
 Each builder is a pure function from an instance to a LinearModel plus a
-VarMap resolving every symbol of the built constraint system. Variable and
-row orderings are fixed (lexicographic in the index tuples) so that repeated
-builds are identical and exports are byte-stable.
+VarMap that hands out every block of the built model as an array of ids,
+indexed like its symbol. Variable and row orderings are fixed (lexicographic
+in the index tuples) so that repeated builds are identical and exports are
+byte-stable.
 
-Every model is made of two kinds of scenario block, each written by one row
-helper given one scenario (a failed edge, or None for no failure):
-_path_rows writes a per-request path block (the working block, and one backup
-block per failure), and _aggregated_rows writes an origin-aggregated flow
-block (one per failure in lp-r3, one in the no-failure aggregation, one in
-the decomposition master and one in each subproblem).
+_columns creates one variable block and returns its ids. Every model is made
+of two kinds of scenario block, each written by one row helper given one
+scenario (a failed edge, or None for no failure): _path_rows writes a
+per-request path block (the working block, and one backup block per
+failure), and _aggregated_rows writes an origin-aggregated flow block (one
+per failure in lp-r3, one in the no-failure aggregation, one in the
+decomposition master and one in each subproblem). _path_model assembles the
+four path models from their working, backup and linking blocks.
 
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
@@ -27,6 +30,7 @@ Builders:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +53,14 @@ class FormulationError(ValueError):
 
 @dataclass
 class VarMap:
-    """Index maps from formulation symbols to model variable/row ids."""
+    """Model ids of each block, as arrays indexed like the block's symbol."""
 
-    x: dict = field(default_factory=dict)  # (d, k, a) -> var
-    w: dict = field(default_factory=dict)  # (k, e) -> var
-    y: dict = field(default_factory=dict)  # (tau, d, k, a) -> var
-    wbar: dict = field(default_factory=dict)  # e -> var
-    y_agg: dict = field(default_factory=dict)  # (tau, s, a) -> var; tau None = no failure
-    rows_capacity: dict = field(default_factory=dict)  # e -> row
+    x: np.ndarray | None = None  # [d, k, a] -> var
+    w: np.ndarray | None = None  # [k, e] -> var
+    y: dict = field(default_factory=dict)  # tau -> [d, k, a] -> var
+    wbar: np.ndarray | None = None  # [e] -> var
+    y_agg: dict = field(default_factory=dict)  # tau -> [s, a] -> var; tau None = no failure
+    rows_capacity: np.ndarray | None = None  # [e] -> row
 
 
 @dataclass(frozen=True)
@@ -71,60 +75,40 @@ class Cut:
         return self.constant + sum(c * wbar[e] for e, c in self.wbar_coeffs)
 
 
-def _integrality(relax: bool) -> str:
-    return CONTINUOUS if relax else BINARY
+def _columns(model, shape, upper, cost, name, integrality=CONTINUOUS):
+    """One variable per index of shape, in lexicographic order; returns their ids.
 
-
-def _row_totals(instance: Instance):
-    q = demand_matrix(instance)
-    totals = np.zeros(instance.num_nodes)
-    for (s, _), cnt in q.counts.items():
-        totals[s] += cnt
-    return q, totals
-
-
-def _path_vars(model, instance, table: ArcTable, relax: bool, tau=None):
-    """One variable per (request, wavelength, arc) for one scenario."""
-    prefix = "x_" if tau is None else f"yb_t{tau}"
-    kind = _integrality(relax)
-    return {
-        (d, k, a): model.add_variable(0.0, 1.0, 0.0, kind, name=f"{prefix}d{d}k{k}a{a}")
-        for d in range(instance.num_requests)
-        for k in range(instance.num_wavelengths)
-        for a in range(table.num_arcs)
-    }
-
-
-def _wavelength_vars(model, instance, relax: bool):
-    """Edge-wavelength usage w, one unit of cost each."""
-    kind = _integrality(relax)
-    return {
-        (k, e): model.add_variable(0.0, 1.0, 1.0, kind, name=f"w_k{k}e{e}")
-        for k in range(instance.num_wavelengths)
-        for e in range(instance.num_edges)
-    }
+    Each lies in [0, upper], where upper broadcasts against shape, and is
+    named by name.format(*index).
+    """
+    first = model.num_variables
+    uppers = np.broadcast_to(upper, shape).ravel().tolist()
+    for index, ub in zip(itertools.product(*map(range, shape)), uppers):
+        model.add_variable(0.0, ub, cost, integrality, name=name.format(*index))
+    return np.arange(first, model.num_variables).reshape(shape)
 
 
 def _path_rows(model, instance, table: ArcTable, y, w, tau=None):
     """Flow, no-clash and exclusion rows of one path block (tau None = no failure).
 
-    y maps (d, k, a) to the block's variables and w maps (k, e) to the shared
-    usage variables; the exclusion rows keep every path off failed edge tau.
+    y holds the block's ids by (d, k, a) and w the shared usage ids by (k, e);
+    the exclusion rows keep every path off failed edge tau.
     """
     D, K = instance.num_requests, instance.num_wavelengths
     p, t = ("w", "") if tau is None else ("b", f"t{tau}")
+    y, w = y.tolist(), w.tolist()
     for d, req in enumerate(instance.requests):
         model.add_row(
             SENSE_EQ,
             1.0,
-            [(y[d, k, a], 1.0) for k in range(K) for a in table.out_arcs[req.s]],
+            [(y[d][k][a], 1.0) for k in range(K) for a in table.out_arcs[req.s]],
             name=f"{p}src_{t}d{d}",
         )
     for d, req in enumerate(instance.requests):
         model.add_row(
             SENSE_EQ,
             0.0,
-            [(y[d, k, a], 1.0) for k in range(K) for a in table.in_arcs[req.s]],
+            [(y[d][k][a], 1.0) for k in range(K) for a in table.in_arcs[req.s]],
             name=f"{p}null_{t}d{d}",
         )
     for d, req in enumerate(instance.requests):
@@ -132,13 +116,13 @@ def _path_rows(model, instance, table: ArcTable, y, w, tau=None):
             for v in range(instance.num_nodes):
                 if v in (req.s, req.t):
                     continue
-                coeffs = [(y[d, k, a], 1.0) for a in table.in_arcs[v]]
-                coeffs += [(y[d, k, a], -1.0) for a in table.out_arcs[v]]
+                coeffs = [(y[d][k][a], 1.0) for a in table.in_arcs[v]]
+                coeffs += [(y[d][k][a], -1.0) for a in table.out_arcs[v]]
                 model.add_row(SENSE_EQ, 0.0, coeffs, name=f"{p}bal_{t}d{d}k{k}v{v}")
     for k in range(K):
         for e in range(instance.num_edges):
-            coeffs = [(y[d, k, a], 1.0) for d in range(D) for a in (2 * e, 2 * e + 1)]
-            coeffs.append((w[k, e], -1.0))
+            coeffs = [(y[d][k][a], 1.0) for d in range(D) for a in (2 * e, 2 * e + 1)]
+            coeffs.append((w[k][e], -1.0))
             model.add_row(SENSE_LE, 0.0, coeffs, name=f"{p}cap_{t}k{k}e{e}")
     if tau is not None:
         for d in range(D):
@@ -146,165 +130,146 @@ def _path_rows(model, instance, table: ArcTable, y, w, tau=None):
                 model.add_row(
                     SENSE_EQ,
                     0.0,
-                    [(y[d, k, 2 * tau], 1.0), (y[d, k, 2 * tau + 1], 1.0)],
+                    [(y[d][k][2 * tau], 1.0), (y[d][k][2 * tau + 1], 1.0)],
                     name=f"bexcl_{t}d{d}k{k}",
                 )
 
 
-def _add_working_block(model, vm, instance, table: ArcTable, relax: bool):
-    """Working-path variables, the usage variables w and the working rows."""
-    vm.x = _path_vars(model, instance, table, relax)
-    vm.w = _wavelength_vars(model, instance, relax)
-    _path_rows(model, instance, table, vm.x, vm.w)
+def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
+    """Usage w plus the chosen path blocks: working, one backup per failure, links.
 
-
-def _add_backup_blocks(model, vm, instance, table: ArcTable, relax: bool):
-    """One backup path block per failure; adds w when no working block did."""
-    if not vm.w:
-        vm.w = _wavelength_vars(model, instance, relax)
-    blocks = {
-        tau: _path_vars(model, instance, table, relax, tau) for tau in instance.failures
-    }
-    for tau, y in blocks.items():
-        vm.y.update(((tau, *key), vid) for key, vid in y.items())
+    The linking rows tie each backup to the working assignment when the
+    failure misses the working path.
+    """
+    table = arcs(instance.network)
+    model = LinearModel(f"{tag}:{instance.name}")
+    kind = CONTINUOUS if relax else BINARY
+    D, K, A = instance.num_requests, instance.num_wavelengths, table.num_arcs
+    vm = VarMap()
+    if working:
+        vm.x = _columns(model, (D, K, A), 1.0, 0.0, "x_d{}k{}a{}", kind)
+    vm.w = _columns(model, (K, instance.num_edges), 1.0, 1.0, "w_k{}e{}", kind)
+    if backup:
+        for tau in instance.failures:
+            vm.y[tau] = _columns(model, (D, K, A), 1.0, 0.0, f"yb_t{tau}d{{}}k{{}}a{{}}", kind)
+    if working:
+        _path_rows(model, instance, table, vm.x, vm.w)
+    for tau, y in vm.y.items():
         _path_rows(model, instance, table, y, vm.w, tau)
-
-
-def _add_linking_block(model, vm, instance, table: ArcTable):
-    """Rows tying backups to the working assignment when the failure misses it."""
-    D = instance.num_requests
-    K = instance.num_wavelengths
-    for tau in instance.failures:
+    if not linking:
+        return model, vm
+    x = vm.x.tolist()
+    for tau, y in vm.y.items():
+        y = y.tolist()
         fwd, bwd = 2 * tau, 2 * tau + 1
         for d in range(D):
-            onpath = [(vm.x[(d, kk, fwd)], 1.0) for kk in range(K)]
-            onpath += [(vm.x[(d, kk, bwd)], 1.0) for kk in range(K)]
+            onpath = [(x[d][kk][fwd], 1.0) for kk in range(K)]
+            onpath += [(x[d][kk][bwd], 1.0) for kk in range(K)]
             for k in range(K):
-                for a in range(table.num_arcs):
-                    low = [(vm.x[(d, k, a)], 1.0)]
+                for a in range(A):
+                    low = [(x[d][k][a], 1.0)]
                     low += [(vid, -c) for vid, c in onpath]
-                    low.append((vm.y[(tau, d, k, a)], -1.0))
+                    low.append((y[d][k][a], -1.0))
                     model.add_row(SENSE_LE, 0.0, low, name=f"lnklo_t{tau}d{d}k{k}a{a}")
             for k in range(K):
-                for a in range(table.num_arcs):
-                    high = [(vm.y[(tau, d, k, a)], 1.0), (vm.x[(d, k, a)], -1.0)]
+                for a in range(A):
+                    high = [(y[d][k][a], 1.0), (x[d][k][a], -1.0)]
                     high += [(vid, -c) for vid, c in onpath]
                     model.add_row(SENSE_LE, 0.0, high, name=f"lnkhi_t{tau}d{d}k{k}a{a}")
+    return model, vm
 
 
 def build_ip_rwap_ppp(instance: Instance, relax: bool = False):
     """Full model: working + per-failure backup assignment, linked."""
-    table = arcs(instance.network)
-    model = LinearModel(f"rwap-ppp:{instance.name}")
-    vm = VarMap()
-    _add_working_block(model, vm, instance, table, relax)
-    _add_backup_blocks(model, vm, instance, table, relax)
-    _add_linking_block(model, vm, instance, table)
-    return model, vm
+    return _path_model("rwap-ppp", instance, relax, working=True, backup=True, linking=True)
 
 
 def build_ip_rwap(instance: Instance, relax: bool = False):
     """Working-only model (no failures considered)."""
-    table = arcs(instance.network)
-    model = LinearModel(f"rwap:{instance.name}")
-    vm = VarMap()
-    _add_working_block(model, vm, instance, table, relax)
-    return model, vm
+    return _path_model("rwap", instance, relax, working=True, backup=False, linking=False)
 
 
 def build_ip_r1(instance: Instance, relax: bool = False):
     """Full model with the working/backup linking rows dropped."""
-    table = arcs(instance.network)
-    model = LinearModel(f"r1:{instance.name}")
-    vm = VarMap()
-    _add_working_block(model, vm, instance, table, relax)
-    _add_backup_blocks(model, vm, instance, table, relax)
-    return model, vm
+    return _path_model("r1", instance, relax, working=True, backup=True, linking=False)
 
 
 def build_ip_r2(instance: Instance, relax: bool = False):
     """Backup-only model: working variables and their rows removed."""
-    table = arcs(instance.network)
-    model = LinearModel(f"r2:{instance.name}")
-    vm = VarMap()
-    _add_backup_blocks(model, vm, instance, table, relax)
-    return model, vm
+    return _path_model("r2", instance, relax, working=False, backup=True, linking=False)
 
 
-def _aggregated_vars(model, instance, table: ArcTable, totals, tau):
-    """Origin-aggregated flows of one scenario, keyed (tau, s, a)."""
+def _aggregated_vars(model, table: ArcTable, q, tau):
+    """Origin-aggregated flows of one scenario by (s, a), each at most s's total."""
     tag = "" if tau is None else f"t{tau}"
-    return {
-        (tau, s, a): model.add_variable(0.0, float(totals[s]), 0.0, name=f"ya_{tag}s{s}a{a}")
-        for s in range(instance.num_nodes)
-        for a in range(table.num_arcs)
-    }
+    totals = q.sum(axis=1)[:, None]
+    return _columns(model, (len(q), table.num_arcs), totals, 0.0, f"ya_{tag}s{{}}a{{}}")
 
 
-def _aggregated_rows(model, instance, table: ArcTable, q, totals, y, tau, cap_cols, cap_rhs):
+def _aggregated_rows(model, instance, table: ArcTable, q, y, tau, cap_cols, cap_rhs):
     """Rows of one origin-aggregated flow block (tau None = no failure).
 
     Origin s sends out all of its demand and takes none back, every other
-    node v keeps q(s, v) of it, the flow over edge e less column cap_cols[e]
+    node v keeps q[s, v] of it, the flow over edge e less column cap_cols[e]
     is at most cap_rhs[e], and under failure tau no flow uses edge tau.
-    Returns the capacity row ids, keyed by edge.
+    Returns the capacity row ids, by edge.
     """
     V = instance.num_nodes
     tag = "" if tau is None else f"t{tau}"
-    cap = {}
+    totals = q.sum(axis=1).tolist()
+    q, y = q.tolist(), y.tolist()
+    cap = []
     for s in range(V):
         model.add_row(
             SENSE_EQ,
             float(totals[s]),
-            [(y[tau, s, a], 1.0) for a in table.out_arcs[s]],
+            [(y[s][a], 1.0) for a in table.out_arcs[s]],
             name=f"asrc_{tag}s{s}",
         )
     for s in range(V):
         model.add_row(
             SENSE_EQ,
             0.0,
-            [(y[tau, s, a], 1.0) for a in table.in_arcs[s]],
+            [(y[s][a], 1.0) for a in table.in_arcs[s]],
             name=f"anull_{tag}s{s}",
         )
     for s in range(V):
         for v in range(V):
             if v == s:
                 continue
-            coeffs = [(y[tau, s, a], 1.0) for a in table.in_arcs[v]]
-            coeffs += [(y[tau, s, a], -1.0) for a in table.out_arcs[v]]
-            model.add_row(
-                SENSE_EQ, float(q.get(s, v)), coeffs, name=f"abal_{tag}s{s}v{v}"
-            )
+            coeffs = [(y[s][a], 1.0) for a in table.in_arcs[v]]
+            coeffs += [(y[s][a], -1.0) for a in table.out_arcs[v]]
+            model.add_row(SENSE_EQ, float(q[s][v]), coeffs, name=f"abal_{tag}s{s}v{v}")
     for e in range(instance.num_edges):
-        coeffs = [(y[tau, s, a], 1.0) for s in range(V) for a in (2 * e, 2 * e + 1)]
+        coeffs = [(y[s][a], 1.0) for s in range(V) for a in (2 * e, 2 * e + 1)]
         coeffs.append((cap_cols[e], -1.0))
-        cap[e] = model.add_row(
-            SENSE_LE, float(cap_rhs[e]), coeffs, name=f"acap_{tag}e{e}"
+        cap.append(
+            model.add_row(SENSE_LE, float(cap_rhs[e]), coeffs, name=f"acap_{tag}e{e}")
         )
     if tau is not None:
         for s in range(V):
             model.add_row(
                 SENSE_EQ,
                 0.0,
-                [(y[tau, s, 2 * tau], 1.0), (y[tau, s, 2 * tau + 1], 1.0)],
+                [(y[s][2 * tau], 1.0), (y[s][2 * tau + 1], 1.0)],
                 name=f"aexcl_{tag}s{s}",
             )
-    return cap
+    return np.array(cap, dtype=int)
 
 
 def _aggregated_model(name: str, instance: Instance, scenarios):
     """Edge capacities wbar, each costing one, and one flow block per scenario."""
     table = arcs(instance.network)
-    q, totals = _row_totals(instance)
-    E, K = instance.num_edges, instance.num_wavelengths
+    q = demand_matrix(instance)
+    E = instance.num_edges
     model = LinearModel(name)
-    vm = VarMap()
-    for e in range(E):
-        vm.wbar[e] = model.add_variable(0.0, float(K), 1.0, name=f"wb_e{e}")
+    vm = VarMap(wbar=_columns(model, (E,), instance.num_wavelengths, 1.0, "wb_e{}"))
     for tau in scenarios:
-        vm.y_agg.update(_aggregated_vars(model, instance, table, totals, tau))
+        vm.y_agg[tau] = _aggregated_vars(model, table, q, tau)
     for tau in scenarios:
-        _aggregated_rows(model, instance, table, q, totals, vm.y_agg, tau, vm.wbar, [0.0] * E)
+        _aggregated_rows(
+            model, instance, table, q, vm.y_agg[tau], tau, vm.wbar.tolist(), [0.0] * E
+        )
     return model, vm
 
 
@@ -350,19 +315,17 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     if (wbar < -1e-9).any() or (wbar > K + 1e-9).any():
         raise FormulationError("wbar entries must lie within [0, |K|]")
     table = arcs(instance.network)
-    q, totals = _row_totals(instance)
+    q = demand_matrix(instance)
     tag = "" if failed_edge is None else f":t{failed_edge}"
     model = LinearModel(f"sub:{instance.name}{tag}")
-    vm = VarMap()
-    vm.y_agg = _aggregated_vars(model, instance, table, totals, failed_edge)
+    y = _aggregated_vars(model, table, q, failed_edge)
     # each origin's arc flow is at most its total, so an edge carries at most
     # 2|D|; the box keeps every column bounded and so every dual bound finite
     eps = model.add_variable(0.0, 2.0 * instance.num_requests, 1.0, name="eps")
-    vm.rows_capacity = _aggregated_rows(
-        model, instance, table, q, totals, vm.y_agg, failed_edge,
-        [eps] * instance.num_edges, wbar,
+    rows = _aggregated_rows(
+        model, instance, table, q, y, failed_edge, [eps] * instance.num_edges, wbar
     )
-    return model, vm
+    return model, VarMap(y_agg={failed_edge: y}, rows_capacity=rows)
 
 
 def cut_from_duals(

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 
 class InstanceParseError(ValueError):
@@ -113,21 +115,12 @@ class Instance:
         return len(self.requests)
 
 
-@dataclass(frozen=True)
-class DemandMatrix:
-    """Aggregated request counts q[(s, t)]; zero entries are not stored."""
-
-    counts: dict = field(default_factory=dict)
-
-    def get(self, s: int, t: int) -> int:
-        return self.counts.get((s, t), 0)
-
-
-def demand_matrix(instance: Instance) -> DemandMatrix:
-    counts: dict[tuple[int, int], int] = {}
+def demand_matrix(instance: Instance) -> np.ndarray:
+    """Request counts q[s, t] as a (V, V) integer array."""
+    q = np.zeros((instance.num_nodes, instance.num_nodes), dtype=int)
     for r in instance.requests:
-        counts[(r.s, r.t)] = counts.get((r.s, r.t), 0) + 1
-    return DemandMatrix(counts=counts)
+        q[r.s, r.t] += 1
+    return q
 
 
 def is_connected(network: Network, skip_edge: int | None = None) -> bool:

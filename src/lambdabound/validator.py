@@ -66,6 +66,11 @@ def load_solution(text: str, instance: Instance) -> RwappSolution:
     if not isinstance(doc, dict) or "working" not in doc or "backups" not in doc:
         raise SolutionFormatError("expected object with 'working' and 'backups'")
 
+    def array(value, locus):
+        if not isinstance(value, list):
+            raise SolutionFormatError(f"{locus} must be an array")
+        return value
+
     def parse_assignment(rec, locus):
         if not isinstance(rec, dict) or "path" not in rec or "wavelength" not in rec:
             raise SolutionFormatError(f"{locus}: expected path and wavelength")
@@ -80,21 +85,22 @@ def load_solution(text: str, instance: Instance) -> RwappSolution:
         return Assignment(path=tuple(path), wavelength=wl)
 
     working = tuple(
-        parse_assignment(rec, f"working[{i}]") for i, rec in enumerate(doc["working"])
+        parse_assignment(rec, f"working[{i}]")
+        for i, rec in enumerate(array(doc["working"], "working"))
     )
     if len(working) != instance.num_requests:
         raise SolutionFormatError(
             f"expected {instance.num_requests} working assignments, got {len(working)}"
         )
     blocks = []
-    for i, rec in enumerate(doc["backups"]):
+    for i, rec in enumerate(array(doc["backups"], "backups")):
         if not isinstance(rec, dict) or "failure" not in rec or "assignments" not in rec:
             raise SolutionFormatError(f"backups[{i}]: expected failure and assignments")
         if isinstance(rec["failure"], bool) or not isinstance(rec["failure"], int):
             raise SolutionFormatError(f"backups[{i}]: failure must be an edge id")
         block = tuple(
             parse_assignment(a, f"backups[{i}].assignments[{j}]")
-            for j, a in enumerate(rec["assignments"])
+            for j, a in enumerate(array(rec["assignments"], f"backups[{i}].assignments"))
         )
         if len(block) != instance.num_requests:
             raise SolutionFormatError(

@@ -448,6 +448,30 @@ def _failure_not_an_edge_id(tmp_path, inst, sol):
     return ["validate", str(inst), str(sol)]
 
 
+def _working_is_a_number(tmp_path, inst, sol):
+    sol.write_text(json.dumps({"working": 5, "backups": []}))
+    return ["validate", str(inst), str(sol)]
+
+
+def _working_and_backups_are_null(tmp_path, inst, sol):
+    sol.write_text(json.dumps({"working": None, "backups": None}))
+    return ["validate", str(inst), str(sol)]
+
+
+def _backups_is_a_number(tmp_path, inst, sol):
+    doc = json.loads(sol.read_text())
+    doc["backups"] = 3
+    sol.write_text(json.dumps(doc))
+    return ["validate", str(inst), str(sol)]
+
+
+def _assignments_is_a_number(tmp_path, inst, sol):
+    doc = json.loads(sol.read_text())
+    doc["backups"][0]["assignments"] = 7
+    sol.write_text(json.dumps(doc))
+    return ["validate", str(inst), str(sol)]
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [
@@ -462,6 +486,11 @@ def _failure_not_an_edge_id(tmp_path, inst, sol):
         (_export_lp_r3_without_failures, 2, "lambdabound: error: "),
         (_chain_check_without_failures, 2, "lambdabound: error: "),
         (_failure_not_an_edge_id, 1, "malformed solution: backups[0]"),
+        (_working_is_a_number, 1, "malformed solution: working must be an array"),
+        (_working_and_backups_are_null, 1, "malformed solution: working must be an array"),
+        (_backups_is_a_number, 1, "malformed solution: backups must be an array"),
+        (_assignments_is_a_number, 1,
+         "malformed solution: backups[0].assignments must be an array"),
     ],
 )
 def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, prefix):

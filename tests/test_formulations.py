@@ -16,6 +16,7 @@ from lambdabound.formulations import (
     build_ip_rwap_ppp,
     build_lp_r3,
     build_lp_rwap_agg,
+    build_master,
     build_subproblem,
     cut_from_duals,
 )
@@ -42,9 +43,10 @@ def _sizes(instance):
 def test_full_model_counts(net4):
     V, E, A, D, K, P = _sizes(net4)
     model, vm = build_ip_rwap_ppp(net4)
-    assert len(vm.x) == D * K * A == 2 * K * 10
-    assert len(vm.y) == P * D * K * A
-    assert len(vm.w) == K * E
+    assert vm.x.shape == (D, K, A) == (2, K, 10)
+    assert list(vm.y) == list(net4.failures)
+    assert all(y.shape == (D, K, A) for y in vm.y.values())
+    assert vm.w.shape == (K, E)
     assert model.num_variables == D * K * A + K * E + P * D * K * A
     expected_rows = (
         2 * D
@@ -170,7 +172,7 @@ def test_subproblem_zero_at_feasible_capacities():
     inst = gen_cycle(5, 3, 80)
     model, vm = build_lp_r3(inst)
     sol = solve_checked(model)
-    wbar = np.array([sol.primal[vm.wbar[e]] for e in range(inst.num_edges)])
+    wbar = sol.primal[vm.wbar]
     for tau in inst.failures:
         sub, _ = build_subproblem(inst, tau, wbar)
         assert solve_checked(sub).objective <= 1e-7
@@ -218,17 +220,13 @@ def test_subproblem_argument_checks():
         build_subproblem(inst, 0, np.full(3, 99.0))
 
 
-def _capacity_rows(instance, vm):
-    return np.array([vm.rows_capacity[e] for e in range(instance.num_edges)])
-
-
 def _cut_at(instance, tau, wbar):
     """The subproblem's optimum at wbar and the cut from its duals."""
     sub, vm = build_subproblem(instance, tau, wbar)
     lp = simplex.presolve(sub)
     sol = simplex.solve(lp)
     assert sol.status == simplex.OPTIMAL
-    return sol.objective, cut_from_duals(tau, wbar, sol, lp, _capacity_rows(instance, vm))
+    return sol.objective, cut_from_duals(tau, wbar, sol, lp, vm.rows_capacity)
 
 
 def test_cut_matches_subproblem_value():
@@ -236,7 +234,7 @@ def test_cut_matches_subproblem_value():
     wbar = np.zeros(3)
     sub, vm = build_subproblem(inst, 2, wbar)
     sol = solve_checked(sub)
-    cut = cut_from_duals(2, wbar, sol, simplex.presolve(sub), _capacity_rows(inst, vm))
+    cut = cut_from_duals(2, wbar, sol, simplex.presolve(sub), vm.rows_capacity)
     assert cut.failure == 2
     assert cut.evaluate(wbar) == pytest.approx(2.0, abs=1e-9)
     assert all(c <= 0.0 for _, c in cut.wbar_coeffs)
@@ -244,7 +242,7 @@ def test_cut_matches_subproblem_value():
     # at feasible capacities every valid cut must be satisfied
     model, vm3 = build_lp_r3(inst)
     opt = solve_checked(model)
-    feas = np.array([opt.primal[vm3.wbar[e]] for e in range(3)])
+    feas = opt.primal[vm3.wbar]
     assert cut.evaluate(feas) <= 1e-9
 
 
@@ -259,7 +257,7 @@ def test_cut_requires_optimal_solution():
     sub, vm = build_subproblem(inst, 2, wbar)
     failed = Solution(status="NumericalError", objective=float("nan"))
     with pytest.raises(FormulationError, match="Optimal"):
-        cut_from_duals(2, wbar, failed, simplex.presolve(sub), _capacity_rows(inst, vm))
+        cut_from_duals(2, wbar, failed, simplex.presolve(sub), vm.rows_capacity)
 
 
 def test_cuts_are_valid_at_every_capacity():
@@ -287,10 +285,43 @@ def test_cut_evaluate_is_affine():
     assert cut.evaluate([1.0, 9.0, 2.0]) == pytest.approx(2.0)
 
 
+def _named_blocks(vm):
+    """(ids, name of the column at an index) for every column block of vm."""
+    if vm.x is not None:
+        yield vm.x, "x_d{}k{}a{}".format
+    if vm.w is not None:
+        yield vm.w, "w_k{}e{}".format
+    for tau, y in vm.y.items():
+        yield y, f"yb_t{tau}d{{}}k{{}}a{{}}".format
+    if vm.wbar is not None:
+        yield vm.wbar, "wb_e{}".format
+    for tau, y in vm.y_agg.items():
+        yield y, ("ya_" + ("" if tau is None else f"t{tau}") + "s{}a{}").format
+
+
 def test_varmap_ids_are_unique(net4):
-    model, vm = build_ip_rwap_ppp(net4)
-    ids = list(vm.x.values()) + list(vm.w.values()) + list(vm.y.values())
-    assert len(ids) == len(set(ids)) == model.num_variables
+    E = net4.num_edges
+    built = [(name, *build(net4)) for name, build in (
+        ("rwap-ppp", build_ip_rwap_ppp), ("rwap", build_ip_rwap), ("r1", build_ip_r1),
+        ("r2", build_ip_r2), ("lp-r3", build_lp_r3), ("lp-rwap-agg", build_lp_rwap_agg),
+    )]
+    built.append(("master", *build_master(net4, min(net4.failures))))
+    built.append(("template", *build_subproblem(net4, None, np.zeros(E))))
+    built.append(("sub", *build_subproblem(net4, net4.failures[0], np.zeros(E))))
+    for label, model, vm in built:
+        ids = []
+        for block, name in _named_blocks(vm):
+            for index in np.ndindex(block.shape):
+                assert model.variables[block[index]].name == name(*index), label
+            ids += block.ravel().tolist()
+        assert ids and len(ids) == len(set(ids)), label
+        # the subproblems' one other column is eps
+        assert len(ids) == model.num_variables - label.startswith(("template", "sub")), label
+        if vm.rows_capacity is not None:
+            assert vm.rows_capacity.shape == (E,), label
+            for e, row in enumerate(vm.rows_capacity):
+                assert model.rows[row].name.endswith(f"e{e}"), label
+        assert all(type(vid) is int for row in model.rows for vid, _ in row.coeffs), label
 
 
 # sha256 of the LP then MPS text of every CLI export model: exports must stay
