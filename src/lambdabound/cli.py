@@ -10,6 +10,7 @@ one record per solve.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 import time
@@ -68,27 +69,27 @@ class RunRecord:
     ok: bool = True
     detail: str | None = None  # why the solve stopped, for stderr
 
-    def csv_row(self) -> str:
+    def csv_row(self) -> list[str]:
+        """The record's fields, in CSV_HEADER order."""
+
         def num(x, fmt="{:.6f}"):
             return "" if x is None else fmt.format(x)
 
-        return ",".join(
-            [
-                self.name,
-                str(self.num_nodes),
-                str(self.num_edges),
-                str(self.num_requests),
-                self.model,
-                self.method,
-                num(self.objective),
-                str(self.iterations),
-                "" if self.cuts is None else str(self.cuts),
-                str(self.elapsed_ms),
-                self.status,
-                num(self.im_pct, "{:.1f}"),
-                num(self.gap_pct, "{:.1f}"),
-            ]
-        )
+        return [
+            self.name,
+            str(self.num_nodes),
+            str(self.num_edges),
+            str(self.num_requests),
+            self.model,
+            self.method,
+            num(self.objective),
+            str(self.iterations),
+            "" if self.cuts is None else str(self.cuts),
+            str(self.elapsed_ms),
+            self.status,
+            num(self.im_pct, "{:.1f}"),
+            num(self.gap_pct, "{:.1f}"),
+        ]
 
 
 def _read_instance(path: str, parser) -> Instance:
@@ -144,7 +145,7 @@ def _append_record(fh, record: RunRecord):
     """Append a row to a file opened for appending; an empty file gets the header."""
     if fh.tell() == 0:
         fh.write(CSV_HEADER + "\n")
-    fh.write(record.csv_row() + "\n")
+    csv.writer(fh, lineterminator="\n").writerow(record.csv_row())
 
 
 def _usage_error(message: str) -> int:
@@ -209,14 +210,13 @@ def cmd_validate(args, parser) -> int:
         report = validator.validate(instance, solution)
     except FileNotFoundError:
         parser.error(f"solution file not found: {args.solution}")
-    except validator.SolutionFormatError as exc:
+    except (validator.SolutionFormatError, UnicodeDecodeError) as exc:
         print(f"malformed solution: {exc}", file=sys.stderr)
         return 1
     verdict = "feasible" if report.feasible else "infeasible"
     print(f"{verdict}, objective {report.objective}")
     if args.lower_bound is not None:
-        g = validator.gap_report(report.objective, args.lower_bound)
-        print(f"gap {g.gap_percent:.1f}%")
+        print(f"gap {validator.gap_report(report.objective, args.lower_bound):.1f}%")
     for v in report.violations:
         where = "working" if v.failure is None else f"failure {v.failure}"
         print(f"violation[{v.kind}] {where} request {v.request}: {v.detail}",
@@ -239,11 +239,10 @@ def cmd_bench(args, parser) -> int:
         ub_path = os.path.splitext(path)[0] + ".ub"
         ub = None
         if os.path.exists(ub_path):
-            with open(ub_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
             try:
-                ub = float(text)
-            except ValueError:
+                with open(ub_path, "r", encoding="utf-8") as fh:
+                    ub = float(fh.read())
+            except ValueError:  # not a number, or not UTF-8 text
                 ub = float("nan")
             if not 0 < ub < float("inf"):
                 return _usage_error(
@@ -251,7 +250,7 @@ def cmd_bench(args, parser) -> int:
                 )
         ubs.append(ub)
 
-    lines = [CSV_HEADER]
+    rows = []
     for instance, ub in zip(instances, ubs):
         base = _solve_record(instance, "lp-rwap", "direct")
         r3 = _solve_record(instance, "lp-r3", "benders")
@@ -259,13 +258,13 @@ def cmd_bench(args, parser) -> int:
             r3.im_pct = validator.improvement(r3.objective, base.objective)
         if ub is not None:
             if base.objective:
-                base.gap_pct = validator.gap_report(ub, base.objective).gap_percent
+                base.gap_pct = validator.gap_report(ub, base.objective)
             if r3.objective:
-                r3.gap_pct = validator.gap_report(ub, r3.objective).gap_percent
-        lines += [base.csv_row(), r3.csv_row()]
-    text = "\n".join(lines) + "\n"
+                r3.gap_pct = validator.gap_report(ub, r3.objective)
+        rows += [base.csv_row(), r3.csv_row()]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(CSV_HEADER + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     print(f"wrote {args.out} ({len(names)} instances)")
     return 0
 

@@ -7,13 +7,14 @@ in the index tuples) so that repeated builds are identical and exports are
 byte-stable.
 
 _columns creates one variable block and returns its ids. Every model is made
-of two kinds of scenario block, each written by one row helper given one
-scenario (a failed edge, or None for no failure): _path_rows writes a
-per-request path block (the working block, and one backup block per
-failure), and _aggregated_rows writes an origin-aggregated flow block (one
-per failure in lp-r3, one in the no-failure aggregation, one in the
-decomposition master and one in each subproblem). _path_model assembles the
-four path models from their working, backup and linking blocks.
+of flow blocks, one per scenario (a failed edge, or None for no failure), and
+_flow_rows writes each over ids y[c, l, a] (commodity, layer, arc). A path
+block (the working block, one backup block per failure) has the requests as
+commodities and the wavelengths as layers. An aggregated block (one per
+failure in lp-r3, one in lp-rwap-agg, the master and each subproblem) has the
+origins as commodities and one layer: lp-r3 is the backup-only path model
+with requests grouped by origin and wavelengths merged. _path_model
+assembles the four path models from their working, backup and linking blocks.
 
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
@@ -31,6 +32,7 @@ Builders:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,51 +90,50 @@ def _columns(model, shape, upper, cost, name, integrality=CONTINUOUS):
     return np.arange(first, model.num_variables).reshape(shape)
 
 
-def _path_rows(model, instance, table: ArcTable, y, w, tau=None):
-    """Flow, no-clash and exclusion rows of one path block (tau None = no failure).
+def _flow_rows(
+    model, table: ArcTable, y, sources, supply, balance, cap_cols, cap_rhs, tau, names
+):
+    """Source, null, balance, capacity and exclusion rows of one flow block.
 
-    y holds the block's ids by (d, k, a) and w the shared usage ids by (k, e);
-    the exclusion rows keep every path off failed edge tau.
+    y holds the block's ids by (commodity c, layer l, arc a). Commodity c
+    sends supply[c] out of node sources[c] over all its layers and takes none
+    back there; in each layer node v keeps balance[c, v] of it, with no row
+    where that is nan. The flow of layer l over edge e less column
+    cap_cols[l, e] is at most cap_rhs[l, e], and under failure tau (None = no
+    failure) no flow uses edge tau. names holds the five row name formats,
+    given (c), (c), (c, l, v), (l, e) and (c, l). Returns the capacity row
+    ids by (l, e).
     """
-    D, K = instance.num_requests, instance.num_wavelengths
-    p, t = ("w", "") if tau is None else ("b", f"t{tau}")
-    y, w = y.tolist(), w.tolist()
-    for d, req in enumerate(instance.requests):
-        model.add_row(
-            SENSE_EQ,
-            1.0,
-            [(y[d][k][a], 1.0) for k in range(K) for a in table.out_arcs[req.s]],
-            name=f"{p}src_{t}d{d}",
-        )
-    for d, req in enumerate(instance.requests):
-        model.add_row(
-            SENSE_EQ,
-            0.0,
-            [(y[d][k][a], 1.0) for k in range(K) for a in table.in_arcs[req.s]],
-            name=f"{p}null_{t}d{d}",
-        )
-    for d, req in enumerate(instance.requests):
-        for k in range(K):
-            for v in range(instance.num_nodes):
-                if v in (req.s, req.t):
-                    continue
-                coeffs = [(y[d][k][a], 1.0) for a in table.in_arcs[v]]
-                coeffs += [(y[d][k][a], -1.0) for a in table.out_arcs[v]]
-                model.add_row(SENSE_EQ, 0.0, coeffs, name=f"{p}bal_{t}d{d}k{k}v{v}")
-    for k in range(K):
-        for e in range(instance.num_edges):
-            coeffs = [(y[d][k][a], 1.0) for d in range(D) for a in (2 * e, 2 * e + 1)]
-            coeffs.append((w[k][e], -1.0))
-            model.add_row(SENSE_LE, 0.0, coeffs, name=f"{p}cap_{t}k{k}e{e}")
+    src, null, bal, cap, excl = names
+    # lists of Python numbers, so that every Row holds ints and floats
+    y, supply, balance, cap_cols, cap_rhs = (
+        a.tolist() for a in (y, supply, balance, cap_cols, cap_rhs)
+    )
+    for c, s in enumerate(sources):
+        coeffs = [(yl[a], 1.0) for yl in y[c] for a in table.out_arcs[s]]
+        model.add_row(SENSE_EQ, supply[c], coeffs, name=src.format(c))
+    for c, s in enumerate(sources):
+        coeffs = [(yl[a], 1.0) for yl in y[c] for a in table.in_arcs[s]]
+        model.add_row(SENSE_EQ, 0.0, coeffs, name=null.format(c))
+    for c, yc in enumerate(y):
+        kept = [(v, rhs) for v, rhs in enumerate(balance[c]) if not math.isnan(rhs)]
+        for l, yl in enumerate(yc):
+            for v, rhs in kept:
+                coeffs = [(yl[a], 1.0) for a in table.in_arcs[v]]
+                coeffs += [(yl[a], -1.0) for a in table.out_arcs[v]]
+                model.add_row(SENSE_EQ, rhs, coeffs, name=bal.format(c, l, v))
+    rows = []
+    for l, (cols, rhss) in enumerate(zip(cap_cols, cap_rhs)):
+        for e, (col, rhs) in enumerate(zip(cols, rhss)):
+            coeffs = [(yc[l][a], 1.0) for yc in y for a in (2 * e, 2 * e + 1)]
+            coeffs.append((col, -1.0))
+            rows.append(model.add_row(SENSE_LE, rhs, coeffs, name=cap.format(l, e)))
     if tau is not None:
-        for d in range(D):
-            for k in range(K):
-                model.add_row(
-                    SENSE_EQ,
-                    0.0,
-                    [(y[d][k][2 * tau], 1.0), (y[d][k][2 * tau + 1], 1.0)],
-                    name=f"bexcl_{t}d{d}k{k}",
-                )
+        for c, yc in enumerate(y):
+            for l, yl in enumerate(yc):
+                coeffs = [(yl[2 * tau], 1.0), (yl[2 * tau + 1], 1.0)]
+                model.add_row(SENSE_EQ, 0.0, coeffs, name=excl.format(c, l))
+    return np.array(rows, dtype=int).reshape(len(cap_cols), -1)
 
 
 def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
@@ -152,10 +153,19 @@ def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
     if backup:
         for tau in instance.failures:
             vm.y[tau] = _columns(model, (D, K, A), 1.0, 0.0, f"yb_t{tau}d{{}}k{{}}a{{}}", kind)
-    if working:
-        _path_rows(model, instance, table, vm.x, vm.w)
-    for tau, y in vm.y.items():
-        _path_rows(model, instance, table, y, vm.w, tau)
+    # request d sends one unit from its source to its sink over all wavelengths
+    balance = np.zeros((D, instance.num_nodes))
+    for d, req in enumerate(instance.requests):
+        balance[d, [req.s, req.t]] = np.nan
+    sources = [req.s for req in instance.requests]
+    for tau, y in ([(None, vm.x)] if working else []) + list(vm.y.items()):
+        p, t = ("w", "") if tau is None else ("b", f"t{tau}")
+        names = (f"{p}src_{t}d{{}}", f"{p}null_{t}d{{}}", f"{p}bal_{t}d{{}}k{{}}v{{}}",
+                 f"{p}cap_{t}k{{}}e{{}}", f"bexcl_{t}d{{}}k{{}}")
+        _flow_rows(
+            model, table, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape),
+            tau, names,
+        )
     if not linking:
         return model, vm
     x = vm.x.tolist()
@@ -206,55 +216,24 @@ def _aggregated_vars(model, table: ArcTable, q, tau):
     return _columns(model, (len(q), table.num_arcs), totals, 0.0, f"ya_{tag}s{{}}a{{}}")
 
 
-def _aggregated_rows(model, instance, table: ArcTable, q, y, tau, cap_cols, cap_rhs):
+def _aggregated_rows(model, table: ArcTable, q, y, tau, cap_cols, cap_rhs):
     """Rows of one origin-aggregated flow block (tau None = no failure).
 
-    Origin s sends out all of its demand and takes none back, every other
-    node v keeps q[s, v] of it, the flow over edge e less column cap_cols[e]
-    is at most cap_rhs[e], and under failure tau no flow uses edge tau.
-    Returns the capacity row ids, by edge.
+    The flow block with origins as commodities and one layer: origin s sends
+    out all of its demand and every other node v keeps q[s, v] of it, the
+    flow over edge e less column cap_cols[e] is at most cap_rhs[e], and under
+    failure tau no flow uses edge tau. Returns the capacity row ids, by edge.
     """
-    V = instance.num_nodes
-    tag = "" if tau is None else f"t{tau}"
-    totals = q.sum(axis=1).tolist()
-    q, y = q.tolist(), y.tolist()
-    cap = []
-    for s in range(V):
-        model.add_row(
-            SENSE_EQ,
-            float(totals[s]),
-            [(y[s][a], 1.0) for a in table.out_arcs[s]],
-            name=f"asrc_{tag}s{s}",
-        )
-    for s in range(V):
-        model.add_row(
-            SENSE_EQ,
-            0.0,
-            [(y[s][a], 1.0) for a in table.in_arcs[s]],
-            name=f"anull_{tag}s{s}",
-        )
-    for s in range(V):
-        for v in range(V):
-            if v == s:
-                continue
-            coeffs = [(y[s][a], 1.0) for a in table.in_arcs[v]]
-            coeffs += [(y[s][a], -1.0) for a in table.out_arcs[v]]
-            model.add_row(SENSE_EQ, float(q[s][v]), coeffs, name=f"abal_{tag}s{s}v{v}")
-    for e in range(instance.num_edges):
-        coeffs = [(y[s][a], 1.0) for s in range(V) for a in (2 * e, 2 * e + 1)]
-        coeffs.append((cap_cols[e], -1.0))
-        cap.append(
-            model.add_row(SENSE_LE, float(cap_rhs[e]), coeffs, name=f"acap_{tag}e{e}")
-        )
-    if tau is not None:
-        for s in range(V):
-            model.add_row(
-                SENSE_EQ,
-                0.0,
-                [(y[s][2 * tau], 1.0), (y[s][2 * tau + 1], 1.0)],
-                name=f"aexcl_{tag}s{s}",
-            )
-    return np.array(cap, dtype=int)
+    t = "" if tau is None else f"t{tau}"
+    balance = q.astype(float)
+    np.fill_diagonal(balance, np.nan)
+    names = (f"asrc_{t}s{{0}}", f"anull_{t}s{{0}}", f"abal_{t}s{{0}}v{{2}}",
+             f"acap_{t}e{{1}}", f"aexcl_{t}s{{0}}")
+    cap_cols, cap_rhs = np.reshape(cap_cols, (1, -1)), np.reshape(cap_rhs, (1, -1))
+    return _flow_rows(
+        model, table, y[:, None, :], range(len(q)), q.sum(axis=1), balance, cap_cols,
+        cap_rhs, tau, names,
+    )[0]
 
 
 def _aggregated_model(name: str, instance: Instance, scenarios):
@@ -267,9 +246,7 @@ def _aggregated_model(name: str, instance: Instance, scenarios):
     for tau in scenarios:
         vm.y_agg[tau] = _aggregated_vars(model, table, q, tau)
     for tau in scenarios:
-        _aggregated_rows(
-            model, instance, table, q, vm.y_agg[tau], tau, vm.wbar.tolist(), [0.0] * E
-        )
+        _aggregated_rows(model, table, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
     return model, vm
 
 
@@ -323,7 +300,7 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     # 2|D|; the box keeps every column bounded and so every dual bound finite
     eps = model.add_variable(0.0, 2.0 * instance.num_requests, 1.0, name="eps")
     rows = _aggregated_rows(
-        model, instance, table, q, y, failed_edge, [eps] * instance.num_edges, wbar
+        model, table, q, y, failed_edge, np.full(instance.num_edges, eps), wbar
     )
     return model, VarMap(y_agg={failed_edge: y}, rows_capacity=rows)
 

@@ -7,8 +7,8 @@ interchangeable, so working assignments are enumerated up to renaming (first
 use in request order); backup wavelengths are enumerated in full, which keeps
 the reduction exact. Instances with more than MAX_PATHS_PER_PAIR simple paths
 between a request's end nodes, or whose search takes more than
-MAX_ASSIGNMENTS assignment steps, are rejected outright, never silently
-truncated.
+MAX_ASSIGNMENTS assignment steps or nests deeper than the recursion limit,
+are rejected outright, never silently truncated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ MAX_ASSIGNMENTS = 10_000_000
 
 
 class OracleBudgetError(RuntimeError):
-    """Search volume or path count beyond MAX_ASSIGNMENTS or MAX_PATHS_PER_PAIR."""
+    """Search beyond MAX_ASSIGNMENTS, MAX_PATHS_PER_PAIR or the recursion limit."""
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -164,6 +164,13 @@ def exact_rwap_ppp(instance: Instance) -> int:
 
     With no failures this is the working-only problem.
     """
+    try:
+        return _exact_rwap_ppp(instance)
+    except RecursionError:  # one frame per path node, request or failure scenario
+        raise OracleBudgetError("search nests deeper than the recursion limit") from None
+
+
+def _exact_rwap_ppp(instance: Instance) -> int:
     D = instance.num_requests
     if D == 0:
         return 0

@@ -228,11 +228,6 @@ def validate(instance: Instance, solution: RwappSolution) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True)
-class GapReport:
-    gap_percent: float
-
-
 def improvement(bound: float, baseline: float) -> float:
     """Relative gain of one lower bound over another, in percent."""
     if baseline <= 0:
@@ -240,8 +235,8 @@ def improvement(bound: float, baseline: float) -> float:
     return (bound - baseline) / baseline * 100.0
 
 
-def gap_report(upper_bound: float, lower_bound: float) -> GapReport:
+def gap_report(upper_bound: float, lower_bound: float) -> float:
     """Optimality gap (UB - LB)/LB in percent."""
     if lower_bound <= 0:
         raise ValueError("lower bound must be positive for a percentage gap")
-    return GapReport(gap_percent=(upper_bound - lower_bound) / lower_bound * 100.0)
+    return (upper_bound - lower_bound) / lower_bound * 100.0

@@ -270,7 +270,7 @@ def test_criterion_08_solver_certificates_and_determinism():
 
 
 def test_criterion_09_metric_formulas():
-    gap = gap_report(2019, 1887).gap_percent
+    gap = gap_report(2019, 1887)
     imp = improvement(2142, 1404)
     ok = round(gap, 1) == 7.0 and round(imp, 1) == 52.6
     assert _verdict(9, ok, f"gap {gap:.1f}% (want 7.0), improvement {imp:.1f}% (want 52.6)")

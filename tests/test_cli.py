@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 
 import pytest
@@ -86,6 +87,23 @@ def test_solve_record_csv(tmp_path, capsys):
     lines = record.read_text().strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert lines[1].startswith("cycle-m3-n1-k1,3,3,1,lp-r3,benders,3.000000")
+
+
+def test_csv_fields_are_quoted(tmp_path, capsys):
+    path = write_cycle(tmp_path, name="ring.json", m=3, n=1, k=1)
+    doc = json.loads(path.read_text())
+    doc["name"] = 'ring, "east"'
+    path.write_text(json.dumps(doc))
+    record, table = tmp_path / "runs.csv", tmp_path / "bench.csv"
+    assert run(capsys, "solve", str(path), "--model", "lp-r3", "--method", "benders",
+               "--record", str(record))[0] == 0
+    assert run(capsys, "bench", str(tmp_path), "--out", str(table))[0] == 0
+    for out, count in ((record, 1), (table, 2)):
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == CSV_HEADER.split(",")
+        assert len(rows) == count
+        assert all(len(row) == len(header) and row[0] == doc["name"] for row in rows)
 
 
 def test_solve_benders_iteration_limit(tmp_path, capsys, monkeypatch):
@@ -472,6 +490,30 @@ def _assignments_is_a_number(tmp_path, inst, sol):
     return ["validate", str(inst), str(sol)]
 
 
+def _solution_not_utf8(tmp_path, inst, sol):
+    sol.write_bytes(b"\xff\xfe{")
+    return ["validate", str(inst), str(sol)]
+
+
+def _sidecar_not_utf8(tmp_path, inst, sol):
+    (tmp_path / "net4.ub").write_bytes(b"\xff3")
+    return ["bench", str(tmp_path), "--out", str(tmp_path / "t.csv")]
+
+
+def _oracle_path_deeper_than_recursion_limit(tmp_path, inst, sol):
+    ring = tmp_path / "ring.json"
+    assert main(["gen", "cycle", "--m", "1200", "--n", "1", "--k", "1",
+                 "--out", str(ring)]) == 0
+    return ["oracle", str(ring)]
+
+
+def _oracle_requests_deeper_than_recursion_limit(tmp_path, inst, sol):
+    ring = tmp_path / "ring.json"
+    assert main(["gen", "cycle", "--m", "3", "--n", "1100", "--k", "1100",
+                 "--out", str(ring)]) == 0
+    return ["oracle", str(ring), "--mode", "rwap"]
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [
@@ -491,6 +533,10 @@ def _assignments_is_a_number(tmp_path, inst, sol):
         (_backups_is_a_number, 1, "malformed solution: backups must be an array"),
         (_assignments_is_a_number, 1,
          "malformed solution: backups[0].assignments must be an array"),
+        (_solution_not_utf8, 1, "malformed solution: "),
+        (_sidecar_not_utf8, 2, "lambdabound: error: "),
+        (_oracle_path_deeper_than_recursion_limit, 1, "oracle: "),
+        (_oracle_requests_deeper_than_recursion_limit, 1, "oracle: "),
     ],
 )
 def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, prefix):
@@ -502,6 +548,8 @@ def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, pref
     assert "Traceback" not in err
     if "without_failures" in argv.__name__:
         assert lines[0].endswith("net4.json: lp-r3 needs a non-empty failure set")
+    if "sidecar" in argv.__name__:
+        assert lines[0].endswith("net4.ub: upper bound must be a positive finite number")
 
 
 @pytest.mark.parametrize("flag", ["--iteration-log", "--record"])
