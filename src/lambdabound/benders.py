@@ -24,9 +24,9 @@ failure. A failure re-solves from its own last basis, and its first solve
 starts from the last optimal basis of any failure: costs are shared and
 every reopened column is boxed, so that basis is dual feasible once its
 nonbasics flip to the right bounds. Only the first subproblem solve of a run
-is cold. Each cut is the template's weak-duality bound under its duals while
-tau's bounds are applied, which is valid by construction and affine in wbar
-(formulations.cut_from_duals).
+starts from the slack basis. Each cut is the template's weak-duality bound
+under its duals while tau's bounds are applied, which is valid by
+construction and affine in wbar (formulations.cut_from_duals).
 Each round returns the run's status once it stops. A master or subproblem
 solve that ends Infeasible stops it with status Infeasible; one that ends
 otherwise short of Optimal, or a subproblem solution that yields no finite

@@ -92,14 +92,18 @@ class RunRecord:
         ]
 
 
+class _InputFileError(Exception):
+    """An input file whose content cannot be used; main prints it as one line."""
+
+
 def _read_instance(path: str, parser) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_instance(fh.read())
     except FileNotFoundError:
         parser.error(f"instance file not found: {path}")
-    except ValueError as exc:
-        parser.error(f"{path}: {exc}")
+    except ValueError as exc:  # malformed or invalid content, or text that is not UTF-8
+        raise _InputFileError(f"{path}: {exc}") from exc
 
 
 def _solve_record(
@@ -396,7 +400,7 @@ def main(argv=None) -> int:
         args.k = max(1, args.requests)
     try:
         return handlers[args.command](args, parser)
-    except ModelError as exc:
+    except (ModelError, _InputFileError) as exc:
         return _usage_error(str(exc))
     except OSError as exc:  # a path to read or write that cannot be used
         where = f"{exc.filename}: " if exc.filename else ""

@@ -192,6 +192,8 @@ def load_instance(text: str) -> Instance:
         raise InstanceParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceParseError("nests deeper than the recursion limit") from exc
     if not isinstance(doc, dict):
         raise InstanceParseError("top level: expected an object")
 

@@ -1,37 +1,51 @@
-"""Embedded LP solver: two-phase primal simplex and bounded dual simplex.
+"""Embedded LP solver: bounded dual simplex with dual steepest-edge pricing.
 
 Rows are turned into equalities with one slack column per row (slack bounds
-encode the sense), so the all-slack basis is always available; rows whose
-initial slack value violates its bounds get a phase-1 artificial column.
-A cold start is that slack/artificial basis, entered through the same set-up
-as a stored start basis: nonbasics go to their bounds, then one refactor.
-Variables sit nonbasic at a bound, which keeps box bounds out of the row
-count. The basis is held as a sparse LU factorization (SuperLU, COLAMD
-ordering) with a product-form eta file on top, one eta per pivot, and is
-refactored every REFACTOR_INTERVAL pivots. FTRAN solves with the LU and then
-applies the etas in order; BTRAN applies them in reverse, then solves with
-the transposed LU. SuperLU is single-threaded and no dense BLAS update
-remains, so pivot paths do not depend on the BLAS thread count. Iterations
-use Dantzig pricing and switch to Bland's rule after BLAND_STALL consecutive
-degenerate steps, which rules out cycling. Integrality annotations are
-ignored: solves are LP relaxations. The tolerances (FEASIBILITY_TOL,
-OPTIMALITY_TOL) and the iteration cap (MAX_ITERATIONS) are module constants.
+encode the sense), so the all-slack basis is always available. Variables sit
+nonbasic at a bound, which keeps box bounds out of the row count. The basis
+is held as a sparse LU factorization (SuperLU, COLAMD ordering) with a
+product-form eta file on top, one eta per pivot, and is refactored every
+REFACTOR_INTERVAL pivots. FTRAN solves with the LU and then applies the etas
+in order; BTRAN applies them in reverse, then solves with the transposed LU.
+SuperLU is single-threaded and no dense BLAS update remains, so pivot paths
+do not depend on the BLAS thread count. Integrality annotations are ignored:
+solves are LP relaxations. The tolerances (FEASIBILITY_TOL, OPTIMALITY_TOL)
+and the iteration cap (MAX_ITERATIONS) are module constants.
+
+Every solve runs the dual simplex from a start basis: the ArrayLP's stored
+basis if it has one, else the slack basis, where every slack is basic and
+each structural sits at a finite bound. A start is used once boxed
+nonbasics flip to the bound their reduced cost asks for; that makes any
+basis of a model whose columns are all boxed dual feasible. The dual pivot
+leaves the row with the largest infeas_i^2 / w_i, where w_i = ||e_i' B^-1||^2
+is the row's dual steepest-edge weight (Forrest and Goldfarb, 1992), kept up
+to date through every basis change by one extra FTRAN per pivot. The weights
+depend on the basis matrix alone: they travel with a stored basis, so a
+re-solve after new right-hand sides or bounds starts from them. A primal
+clean-up pass ends every dual run.
+
+A start falls back when it is not dual feasible, meets a singular
+refactorization, ends other than Optimal or is still going after m pivots
+(m rows). A stored basis falls back to the slack basis. The slack basis
+falls back to itself under costs perturbed by a small random amount, with
+no pivot limit: at the slack basis d = c, so every cost-free column ties in
+the ratio test until the perturbation breaks the ties. That falls back to
+the two-phase primal simplex, which prices by Dantzig's rule and puts a
+phase-1 artificial column on each row whose slack cannot absorb its
+initial value. Either simplex switches to Bland's rule after BLAND_STALL
+consecutive degenerate steps, which rules out cycling. The pivots of a
+start that falls back count toward the next. An Optimal solve returns
+its final basis and weights, recording an artificial left basic at zero as
+its row's slack, which is the same column up to sign. A singular
+refactorization on the two-phase path ends the solve with status
+NumericalError.
 
 `presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
 rows whose support is entirely fixed are dropped and the rest is held as
 sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`), new upper
-bounds (`set_upper`) and appended rows (`add_rows`) without a rebuild, and
-carries the start basis of its next solve. When that basis is dual feasible,
-where a boxed variable may first flip to the bound its reduced cost asks for,
-a bounded dual simplex restores primal feasibility with the same pricing,
-Bland fallback and eta updates; that covers a change of right-hand sides, a
-change of bounds on boxed columns and an appended row whose slack enters the
-basis. Primal and dual pivots share one basis change. A start basis that is
-not dual feasible, a singular refactorization or a warm end other than
-Optimal falls back to the cold two-phase path. An Optimal solve returns its
-final basis, recording an artificial left basic at zero as its row's slack,
-which is the same column up to sign. A singular refactorization on the cold
-path ends the solve with status NumericalError.
+bounds (`set_upper`) and appended rows (`add_rows`, whose slacks join the
+stored basis as basic) without a rebuild, and carries the start basis of
+its next solve. Primal and dual pivots share one basis change.
 
 Row duals follow the minimization convention: '<=' rows have dual <= 0,
 '>=' rows dual >= 0, '=' rows free. Reduced costs are c - A'y for every
@@ -73,6 +87,8 @@ PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-11
 RATIO_TIE = 1e-9
 TIE_PIVOT_SHARE = 0.1
+PERTURBATION = 1e-6  # least relative change of a perturbed cost
+DSE_FLOOR = 1e-4  # least dual steepest-edge weight an update may leave
 # read at call time, so that a test can lower them with monkeypatch
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
@@ -92,6 +108,7 @@ class Basis:
 
     head: np.ndarray  # column in each basis position
     status: np.ndarray  # per column: nonbasic at lower/upper, basic, free
+    weights: np.ndarray | None = None  # per position: DSE weight, None for all 1
 
 
 def _row_matrix(rows, num_columns: int):
@@ -127,6 +144,11 @@ def _slack_bounds(senses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def _at_finite_bound(lb, ub) -> np.ndarray:
+    """Nonbasic status per column: its lower bound if finite, else its upper, else free."""
+    return np.where(lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE))
+
+
 def _positions(kept: np.ndarray, ids, error: str) -> np.ndarray:
     """Positions of model ids in the ascending id array kept; ModelError if absent."""
     ids = np.asarray(ids, dtype=int)
@@ -144,7 +166,7 @@ class ArrayLP:
     and `lb`/`ub`/`c` are their bounds and costs. `K` holds the kept rows
     over every model variable, for the reduced costs, and `b` is the kept
     rows' rhs less the pinned variables' share `shift`. `basis` is the start
-    basis of the next solve; None starts cold.
+    basis of the next solve; None starts from the slack basis.
     """
 
     def __init__(self, name: str, cost, lb, ub):
@@ -185,7 +207,8 @@ class ArrayLP:
 
         A row whose support is entirely fixed is dropped, after checking that
         the pinned values satisfy it. Each kept row's slack joins the start
-        basis as basic, so a basis that was dual feasible stays dual feasible.
+        basis as basic, so a basis that was dual feasible stays dual feasible,
+        and its pricing weight starts at 1.
         """
         na, m = len(self.active), len(self.b)
         senses, rhs, R = _row_matrix(rows, len(self.cost))
@@ -212,10 +235,20 @@ class ArrayLP:
         self.ub = np.concatenate([self.ub, slack_ub])
         self.c = np.concatenate([self.c, np.zeros(k)])
         if self.basis is not None:
+            weights = self.basis.weights
             self.basis = Basis(
                 np.concatenate([self.basis.head, na + m + np.arange(k)]).astype(np.int32),
                 np.concatenate([self.basis.status, np.full(k, _BASIC)]).astype(np.int8),
+                None if weights is None else np.concatenate([weights, np.ones(k)]),
             )
+
+
+def _slack_basis(lp: ArrayLP) -> Basis:
+    """Every slack basic, each structural at a finite bound; B = I, so every weight is 1."""
+    n, m = len(lp.active), len(lp.b)
+    status = _at_finite_bound(lp.lb, lp.ub)
+    status[n:] = _BASIC
+    return Basis((n + np.arange(m)).astype(np.int32), status.astype(np.int8), np.ones(m))
 
 
 def presolve(model: LinearModel) -> ArrayLP:
@@ -270,9 +303,8 @@ class _Core:
         """
         m, n_struct = self.m, self.n_struct
         lb, ub = lp.lb, lp.ub
-        # nonbasic start: nearest finite bound, free variables at zero; every
-        # slack bound is 0 or infinite, so the slacks start at zero
-        status = np.where(lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE))
+        # every slack bound is 0 or infinite, so the slacks start at zero
+        status = _at_finite_bound(lb, ub)
         r = self.b - lp.cols @ self._at_bounds(status)
         resid = r - np.clip(r, lb[n_struct:], ub[n_struct:])
         art_rows = np.flatnonzero(np.abs(resid) > FIX_TOL)
@@ -294,15 +326,19 @@ class _Core:
         head = n_struct + np.arange(m)
         head[art_rows] = self.art_cols
         status[head] = _BASIC
+        self.w = np.ones(m)  # B is diagonal with entries of +-1
         self._load(head, status, np.concatenate([np.zeros(n_struct + m), np.ones(n_art)]))
 
     def start_warm(self, start: Basis, costs) -> bool:
-        """Load a stored basis under the given costs; False unless dual feasible.
+        """Load a stored basis and its weights under the given costs; False unless dual feasible.
 
-        Raises numpy.linalg.LinAlgError when the basis is singular.
+        Weights of the wrong length, or none, load as 1s. Raises
+        numpy.linalg.LinAlgError when the basis is singular.
         """
         if len(start.head) != self.m or len(start.status) != len(self.lb):
             return False
+        w = start.weights
+        self.w = np.array(w, dtype=float) if w is not None and len(w) == self.m else np.ones(self.m)
         head, status = start.head.astype(int), start.status.astype(int)
         return self._load(head, status, costs) and self._make_dual_feasible()
 
@@ -327,7 +363,11 @@ class _Core:
         return True
 
     def final_basis(self) -> Basis:
-        """The basis over structural and slack columns; basic artificials become slacks."""
+        """The basis over structural and slack columns, with its weights.
+
+        A basic artificial becomes its row's slack, the same column up to sign,
+        which keeps its weight.
+        """
         k = self.n_struct + self.m
         head = self.basis.copy()
         status = self.vstatus[:k].copy()
@@ -336,7 +376,7 @@ class _Core:
             slacks = self.n_struct + self.art_rows[head[art] - k]
             head[art] = slacks
             status[slacks] = _BASIC
-        return Basis(head.astype(np.int32), status.astype(np.int8))
+        return Basis(head.astype(np.int32), status.astype(np.int8), self.w.copy())
 
     # -- factorization ----------------------------------------------------
 
@@ -415,14 +455,28 @@ class _Core:
         e[p] = 1.0
         return self._btran(e)
 
-    def _pivot(self, p, q, u, step, to_lower):
-        """Column q takes basis position p, given u = B^-1 a_q.
+    def _update_weights(self, p, u, rho):
+        """Forrest-Goldfarb update of the weights w_i = ||e_i' B^-1||^2 for a pivot on u_p.
+
+        Takes u = B^-1 a_q and rho = B^-T e_p under the old basis. An update
+        that overflows resets every weight to 1.
+        """
+        tau = self._ftran_dense(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = u / u[p]
+            w = np.maximum(self.w - 2.0 * r * tau + r * r * self.w[p], DSE_FLOOR)
+            w[p] = self.w[p] / (u[p] * u[p])
+        self.w = w if np.isfinite(w).all() else np.ones(self.m)
+
+    def _pivot(self, p, q, u, rho, step, to_lower):
+        """Column q takes basis position p, given u = B^-1 a_q and rho = B^-T e_p.
 
         x_q moves by `step` and the basics by -step * u; the leaving variable
         goes to its lower bound if `to_lower`, else to its upper. The new
         inverse is E^-1 B^-1 with E^-1 = I + eta e_p', where
         eta = -u / u_p except eta_p = 1 / u_p - 1.
         """
+        self._update_weights(p, u, rho)
         self.x[self.basis] -= step * u
         self.x[q] += step
         leaving = self.basis[p]
@@ -485,11 +539,10 @@ class _Core:
             p = int(cand[np.argmax(np.abs(delta[cand]))])
 
         t = max(t_block, 0.0)
-        dq = self.d[q]
-        if dq != 0.0:
-            self.d -= (dq / u[p]) * (self.AT @ self._pivot_row(p))
+        rho = self._pivot_row(p)
+        self.d -= (self.d[q] / u[p]) * (self.AT @ rho)  # pricing left |d_q| > tol
         self._last_step = t
-        self._pivot(p, q, u, sigma * t, delta[p] > 0)
+        self._pivot(p, q, u, rho, sigma * t, delta[p] > 0)
         return None
 
     def _iterate(self, step):
@@ -520,24 +573,25 @@ class _Core:
         return self._iterate(self._step)
 
     def _dual_step(self):
-        """One dual pivot. Returns 'optimal'/'infeasible'/None."""
+        """One dual pivot. Returns 'optimal'/'infeasible'/None.
+
+        The leaving row has the largest infeas_i^2 / w_i: dual steepest edge.
+        """
         xB = self.x[self.basis]
         below = self.lb[self.basis] - xB
         infeas = np.maximum(below, xB - self.ub[self.basis])
-        tol = FEASIBILITY_TOL
+        rows = np.flatnonzero(infeas > FEASIBILITY_TOL)
+        if not len(rows):
+            return "optimal"
         if self.bland:
-            rows = np.flatnonzero(infeas > tol)
-            if not len(rows):
-                return "optimal"
             p = int(rows[np.argmin(self.basis[rows])])
         else:
-            p = int(np.argmax(infeas)) if self.m else 0
-            if not self.m or infeas[p] <= tol:
-                return "optimal"
+            p = int(rows[np.argmax(infeas[rows] ** 2 / self.w[rows])])
         to_lower = below[p] > 0
         delta = -below[p] if to_lower else infeas[p]  # x_p minus its violated bound
 
-        alpha = self.AT @ self._pivot_row(p)  # pivot row over every column
+        rho = self._pivot_row(p)
+        alpha = self.AT @ rho  # pivot row over every column
         # a candidate's reduced cost moves toward zero as the dual step grows
         slope = -alpha if to_lower else alpha
         st = self.vstatus
@@ -569,16 +623,38 @@ class _Core:
         theta_d = self.d[q] / u[p]
         self.d -= theta_d * alpha
         self._last_step = theta_d
-        self._pivot(p, q, u, delta / u[p], to_lower)
+        self._pivot(p, q, u, rho, delta / u[p], to_lower)
         return None
 
-    def run_dual(self):
+    def _perturb_costs(self):
+        """Move each open nonbasic's cost away from its bound's side by a small random amount.
+
+        The reduced costs move by the same amounts, so the basis stays dual
+        feasible and ties in the dual ratio test break. The generator's seed
+        is fixed, so pivot paths stay deterministic.
+        """
+        rng = np.random.default_rng(0)
+        delta = PERTURBATION * (1.0 + np.abs(self.c)) * (1.0 + rng.random(len(self.c)))
+        st = self.vstatus
+        sign = np.where(st == _NB_LOWER, 1.0, np.where(st == _NB_UPPER, -1.0, 0.0))
+        sign[self.fixed] = 0.0
+        self.c = self.c + sign * delta
+        self.d += sign * delta
+
+    def run_dual(self, perturb: bool):
         """Dual simplex from a dual feasible basis to a primal feasible one.
 
-        Optimality is only declared on a fresh factorization.
+        With `perturb` the costs are perturbed first; without, a run that has
+        not ended after m pivots returns 'stalled'. Optimality is only
+        declared on a fresh factorization.
         """
+        if perturb:
+            self._perturb_costs()
+        cap = np.inf if perturb else self.iterations + self.m
 
         def step():
+            if self.iterations >= cap:
+                return "stalled"
             outcome = self._dual_step()
             if outcome == "optimal" and self._since_refactor:
                 self.refactor()
@@ -657,16 +733,23 @@ def _solve_cold(lp: ArrayLP, spent: int = 0) -> Solution:
         return _no_solution(lp, NUMERICAL_ERROR, core.iterations)
 
 
-def _solve_warm(lp: ArrayLP) -> tuple[Solution | None, int]:
-    """Dual simplex from lp.basis; (None, pivots spent) when it must fall back."""
+def _solve_warm(
+    lp: ArrayLP, start: Basis, spent: int, perturb: bool = False
+) -> tuple[Solution | None, int]:
+    """Dual simplex from start; (None, pivots spent) when it must fall back.
+
+    The pivot count and its cap start from spent; see _Core.run_dual for
+    `perturb`.
+    """
     core = _Core(lp)
+    core.iterations = spent
     try:
         if (
-            core.start_warm(lp.basis, lp.c)
-            and core.run_dual() == "optimal"
+            core.start_warm(start, lp.c)
+            and core.run_dual(perturb) == "optimal"
             and core.run_phase(lp.c) == "optimal"
         ):
-            return _finish(lp, core, OPTIMAL), 0
+            return _finish(lp, core, OPTIMAL), core.iterations
     except np.linalg.LinAlgError:
         pass
     return None, core.iterations
@@ -675,9 +758,11 @@ def _solve_warm(lp: ArrayLP) -> tuple[Solution | None, int]:
 def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     """Solve the LP relaxation of a model; statuses per module docstring.
 
-    An ArrayLP with a start basis is re-solved warm when it can be. A warm
-    attempt that falls back hands its pivot count to the cold solve, so the
-    reported iterations and MAX_ITERATIONS cover both.
+    The dual simplex starts from the ArrayLP's stored basis, if it has one,
+    then from the slack basis, then from the slack basis under perturbed
+    costs; then the two-phase path runs. Each attempt that falls back hands
+    its pivot count to the next, so the reported iterations and
+    MAX_ITERATIONS cover them all.
     Callers written for the removed options argument may still pass None
     second (benchmark/tracing.py does); anything else is an error.
     """
@@ -693,9 +778,10 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
         return _no_solution(lp, INFEASIBLE, 0)
     if len(lp.active) == 0:
         return _solution(lp, OPTIMAL, np.zeros(0), np.zeros(0))
-    if lp.basis is None:
-        return _solve_cold(lp)
-    sol, spent = _solve_warm(lp)
+    sol, spent = (None, 0) if lp.basis is None else _solve_warm(lp, lp.basis, 0)
+    for perturb in (False, True):
+        if sol is None:
+            sol, spent = _solve_warm(lp, _slack_basis(lp), spent, perturb)
     return sol if sol is not None else _solve_cold(lp, spent)
 
 

@@ -63,6 +63,8 @@ def load_solution(text: str, instance: Instance) -> RwappSolution:
         raise SolutionFormatError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SolutionFormatError("nests deeper than the recursion limit") from exc
     if not isinstance(doc, dict) or "working" not in doc or "backups" not in doc:
         raise SolutionFormatError("expected object with 'working' and 'backups'")
 

@@ -258,20 +258,27 @@ def test_warm_starts_cut_master_and_subproblem_pivots():
     assert first > 0 and max(later) < first
 
 
-def test_one_cold_solve_for_the_master_and_one_for_the_subproblems(monkeypatch):
+def test_decomposition_never_solves_cold(monkeypatch):
     inst = gen_random(10, 2, 3, 3, seed=7)
-    cold = []
-    original = simplex._solve_cold
+    cold, slack = [], []
+    original_cold, original_slack = simplex._solve_cold, simplex._slack_basis
 
-    def counting(lp):
+    def counting_cold(lp, spent=0):
         cold.append(lp.name.split(":")[0])
-        return original(lp)
+        return original_cold(lp, spent)
 
-    monkeypatch.setattr(simplex, "_solve_cold", counting)
+    def counting_slack(lp):
+        slack.append(lp.name.split(":")[0])
+        return original_slack(lp)
+
+    monkeypatch.setattr(simplex, "_solve_cold", counting_cold)
+    monkeypatch.setattr(simplex, "_slack_basis", counting_slack)
     res = solve_lp_r3_benders(inst)
     assert res.status == "Converged" and len(res.log) >= 3
-    # every other subproblem solve, each failure's first one included, was warm
-    assert sorted(cold) == ["master", "sub"]
+    assert cold == []
+    # only the first master and the first subproblem solve start from the
+    # slack basis; every later one starts from a stored basis and keeps it
+    assert sorted(slack) == ["master", "sub"]
 
 
 def test_each_failure_is_built_once(monkeypatch):

@@ -500,6 +500,16 @@ def _sidecar_not_utf8(tmp_path, inst, sol):
     return ["bench", str(tmp_path), "--out", str(tmp_path / "t.csv")]
 
 
+def _instance_deeper_than_recursion_limit(tmp_path, inst, sol):
+    inst.write_text("[" * 100_000)
+    return ["solve", str(inst), "--model", "lp-rwap"]
+
+
+def _solution_deeper_than_recursion_limit(tmp_path, inst, sol):
+    sol.write_text("[" * 100_000)
+    return ["validate", str(inst), str(sol)]
+
+
 def _oracle_path_deeper_than_recursion_limit(tmp_path, inst, sol):
     ring = tmp_path / "ring.json"
     assert main(["gen", "cycle", "--m", "1200", "--n", "1", "--k", "1",
@@ -535,6 +545,8 @@ def _oracle_requests_deeper_than_recursion_limit(tmp_path, inst, sol):
          "malformed solution: backups[0].assignments must be an array"),
         (_solution_not_utf8, 1, "malformed solution: "),
         (_sidecar_not_utf8, 2, "lambdabound: error: "),
+        (_instance_deeper_than_recursion_limit, 2, "lambdabound: error: "),
+        (_solution_deeper_than_recursion_limit, 1, "malformed solution: nests deeper"),
         (_oracle_path_deeper_than_recursion_limit, 1, "oracle: "),
         (_oracle_requests_deeper_than_recursion_limit, 1, "oracle: "),
     ],

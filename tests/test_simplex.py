@@ -244,7 +244,7 @@ def test_singular_refactor_is_a_status(monkeypatch):
     calls = []
 
     def singular_after_start(B, **kw):
-        # the cold start's slack basis factors; every refactor is singular
+        # the slack basis factors; every later factorization is singular
         calls.append(1)
         if len(calls) > 1:
             raise RuntimeError("Factor is exactly singular")
@@ -314,14 +314,16 @@ def _open_columns_model():
 
 
 def test_pivot_paths_are_pinned(net4):
-    """Pivot counts of cold solves and of a decomposition's warm re-solves.
+    """Pivot counts of solves without a start basis and of a decomposition's warm re-solves.
 
-    A change to the simplex that keeps every pivot path leaves these exact.
+    The first three start from the slack basis, the last goes through the
+    two-phase fallback. A change to the simplex that keeps every pivot path
+    leaves these exact.
     """
     cases = [
-        (build_lp_r3(gen_cycle(5, 2, 80))[0], 31, 10.0),
-        (build_ip_rwap_ppp(net4, relax=True)[0], 165, 3.0),
-        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 739, 8.0),
+        (build_lp_r3(gen_cycle(5, 2, 80))[0], 38, 10.0),
+        (build_ip_rwap_ppp(net4, relax=True)[0], 96, 3.0),
+        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 277, 8.0),
         (_open_columns_model(), 5, -12.0),
     ]
     for model, pivots, objective in cases:
@@ -331,9 +333,9 @@ def test_pivot_paths_are_pinned(net4):
         assert sol.objective == pytest.approx(objective, abs=1e-9), model.name
 
     res = solve_lp_r3_benders(gen_random(10, 2, 3, 3, seed=7))
-    assert (res.iterations, res.cuts_added) == (8, 36)
+    assert (res.iterations, res.cuts_added) == (6, 31)
     assert [(rec.master_pivots, rec.sub_pivots) for rec in res.log] == [
-        (31, 45), (7, 23), (7, 45), (2, 15), (2, 4), (6, 41), (2, 11), (2, 3)
+        (27, 33), (8, 20), (6, 30), (10, 10), (7, 21), (4, 4)
     ]
 
 
@@ -428,16 +430,22 @@ def _warm(lp):
         simplex._solve_cold = original
 
 
-def _assert_matches_cold(model, warm):
-    cold = solve(model)
-    assert warm.status == cold.status == simplex.OPTIMAL
-    assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
-    cert = check_certificates(model, warm)
-    scale = 1.0 + abs(warm.objective)
+def _assert_certified(model, sol):
+    cert = check_certificates(model, sol)
+    scale = 1.0 + abs(sol.objective)
     for key, tol in TOLERANCES.items():
         assert cert[key] <= tol, (key, cert)
     assert cert["duality_gap"] <= 1e-6 * scale, cert
     assert cert["cs_row"] <= 1e-6 * scale, cert
+
+
+def _assert_matches_cold(model, warm):
+    """warm agrees with the two-phase path, and both pass the certificate checks."""
+    cold = simplex._solve_cold(presolve(model))
+    assert warm.status == cold.status == simplex.OPTIMAL
+    assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+    _assert_certified(model, warm)
+    _assert_certified(model, cold)
 
 
 def _assert_bitwise_equal(a, b):
@@ -514,3 +522,98 @@ def test_warm_resolve_reports_infeasible(seed, which):
         rhs = reach_hi + 1.0
     lp.set_rhs([i], [rhs])
     assert solve(lp).status == simplex.INFEASIBLE
+
+
+# -- the slack-basis dual and its pricing weights ------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_slack_basis_dual_matches_two_phase(seed):
+    rng, hi, cost, A, senses, x0 = _bounded_feasible(seed)
+    model = _model(hi, cost, _rows(A, senses, _rhs_at(rng, A, senses, x0)))
+    # every column is boxed, so the slack basis is dual feasible
+    dual, went_cold = _warm(presolve(model))
+    assert not went_cold
+    _assert_matches_cold(model, dual)
+    _assert_bitwise_equal(dual, solve(model))
+
+
+def test_weights_stay_finite_and_floored(net4, monkeypatch):
+    seen = []
+    original = simplex._Core._update_weights
+
+    def recording(core, p, u, rho):
+        original(core, p, u, rho)
+        seen.append((p, core.w.copy()))
+
+    monkeypatch.setattr(simplex._Core, "_update_weights", recording)
+    for model in (
+        build_ip_rwap_ppp(net4, relax=True)[0],
+        build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0],
+        build_lp_r3(gen_random(8, 2, 4, 10, seed=1))[0],
+    ):
+        assert solve_checked(model).status == simplex.OPTIMAL
+    assert len(seen) > 500
+    for p, w in seen:
+        assert np.isfinite(w).all() and (w > 0).all()
+        # the pivot row's new weight w_p / u_p^2 is exact and left unfloored
+        assert (np.delete(w, p) >= simplex.DSE_FLOOR).all()
+
+
+def test_overflowing_weight_update_resets_to_one():
+    lp = presolve(build_lp_r3(gen_cycle(5, 2, 80))[0])
+    core = simplex._Core(lp)
+    assert core.start_warm(simplex._slack_basis(lp), lp.c)
+    core.w[:] = 1e300
+    u = np.full(core.m, 1e200)
+    u[0] = 1.0
+    core._update_weights(0, u, np.ones(core.m))  # (u_i / u_p)^2 w_p overflows
+    assert np.array_equal(core.w, np.ones(core.m))
+
+
+def test_weights_travel_with_the_basis():
+    model = build_lp_r3(gen_cycle(5, 2, 80))[0]
+    lp = presolve(model)
+    first = solve(lp)
+    m = len(lp.b)
+    assert len(first.basis.weights) == m and (first.basis.weights != 1.0).any()
+    lp.basis = first.basis
+    lp.add_rows([(SENSE_LE, 100.0, [(0, 1.0)]), (SENSE_GE, -100.0, [(1, 1.0)])])
+    assert np.array_equal(lp.basis.weights[:m], first.basis.weights)
+    assert np.array_equal(lp.basis.weights[m:], [1.0, 1.0])
+
+    # a re-solve starts from the stored weights, not from 1s
+    core = simplex._Core(lp)
+    assert core.start_warm(lp.basis, lp.c)
+    assert np.array_equal(core.w, lp.basis.weights)
+    stale = dataclasses.replace(lp.basis, weights=np.ones(3))
+    assert core.start_warm(stale, lp.c) and np.array_equal(core.w, np.ones(m + 2))
+
+
+def test_open_columns_solve_through_the_two_phase_fallback():
+    model = _open_columns_model()
+    lp = presolve(model)
+    # y >= 0 has cost -1 and no upper bound to flip to
+    assert simplex._solve_warm(lp, simplex._slack_basis(lp), 0) == (None, 0)
+    sol, went_cold = _warm(lp)
+    assert went_cold
+    assert sol.status == simplex.OPTIMAL and sol.objective == pytest.approx(-12.0)
+    _assert_certified(model, sol)
+
+
+def test_slack_basis_dual_restarts_perturbed_after_m_pivots():
+    # its unperturbed dual from the slack basis takes 5007 pivots on 1380 rows
+    model = build_ip_rwap_ppp(gen_random(6, 2, 2, 2, 402), relax=True)[0]
+    lp = presolve(model)
+    m = len(lp.b)
+    assert simplex._solve_warm(lp, simplex._slack_basis(lp), 0) == (None, m)
+    perturbed, spent = simplex._solve_warm(lp, simplex._slack_basis(lp), m, perturb=True)
+    assert perturbed is not None and spent > m
+
+    sol, went_cold = _warm(lp)
+    assert not went_cold
+    _assert_bitwise_equal(sol, perturbed)
+    # the clean-up pass prices under the true costs, so the certificates hold
+    assert sol.objective == pytest.approx(8.0, abs=1e-9)
+    _assert_certified(model, sol)
