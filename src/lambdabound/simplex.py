@@ -14,31 +14,35 @@ and the iteration cap (MAX_ITERATIONS) are module constants.
 
 Every solve runs the dual simplex from a start basis: the ArrayLP's stored
 basis if it has one, else the slack basis, where every slack is basic and
-each structural sits at a finite bound. A start is used once boxed
-nonbasics flip to the bound their reduced cost asks for; that makes any
-basis of a model whose columns are all boxed dual feasible. The dual pivot
-leaves the row with the largest infeas_i^2 / w_i, where w_i = ||e_i' B^-1||^2
-is the row's dual steepest-edge weight (Forrest and Goldfarb, 1992), kept up
-to date through every basis change by one extra FTRAN per pivot. The weights
-depend on the basis matrix alone: they travel with a stored basis, so a
-re-solve after new right-hand sides or bounds starts from them. A primal
-clean-up pass ends every dual run.
+each structural sits at a finite bound, a free one at zero. A start is used
+once boxed nonbasics flip to the bound their reduced cost asks for; that
+makes any basis of a model whose columns are all boxed dual feasible. The
+dual pivot leaves the row with the largest infeas_i^2 / w_i, where
+w_i = ||e_i' B^-1||^2 is the row's dual steepest-edge weight (Forrest and
+Goldfarb, 1992), kept up to date through every basis change by one extra
+FTRAN per pivot. The weights depend on the basis matrix alone: they travel
+with a stored basis, so a re-solve after new right-hand sides or bounds
+starts from them. A primal clean-up pass under the true costs ends every
+dual run.
 
 A start falls back when it is not dual feasible, meets a singular
-refactorization, ends other than Optimal or is still going after m pivots
-(m rows). A stored basis falls back to the slack basis. The slack basis
-falls back to itself under costs perturbed by a small random amount, with
-no pivot limit: at the slack basis d = c, so every cost-free column ties in
-the ratio test until the perturbation breaks the ties. That falls back to
-the two-phase primal simplex, which prices by Dantzig's rule and puts a
-phase-1 artificial column on each row whose slack cannot absorb its
-initial value. Either simplex switches to Bland's rule after BLAND_STALL
-consecutive degenerate steps, which rules out cycling. The pivots of a
-start that falls back count toward the next. An Optimal solve returns
-its final basis and weights, recording an artificial left basic at zero as
-its row's slack, which is the same column up to sign. A singular
-refactorization on the two-phase path ends the solve with status
-NumericalError.
+factorization or is still going after m pivots (m rows): the stored basis
+to the slack basis, and that to the last start, the slack basis again with
+no pivot limit. The last start is always dual feasible: a nonbasic whose
+reduced cost points at an infinite bound, or a free one with a reduced
+cost, has its cost moved by -d_j, so d_j = 0 (cost modification, a dual
+phase 1 method in Koberstein's thesis, 2005). Then every open nonbasic's cost
+moves away from its bound by a small random amount: at the slack basis
+d = c, so every cost-free column ties in the ratio test until the
+perturbation breaks the ties. The clean-up pass then reports Unbounded when
+the LP is. Every other outcome ends the solve at once. A dual ratio test
+with no entering column is a Farkas ray, whatever the costs, so Infeasible
+is declared, like optimality, only on a fresh factorization. The pivots of
+a start that falls back count toward the next, so MAX_ITERATIONS caps them
+all together. A singular factorization on the last start gives
+NumericalError. Both passes switch to Bland's rule after BLAND_STALL
+consecutive degenerate steps, which rules out cycling. An Optimal solve
+returns its final basis and weights.
 
 `presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
 rows whose support is entirely fixed are dropped and the rest is held as
@@ -296,87 +300,58 @@ class _Core:
         """Column values with each nonbasic at the bound its status names, free at 0."""
         return np.where(st == _NB_UPPER, self.ub, np.where(st == _NB_LOWER, self.lb, 0.0))
 
-    def start_cold(self, lp: ArrayLP):
-        """Slack basis, plus a phase-1 artificial on each row the slack cannot absorb.
+    def start(self, basis: Basis, costs, last: bool) -> bool:
+        """Load a start basis and its weights under the given costs; False unless dual feasible.
 
-        Loads the phase-1 costs: one on each artificial.
+        Weights of the wrong length, or none, load as 1s. See
+        _make_dual_feasible for `last`. Raises numpy.linalg.LinAlgError when
+        the basis is singular.
         """
-        m, n_struct = self.m, self.n_struct
-        lb, ub = lp.lb, lp.ub
-        # every slack bound is 0 or infinite, so the slacks start at zero
-        status = _at_finite_bound(lb, ub)
-        r = self.b - lp.cols @ self._at_bounds(status)
-        resid = r - np.clip(r, lb[n_struct:], ub[n_struct:])
-        art_rows = np.flatnonzero(np.abs(resid) > FIX_TOL)
-        n_art = len(art_rows)
-        # a slack that cannot absorb its row sits on the bound r passes
-        status[n_struct:] = np.where(resid > 0, _NB_UPPER, _NB_LOWER)
-
-        if n_art:
-            art = sp.csc_matrix(
-                (np.sign(resid[art_rows]), (art_rows, np.arange(n_art))),
-                shape=(m, n_art),
-            )
-            self.A = sp.hstack([lp.cols, art], format="csc")
-            self.lb = np.concatenate([lp.lb, np.zeros(n_art)])
-            self.ub = np.concatenate([lp.ub, np.full(n_art, INF)])
-            status = np.concatenate([status, np.full(n_art, _NB_LOWER)])
-        self.art_rows = art_rows
-        self.art_cols = n_struct + m + np.arange(n_art)
-        head = n_struct + np.arange(m)
-        head[art_rows] = self.art_cols
-        status[head] = _BASIC
-        self.w = np.ones(m)  # B is diagonal with entries of +-1
-        self._load(head, status, np.concatenate([np.zeros(n_struct + m), np.ones(n_art)]))
-
-    def start_warm(self, start: Basis, costs) -> bool:
-        """Load a stored basis and its weights under the given costs; False unless dual feasible.
-
-        Weights of the wrong length, or none, load as 1s. Raises
-        numpy.linalg.LinAlgError when the basis is singular.
-        """
-        if len(start.head) != self.m or len(start.status) != len(self.lb):
+        if len(basis.head) != self.m or len(basis.status) != len(self.lb):
             return False
-        w = start.weights
+        w = basis.weights
         self.w = np.array(w, dtype=float) if w is not None and len(w) == self.m else np.ones(self.m)
-        head, status = start.head.astype(int), start.status.astype(int)
-        return self._load(head, status, costs) and self._make_dual_feasible()
+        head, status = basis.head.astype(int), basis.status.astype(int)
+        return self._load(head, status, costs) and self._make_dual_feasible(last)
 
-    def _make_dual_feasible(self) -> bool:
-        """Flip boxed nonbasics to the bound their reduced cost asks for."""
+    def _make_dual_feasible(self, last: bool) -> bool:
+        """Flip boxed nonbasics to the bound their reduced cost asks for.
+
+        A nonbasic whose reduced cost points at an infinite bound cannot flip,
+        nor can a free one with a reduced cost; the start then fails, unless
+        it is the `last`, where such a column's cost moves by -d_j instead.
+        The last start then perturbs its costs.
+        """
         tol = OPTIMALITY_TOL
         st, d = self.vstatus, self.d
-        if ((st == _NB_FREE) & (np.abs(d) > tol)).any():
-            return False
         open_nb = ~self.fixed
         to_upper = (st == _NB_LOWER) & open_nb & (d < -tol)
         to_lower = (st == _NB_UPPER) & open_nb & (d > tol)
-        if not (to_upper.any() or to_lower.any()):
-            return True
-        if (to_upper & (self.ub == INF)).any() or (to_lower & (self.lb == -INF)).any():
-            return False
-        st[to_upper] = _NB_UPPER
-        self.x[to_upper] = self.ub[to_upper]
-        st[to_lower] = _NB_LOWER
-        self.x[to_lower] = self.lb[to_lower]
-        self._solve_basics()
+        stuck = (
+            ((st == _NB_FREE) & (np.abs(d) > tol))
+            | (to_upper & (self.ub == INF))
+            | (to_lower & (self.lb == -INF))
+        )
+        if stuck.any():
+            if not last:
+                return False
+            self.c = np.where(stuck, self.c - d, self.c)
+            d[stuck] = 0.0
+            to_upper &= ~stuck
+            to_lower &= ~stuck
+        if to_upper.any() or to_lower.any():
+            st[to_upper] = _NB_UPPER
+            self.x[to_upper] = self.ub[to_upper]
+            st[to_lower] = _NB_LOWER
+            self.x[to_lower] = self.lb[to_lower]
+            self._solve_basics()
+        if last:
+            self._perturb_costs()
         return True
 
     def final_basis(self) -> Basis:
-        """The basis over structural and slack columns, with its weights.
-
-        A basic artificial becomes its row's slack, the same column up to sign,
-        which keeps its weight.
-        """
-        k = self.n_struct + self.m
-        head = self.basis.copy()
-        status = self.vstatus[:k].copy()
-        art = head >= k
-        if art.any():
-            slacks = self.n_struct + self.art_rows[head[art] - k]
-            head[art] = slacks
-            status[slacks] = _BASIC
-        return Basis(head.astype(np.int32), status.astype(np.int8), self.w.copy())
+        """The basis over structural and slack columns, with its weights."""
+        return Basis(self.basis.astype(np.int32), self.vstatus.astype(np.int8), self.w.copy())
 
     # -- factorization ----------------------------------------------------
 
@@ -496,10 +471,10 @@ class _Core:
             self.refactor()
 
     def _step(self):
-        """One primal pivot or bound flip. Returns 'optimal'/'unbounded'/None."""
+        """One primal pivot or bound flip. Returns OPTIMAL/UNBOUNDED/None."""
         q = self._price()
         if q is None:
-            return "optimal"
+            return OPTIMAL
         st = self.vstatus[q]
         sigma = 1.0 if (st == _NB_LOWER or (st == _NB_FREE and self.d[q] < 0)) else -1.0
         u = self._ftran(q)
@@ -522,7 +497,7 @@ class _Core:
 
         if flip <= t_block:
             if flip == np.inf:
-                return "unbounded"
+                return UNBOUNDED
             self.x[self.basis] = xB - flip * delta
             self.x[q] = self.ub[q] if st == _NB_LOWER else self.lb[q]
             self.vstatus[q] = _NB_UPPER if st == _NB_LOWER else _NB_LOWER
@@ -530,7 +505,7 @@ class _Core:
             self._last_step = flip
             return None
         if not np.isfinite(t_block):
-            return "unbounded"
+            return UNBOUNDED
 
         cand = np.flatnonzero(ratios <= t_block + RATIO_TIE)
         if self.bland:
@@ -555,7 +530,7 @@ class _Core:
         degen = 0
         while True:
             if self.iterations >= MAX_ITERATIONS:
-                return "iterlimit"
+                return ITERATION_LIMIT
             outcome = step()
             if outcome is not None:
                 return outcome
@@ -573,7 +548,7 @@ class _Core:
         return self._iterate(self._step)
 
     def _dual_step(self):
-        """One dual pivot. Returns 'optimal'/'infeasible'/None.
+        """One dual pivot. Returns OPTIMAL/INFEASIBLE/None.
 
         The leaving row has the largest infeas_i^2 / w_i: dual steepest edge.
         """
@@ -582,7 +557,7 @@ class _Core:
         infeas = np.maximum(below, xB - self.ub[self.basis])
         rows = np.flatnonzero(infeas > FEASIBILITY_TOL)
         if not len(rows):
-            return "optimal"
+            return OPTIMAL
         if self.bland:
             p = int(rows[np.argmin(self.basis[rows])])
         else:
@@ -603,7 +578,7 @@ class _Core:
         )
         cand = np.flatnonzero(elig)
         if not len(cand):
-            return "infeasible"
+            return INFEASIBLE
         ratios = self.d[cand] / slope[cand]
         ratios = np.where(st[cand] == _NB_FREE, np.abs(ratios), np.maximum(ratios, 0.0))
         ties = cand[ratios <= ratios.min() + RATIO_TIE]
@@ -641,22 +616,18 @@ class _Core:
         self.c = self.c + sign * delta
         self.d += sign * delta
 
-    def run_dual(self, perturb: bool):
+    def run_dual(self, cap):
         """Dual simplex from a dual feasible basis to a primal feasible one.
 
-        With `perturb` the costs are perturbed first; without, a run that has
-        not ended after m pivots returns 'stalled'. Optimality is only
-        declared on a fresh factorization.
+        Returns 'stalled' once the pivot count reaches cap. Optimality and
+        infeasibility are only declared on a fresh factorization.
         """
-        if perturb:
-            self._perturb_costs()
-        cap = np.inf if perturb else self.iterations + self.m
 
         def step():
             if self.iterations >= cap:
                 return "stalled"
             outcome = self._dual_step()
-            if outcome == "optimal" and self._since_refactor:
+            if outcome is not None and self._since_refactor:
                 self.refactor()
                 outcome = self._dual_step()
             return outcome
@@ -693,76 +664,47 @@ def _solution(lp: ArrayLP, status: str, x, y, iterations=0, basis=None) -> Solut
     )
 
 
-def _finish(lp: ArrayLP, core: _Core, status: str) -> Solution:
+def _finish(lp: ArrayLP, core: _Core) -> Solution:
     if core._since_refactor:
         core.refactor()
-    basis = core.final_basis() if status == OPTIMAL else None
-    return _solution(lp, status, core.x[: core.n_struct], core.y, core.iterations, basis)
+    return _solution(
+        lp, OPTIMAL, core.x[: core.n_struct], core.y, core.iterations, core.final_basis()
+    )
 
 
-def _solve_cold(lp: ArrayLP, spent: int = 0) -> Solution:
-    """Two-phase primal simplex; the pivot count and its cap start from spent."""
-    core = _Core(lp)
-    core.iterations = spent
-    try:
-        core.start_cold(lp)
-        status = OPTIMAL
-        if len(core.art_cols):
-            outcome = core._iterate(core._step)  # phase 1, under the loaded costs
-            if outcome == "iterlimit":
-                status = ITERATION_LIMIT
-            elif outcome == "unbounded":
-                raise RuntimeError("phase-1 subproblem reported unbounded")
-            else:
-                infeas = float(core.x[core.art_cols].sum())
-                scale = max(1.0, float(np.abs(core.b).max()) if core.m else 1.0)
-                if infeas > FEASIBILITY_TOL * scale:
-                    return _no_solution(lp, INFEASIBLE, core.iterations)
-                core.ub[core.art_cols] = 0.0
-                core.x[core.art_cols] = 0.0
-                core.fixed[core.art_cols] = True
-
-        if status == OPTIMAL:
-            outcome = core.run_phase(np.concatenate([lp.c, np.zeros(len(core.art_cols))]))
-            if outcome == "iterlimit":
-                status = ITERATION_LIMIT
-            elif outcome == "unbounded":
-                return _no_solution(lp, UNBOUNDED, core.iterations)
-        return _finish(lp, core, status)
-    except np.linalg.LinAlgError:
-        return _no_solution(lp, NUMERICAL_ERROR, core.iterations)
-
-
-def _solve_warm(
-    lp: ArrayLP, start: Basis, spent: int, perturb: bool = False
+def _solve_from(
+    lp: ArrayLP, start: Basis, spent: int, last: bool
 ) -> tuple[Solution | None, int]:
     """Dual simplex from start; (None, pivots spent) when it must fall back.
 
-    The pivot count and its cap start from spent; see _Core.run_dual for
-    `perturb`.
+    The pivot count and its cap start from spent. Only a start that is not
+    `last` falls back: when it is not dual feasible, meets a singular
+    factorization or has not ended after m pivots.
     """
     core = _Core(lp)
     core.iterations = spent
     try:
-        if (
-            core.start_warm(start, lp.c)
-            and core.run_dual(perturb) == "optimal"
-            and core.run_phase(lp.c) == "optimal"
-        ):
-            return _finish(lp, core, OPTIMAL), core.iterations
+        if not core.start(start, lp.c, last):
+            return None, core.iterations
+        outcome = core.run_dual(np.inf if last else spent + core.m)
+        if outcome == OPTIMAL:
+            outcome = core.run_phase(lp.c)
+        if outcome == OPTIMAL:
+            return _finish(lp, core), core.iterations
     except np.linalg.LinAlgError:
-        pass
-    return None, core.iterations
+        outcome = NUMERICAL_ERROR if last else "stalled"
+    if outcome == "stalled":
+        return None, core.iterations
+    return _no_solution(lp, outcome, core.iterations), core.iterations
 
 
 def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     """Solve the LP relaxation of a model; statuses per module docstring.
 
     The dual simplex starts from the ArrayLP's stored basis, if it has one,
-    then from the slack basis, then from the slack basis under perturbed
-    costs; then the two-phase path runs. Each attempt that falls back hands
-    its pivot count to the next, so the reported iterations and
-    MAX_ITERATIONS cover them all.
+    then from the slack basis, then from the last start, which always ends
+    the solve. Each start that falls back hands its pivot count to the
+    next, so the reported iterations and MAX_ITERATIONS cover them all.
     Callers written for the removed options argument may still pass None
     second (benchmark/tracing.py does); anything else is an error.
     """
@@ -778,11 +720,11 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
         return _no_solution(lp, INFEASIBLE, 0)
     if len(lp.active) == 0:
         return _solution(lp, OPTIMAL, np.zeros(0), np.zeros(0))
-    sol, spent = (None, 0) if lp.basis is None else _solve_warm(lp, lp.basis, 0)
-    for perturb in (False, True):
+    sol, spent = (None, 0) if lp.basis is None else _solve_from(lp, lp.basis, 0, False)
+    for last in (False, True):
         if sol is None:
-            sol, spent = _solve_warm(lp, _slack_basis(lp), spent, perturb)
-    return sol if sol is not None else _solve_cold(lp, spent)
+            sol, spent = _solve_from(lp, _slack_basis(lp), spent, last)
+    return sol
 
 
 def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:

@@ -258,24 +258,25 @@ def test_warm_starts_cut_master_and_subproblem_pivots():
     assert first > 0 and max(later) < first
 
 
-def test_decomposition_never_solves_cold(monkeypatch):
+def test_decomposition_never_reaches_the_last_start(monkeypatch):
     inst = gen_random(10, 2, 3, 3, seed=7)
-    cold, slack = [], []
-    original_cold, original_slack = simplex._solve_cold, simplex._slack_basis
+    last, slack = [], []
+    original_from, original_slack = simplex._solve_from, simplex._slack_basis
 
-    def counting_cold(lp, spent=0):
-        cold.append(lp.name.split(":")[0])
-        return original_cold(lp, spent)
+    def counting_last(lp, start, spent, is_last):
+        if is_last:
+            last.append(lp.name.split(":")[0])
+        return original_from(lp, start, spent, is_last)
 
     def counting_slack(lp):
         slack.append(lp.name.split(":")[0])
         return original_slack(lp)
 
-    monkeypatch.setattr(simplex, "_solve_cold", counting_cold)
+    monkeypatch.setattr(simplex, "_solve_from", counting_last)
     monkeypatch.setattr(simplex, "_slack_basis", counting_slack)
     res = solve_lp_r3_benders(inst)
     assert res.status == "Converged" and len(res.log) >= 3
-    assert cold == []
+    assert last == []
     # only the first master and the first subproblem solve start from the
     # slack basis; every later one starts from a stored basis and keeps it
     assert sorted(slack) == ["master", "sub"]

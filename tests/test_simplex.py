@@ -78,16 +78,17 @@ def test_iteration_limit_status(monkeypatch):
     assert sol.iterations == 3
 
 
-def test_iteration_limit_caps_a_warm_attempt_and_its_cold_fallback(monkeypatch):
+def test_iteration_limit_ends_a_warm_start(monkeypatch):
     model, _ = build_lp_r3(gen_random(8, 2, 4, 10, seed=1))
     lp = presolve(model)
     lp.basis = solve(lp).basis
     capacities = [i for i, row in enumerate(model.rows) if row.name.startswith("acap_")]
     lp.set_rhs(capacities, np.full(len(capacities), 1.5))
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 3)
-    sol = solve(lp)
+    sol, starts = _starts(lp)
     assert sol.status == simplex.ITERATION_LIMIT
     assert sol.iterations == 3
+    assert starts == ["stored"]  # the cap covers every start: none follows
 
 
 def test_certificates_flag_a_corrupted_solution():
@@ -144,14 +145,24 @@ def test_all_variables_fixed():
     assert sol.objective == pytest.approx(3.0)
 
 
-def _random_model(rng):
+def _random_model(rng, open_columns=False):
+    """A random LP with small integer data.
+
+    Its columns are boxed, or with open_columns each is boxed, [0, inf),
+    (-inf, u] or free.
+    """
     n = int(rng.integers(1, 10))
     mm = int(rng.integers(1, 8))
     model = LinearModel()
     hi = rng.integers(1, 9, size=n).astype(float)
     c = rng.integers(-5, 6, size=n).astype(float)
+    lower, upper = np.zeros(n), hi
+    if open_columns:
+        kind = rng.integers(0, 4, size=n)
+        lower = np.where(kind <= 1, 0.0, -INF)
+        upper = np.where(kind % 2 == 0, hi, INF)
     for j in range(n):
-        model.add_variable(0.0, hi[j], c[j])
+        model.add_variable(lower[j], upper[j], c[j])
     senses = rng.choice([SENSE_LE, SENSE_EQ, SENSE_GE], size=mm)
     for i in range(mm):
         coeffs = [(j, float(rng.integers(-3, 4))) for j in range(n)]
@@ -258,9 +269,9 @@ def test_singular_refactor_is_a_status(monkeypatch):
 
 def test_singular_start_basis_falls_back_cold(monkeypatch):
     model, _ = build_lp_r3(gen_cycle(5, 2, 80))
-    cold = solve(model)
+    fresh = solve(model)
     lp = presolve(model)
-    lp.basis = cold.basis
+    lp.basis = fresh.basis
     original = simplex.splu
     calls = []
 
@@ -271,10 +282,11 @@ def test_singular_start_basis_falls_back_cold(monkeypatch):
         return original(B, **kw)
 
     monkeypatch.setattr(simplex, "splu", singular_once)
+    # the stored basis fails to factor; the slack basis repeats the fresh solve
     again = solve(lp)
     assert again.status == simplex.OPTIMAL
-    assert again.objective == cold.objective
-    assert again.iterations == cold.iterations
+    assert again.objective == fresh.objective
+    assert again.iterations == fresh.iterations
 
 
 def test_dependent_start_basis_falls_back_cold():
@@ -283,7 +295,7 @@ def test_dependent_start_basis_falls_back_cold():
     y = m.add_variable(0, 4, -2.0)
     m.add_row(SENSE_LE, 5.0, [(x, 1.0), (y, 1.0)])
     m.add_row(SENSE_GE, 1.0, [(x, 2.0), (y, 2.0)])
-    cold = solve(m)
+    fresh = solve(m)
     lp = presolve(m)
     # x and y have the same column, so a basis of both is singular
     lp.basis = simplex.Basis(
@@ -292,11 +304,11 @@ def test_dependent_start_basis_falls_back_cold():
                  dtype=np.int8),
     )
     with pytest.raises(np.linalg.LinAlgError):
-        simplex._Core(lp).start_warm(lp.basis, lp.c)
+        simplex._Core(lp).start(lp.basis, lp.c, False)
     again = solve(lp)
-    assert cold.status == again.status == simplex.OPTIMAL
-    assert again.objective == cold.objective == pytest.approx(-9.0)
-    assert again.iterations == cold.iterations
+    assert fresh.status == again.status == simplex.OPTIMAL
+    assert again.objective == fresh.objective == pytest.approx(-9.0)
+    assert again.iterations == fresh.iterations
 
 
 def _open_columns_model():
@@ -316,8 +328,9 @@ def _open_columns_model():
 def test_pivot_paths_are_pinned(net4):
     """Pivot counts of solves without a start basis and of a decomposition's warm re-solves.
 
-    The first three start from the slack basis, the last goes through the
-    two-phase fallback. A change to the simplex that keeps every pivot path
+    The first three are solved from the slack basis. The last is not dual
+    feasible there and is solved by the last start, which shifts the costs
+    of its open columns. A change to the simplex that keeps every pivot path
     leaves these exact.
     """
     cases = [
@@ -414,20 +427,38 @@ def test_dual_bound_with_open_and_fixed_columns():
     assert bound == 6.0 and signed[0] == 0.0
 
 
+def _starts(lp):
+    """Solve lp; also list its starts in order.
+
+    Each is 'stored', 'slack' or 'last', or 'shifted' for a last start that
+    moved a cost to reach dual feasibility. Patches through
+    pytest.MonkeyPatch.context(), the monkeypatch fixture's own class,
+    because hypothesis refuses function-scoped fixtures.
+    """
+    starts = []
+    solve_from, perturb = simplex._solve_from, simplex._Core._perturb_costs
+
+    def recording(arrays, start, spent, last):
+        starts.append("last" if last else "stored" if start is arrays.basis else "slack")
+        return solve_from(arrays, start, spent, last)
+
+    def perturbing(core):
+        # the last start perturbs after its shifts, so any cost that is not
+        # the true one here was shifted
+        if not np.array_equal(core.c, lp.c):
+            starts[-1] = "shifted"
+        perturb(core)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_solve_from", recording)
+        mp.setattr(simplex._Core, "_perturb_costs", perturbing)
+        return solve(lp), starts
+
+
 def _warm(lp):
-    """Solve lp from its start basis; also say whether the cold path ran."""
-    calls = []
-    original = simplex._solve_cold
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
-    simplex._solve_cold = counting
-    try:
-        return solve(lp), bool(calls)
-    finally:
-        simplex._solve_cold = original
+    """Solve lp from its start basis; also say whether a cost was shifted."""
+    sol, starts = _starts(lp)
+    return sol, "shifted" in starts
 
 
 def _assert_certified(model, sol):
@@ -439,13 +470,12 @@ def _assert_certified(model, sol):
     assert cert["cs_row"] <= 1e-6 * scale, cert
 
 
-def _assert_matches_cold(model, warm):
-    """warm agrees with the two-phase path, and both pass the certificate checks."""
-    cold = simplex._solve_cold(presolve(model))
-    assert warm.status == cold.status == simplex.OPTIMAL
-    assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
-    _assert_certified(model, warm)
-    _assert_certified(model, cold)
+def _assert_matches_highs(model, sol):
+    """sol is HiGHS's optimum within 1e-7(1+|obj|) and passes the certificate checks."""
+    ref = linprog_solve(model)
+    assert ref.status == 0 and sol.status == simplex.OPTIMAL, (ref.status, sol.status)
+    assert abs(sol.objective - ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+    _assert_certified(model, sol)
 
 
 def _assert_bitwise_equal(a, b):
@@ -469,8 +499,8 @@ def _solved(seed):
 @given(st.integers(0, 2**32 - 1))
 def test_warm_resolve_unchanged_rhs_takes_no_pivots(seed):
     *_, lp, first = _solved(seed)
-    again, went_cold = _warm(lp)
-    assert not went_cold
+    again, shifted = _warm(lp)
+    assert not shifted
     assert again.iterations == 0
     assert again.objective == first.objective
 
@@ -482,9 +512,9 @@ def test_warm_resolve_after_rhs_change(seed):
     x1 = rng.integers(0, hi.astype(int) + 1).astype(float)
     rhs = _rhs_at(rng, A, senses, x1)
     lp.set_rhs(np.arange(len(rhs)), rhs)
-    warm, went_cold = _warm(lp)
-    assert not went_cold
-    _assert_matches_cold(_model(hi, cost, _rows(A, senses, rhs)), warm)
+    warm, shifted = _warm(lp)
+    assert not shifted
+    _assert_matches_highs(_model(hi, cost, _rows(A, senses, rhs)), warm)
     _assert_bitwise_equal(warm, solve(lp))
 
 
@@ -502,10 +532,10 @@ def test_warm_resolve_after_cutting_row(seed):
     sense = SENSE_LE if at_x0 < at_opt else SENSE_GE
     cut = (sense, (at_x0 + at_opt) / 2, [(j, float(g[j])) for j in range(len(g))])
     lp.add_rows([cut])
-    warm, went_cold = _warm(lp)
-    assert not went_cold
+    warm, shifted = _warm(lp)
+    assert not shifted
     model = _model(hi, cost, _rows(A, senses, rhs) + [cut])
-    _assert_matches_cold(model, warm)
+    _assert_matches_highs(model, warm)
     _assert_bitwise_equal(warm, solve(lp))
 
 
@@ -524,18 +554,34 @@ def test_warm_resolve_reports_infeasible(seed, which):
     assert solve(lp).status == simplex.INFEASIBLE
 
 
+def test_infeasible_resolve_ends_at_its_first_start():
+    m = LinearModel()
+    x = m.add_variable(0.0, 10.0, -1.0)
+    y = m.add_variable(0.0, 10.0, -1.0)
+    r = m.add_row(SENSE_LE, 4.0, [(x, 1.0), (y, 1.0)])
+    lp = presolve(m)
+    first = solve(lp)
+    assert first.status == simplex.OPTIMAL and first.objective == -4.0
+    lp.basis = first.basis
+    lp.set_rhs([r], [-1.0])
+    # the basic column's row has no entering column: a Farkas ray
+    sol, starts = _starts(lp)
+    assert starts == ["stored"]
+    assert sol.status == simplex.INFEASIBLE and sol.iterations == 0
+
+
 # -- the slack-basis dual and its pricing weights ------------------------------
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_slack_basis_dual_matches_two_phase(seed):
+def test_slack_basis_dual_matches_highs(seed):
     rng, hi, cost, A, senses, x0 = _bounded_feasible(seed)
     model = _model(hi, cost, _rows(A, senses, _rhs_at(rng, A, senses, x0)))
     # every column is boxed, so the slack basis is dual feasible
-    dual, went_cold = _warm(presolve(model))
-    assert not went_cold
-    _assert_matches_cold(model, dual)
+    dual, shifted = _warm(presolve(model))
+    assert not shifted
+    _assert_matches_highs(model, dual)
     _assert_bitwise_equal(dual, solve(model))
 
 
@@ -564,7 +610,7 @@ def test_weights_stay_finite_and_floored(net4, monkeypatch):
 def test_overflowing_weight_update_resets_to_one():
     lp = presolve(build_lp_r3(gen_cycle(5, 2, 80))[0])
     core = simplex._Core(lp)
-    assert core.start_warm(simplex._slack_basis(lp), lp.c)
+    assert core.start(simplex._slack_basis(lp), lp.c, False)
     core.w[:] = 1e300
     u = np.full(core.m, 1e200)
     u[0] = 1.0
@@ -585,21 +631,46 @@ def test_weights_travel_with_the_basis():
 
     # a re-solve starts from the stored weights, not from 1s
     core = simplex._Core(lp)
-    assert core.start_warm(lp.basis, lp.c)
+    assert core.start(lp.basis, lp.c, False)
     assert np.array_equal(core.w, lp.basis.weights)
     stale = dataclasses.replace(lp.basis, weights=np.ones(3))
-    assert core.start_warm(stale, lp.c) and np.array_equal(core.w, np.ones(m + 2))
+    assert core.start(stale, lp.c, False) and np.array_equal(core.w, np.ones(m + 2))
 
 
-def test_open_columns_solve_through_the_two_phase_fallback():
+def test_open_columns_shift_their_costs_on_the_last_start():
     model = _open_columns_model()
     lp = presolve(model)
     # y >= 0 has cost -1 and no upper bound to flip to
-    assert simplex._solve_warm(lp, simplex._slack_basis(lp), 0) == (None, 0)
-    sol, went_cold = _warm(lp)
-    assert went_cold
+    assert simplex._solve_from(lp, simplex._slack_basis(lp), 0, False) == (None, 0)
+    core = simplex._Core(lp)
+    assert core.start(simplex._slack_basis(lp), lp.c, last=True)
+    # free x has d = 1 and y >= 0 has d = -1: both costs move to d = 0, and
+    # the perturbation then leaves y a small positive d at its lower bound
+    assert core.c[0] == 0.0 and core.d[0] == 0.0
+    assert 0.0 < core.d[1] < 1e-5 and core.c[1] == core.d[1]
+
+    sol, starts = _starts(lp)
+    assert starts == ["slack", "shifted"]
     assert sol.status == simplex.OPTIMAL and sol.objective == pytest.approx(-12.0)
     _assert_certified(model, sol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_open_columns_match_highs(seed):
+    model = _random_model(np.random.default_rng(seed), open_columns=True)
+    sol = solve(model)
+    ref = linprog_solve(model)
+    if ref.status == 0:
+        _assert_matches_highs(model, sol)
+        return
+    # HiGHS may call a feasible, unbounded LP infeasible; its zero-cost
+    # solve settles feasibility
+    for v in model.variables:
+        v.obj = 0.0
+    feasible = linprog_solve(model)
+    assert feasible.status in (0, 2)
+    assert sol.status == (simplex.UNBOUNDED if feasible.status == 0 else simplex.INFEASIBLE)
 
 
 def test_slack_basis_dual_restarts_perturbed_after_m_pivots():
@@ -607,12 +678,12 @@ def test_slack_basis_dual_restarts_perturbed_after_m_pivots():
     model = build_ip_rwap_ppp(gen_random(6, 2, 2, 2, 402), relax=True)[0]
     lp = presolve(model)
     m = len(lp.b)
-    assert simplex._solve_warm(lp, simplex._slack_basis(lp), 0) == (None, m)
-    perturbed, spent = simplex._solve_warm(lp, simplex._slack_basis(lp), m, perturb=True)
+    assert simplex._solve_from(lp, simplex._slack_basis(lp), 0, False) == (None, m)
+    perturbed, spent = simplex._solve_from(lp, simplex._slack_basis(lp), m, True)
     assert perturbed is not None and spent > m
 
-    sol, went_cold = _warm(lp)
-    assert not went_cold
+    sol, starts = _starts(lp)
+    assert starts == ["slack", "last"]
     _assert_bitwise_equal(sol, perturbed)
     # the clean-up pass prices under the true costs, so the certificates hold
     assert sol.objective == pytest.approx(8.0, abs=1e-9)
