@@ -3,12 +3,14 @@
 Rows are turned into equalities with one slack column per row (slack bounds
 encode the sense), so the all-slack basis is always available. Variables sit
 nonbasic at a bound, which keeps box bounds out of the row count. The basis
-is held as a sparse LU factorization (SuperLU, COLAMD ordering) with a
-product-form eta file on top, one eta per pivot, and is refactored every
-REFACTOR_INTERVAL pivots. FTRAN solves with the LU and then applies the etas
-in order; BTRAN applies them in reverse, then solves with the transposed LU.
-SuperLU is single-threaded and no dense BLAS update remains, so pivot paths
-do not depend on the BLAS thread count. Integrality annotations are ignored:
+is held as a sparse LU factorization (SuperLU, COLAMD ordering, relaxed
+supernodes and panels of one column: wider ones pad these near-triangular
+bases with explicit zeros) with a product-form eta file on top, one eta per
+pivot, and is refactored every REFACTOR_INTERVAL pivots.
+FTRAN solves with the LU and then applies the etas in order; BTRAN applies
+them in reverse, then solves with the transposed LU. SuperLU is
+single-threaded and no dense BLAS update remains, so pivot paths do not
+depend on the BLAS thread count. Integrality annotations are ignored:
 solves are LP relaxations. The tolerances (FEASIBILITY_TOL, OPTIMALITY_TOL)
 and the iteration cap (MAX_ITERATIONS) are module constants.
 
@@ -22,8 +24,11 @@ w_i = ||e_i' B^-1||^2 is the row's dual steepest-edge weight (Forrest and
 Goldfarb, 1992), kept up to date through every basis change by one extra
 FTRAN per pivot. The weights depend on the basis matrix alone: they travel
 with a stored basis, so a re-solve after new right-hand sides or bounds
-starts from them. A primal clean-up pass under the true costs ends every
-dual run.
+starts from them. So does the basis's LU, together with the column matrix it
+factors: a start reuses it, without factoring, only on that very matrix, so
+after add_rows or on another ArrayLP the basis is factored afresh. x_B and
+the duals are recomputed at every start. A primal clean-up pass under the
+true costs ends every dual run.
 
 A start falls back when it is not dual feasible, meets a singular
 factorization or is still going after m pivots (m rows): the stored basis
@@ -37,12 +42,13 @@ d = c, so every cost-free column ties in the ratio test until the
 perturbation breaks the ties. The clean-up pass then reports Unbounded when
 the LP is. Every other outcome ends the solve at once. A dual ratio test
 with no entering column is a Farkas ray, whatever the costs, so Infeasible
-is declared, like optimality, only on a fresh factorization. The pivots of
+is declared, like optimality, only on an eta-free factorization of the
+basis, fresh or stored with it. The pivots of
 a start that falls back count toward the next, so MAX_ITERATIONS caps them
 all together. A singular factorization on the last start gives
 NumericalError. Both passes switch to Bland's rule after BLAND_STALL
 consecutive degenerate steps, which rules out cycling. An Optimal solve
-returns its final basis and weights.
+returns its final basis, weights and LU.
 
 `presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
 rows whose support is entirely fixed are dropped and the rest is held as
@@ -63,7 +69,7 @@ ModelError, which bounds the time a single solve can take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,6 +119,8 @@ class Basis:
     head: np.ndarray  # column in each basis position
     status: np.ndarray  # per column: nonbasic at lower/upper, basic, free
     weights: np.ndarray | None = None  # per position: DSE weight, None for all 1
+    # (cols, lu): the eta-free LU of cols[:, head]; reused only for that very cols
+    factor: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def _row_matrix(rows, num_columns: int):
@@ -212,7 +220,8 @@ class ArrayLP:
         A row whose support is entirely fixed is dropped, after checking that
         the pinned values satisfy it. Each kept row's slack joins the start
         basis as basic, so a basis that was dual feasible stays dual feasible,
-        and its pricing weight starts at 1.
+        and its pricing weight starts at 1. The basis loses its stored factor,
+        which belongs to the old columns.
         """
         na, m = len(self.active), len(self.b)
         senses, rhs, R = _row_matrix(rows, len(self.cost))
@@ -228,7 +237,8 @@ class ArrayLP:
         k = int(kept.sum())
         if not k:
             return
-        A = sp.vstack([self.cols[:, :na], live[kept]], format="csc")
+        # stacking rows is a concatenation in CSR; in CSC it would go through COO
+        A = sp.vstack([self.cols[:, :na].tocsr(), live[kept]], format="csr").tocsc()
         self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
         self.K = sp.vstack([self.K, R[kept]], format="csr")
         self.rows = np.concatenate([self.rows, rid[kept]])
@@ -279,10 +289,11 @@ class _Core:
         self.A, self.lb, self.ub = lp.cols, lp.lb, lp.ub
         self.iterations = 0
 
-    def _load(self, head, status, costs) -> bool:
+    def _load(self, head, status, costs, lu=None) -> bool:
         """Enter a basis: nonbasics at their bounds, then costs and a refactor.
 
-        Returns False when a nonbasic sits at an infinite bound. Raises
+        An LU of exactly this basis matrix is used as given. Returns False
+        when a nonbasic sits at an infinite bound. Raises
         numpy.linalg.LinAlgError when the basis is singular.
         """
         self.basis, self.vstatus = head, status
@@ -293,7 +304,7 @@ class _Core:
         self.AT = self.A.T  # a CSR view of the CSC columns, not a copy
         self.c = costs
         self.fixed = (self.ub - self.lb) <= FIX_TOL
-        self.refactor()
+        self.refactor(lu)
         return True
 
     def _at_bounds(self, st):
@@ -303,16 +314,20 @@ class _Core:
     def start(self, basis: Basis, costs, last: bool) -> bool:
         """Load a start basis and its weights under the given costs; False unless dual feasible.
 
-        Weights of the wrong length, or none, load as 1s. See
-        _make_dual_feasible for `last`. Raises numpy.linalg.LinAlgError when
-        the basis is singular.
+        Weights of the wrong length, or none, load as 1s. The basis's stored
+        factor is used only if it was computed on this very column matrix;
+        after add_rows, or on another ArrayLP, the basis is factored afresh.
+        See _make_dual_feasible for `last`. Raises numpy.linalg.LinAlgError
+        when the basis is singular.
         """
         if len(basis.head) != self.m or len(basis.status) != len(self.lb):
             return False
         w = basis.weights
         self.w = np.array(w, dtype=float) if w is not None and len(w) == self.m else np.ones(self.m)
         head, status = basis.head.astype(int), basis.status.astype(int)
-        return self._load(head, status, costs) and self._make_dual_feasible(last)
+        factor = basis.factor
+        lu = factor[1] if factor is not None and factor[0] is self.A else None
+        return self._load(head, status, costs, lu) and self._make_dual_feasible(last)
 
     def _make_dual_feasible(self, last: bool) -> bool:
         """Flip boxed nonbasics to the bound their reduced cost asks for.
@@ -350,23 +365,33 @@ class _Core:
         return True
 
     def final_basis(self) -> Basis:
-        """The basis over structural and slack columns, with its weights."""
-        return Basis(self.basis.astype(np.int32), self.vstatus.astype(np.int8), self.w.copy())
+        """The basis over structural and slack columns, with its weights.
+
+        Its LU goes with it when no eta sits on top, so that a re-solve on
+        the same columns need not factor it again.
+        """
+        factor = None if self.etas else (self.A, self.lu)
+        return Basis(
+            self.basis.astype(np.int32), self.vstatus.astype(np.int8), self.w.copy(), factor
+        )
 
     # -- factorization ----------------------------------------------------
 
-    def refactor(self):
+    def refactor(self, lu=None):
         """LU-factor the basis matrix, clear the eta file, recompute x_B and duals.
 
+        Takes `lu` instead of factoring when given one of this basis matrix.
         Raises numpy.linalg.LinAlgError when the basis is singular.
         """
         self.etas = []
-        try:
-            self.lu = splu(self.A[:, self.basis], permc_spec="COLAMD")
-        except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-            if "singular" not in str(err):
-                raise
-            raise np.linalg.LinAlgError(str(err)) from err
+        if lu is None:
+            try:
+                lu = splu(self.A[:, self.basis], permc_spec="COLAMD", relax=1, panel_size=1)
+            except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+                if "singular" not in str(err):
+                    raise
+                raise np.linalg.LinAlgError(str(err)) from err
+        self.lu = lu
         self._solve_basics()
         self._recompute_duals()
         self._since_refactor = 0

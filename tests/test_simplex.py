@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import linprog_solve, solve_checked
 from lambdabound import simplex
 from lambdabound.benders import solve_lp_r3_benders
-from lambdabound.formulations import build_ip_rwap_ppp, build_lp_r3
+from lambdabound.formulations import build_ip_rwap_ppp, build_lp_r3, build_master
 from lambdabound.instance import gen_cycle, gen_random
 from lambdabound.lpmodel import (
     INF,
@@ -282,11 +282,94 @@ def test_singular_start_basis_falls_back_cold(monkeypatch):
         return original(B, **kw)
 
     monkeypatch.setattr(simplex, "splu", singular_once)
-    # the stored basis fails to factor; the slack basis repeats the fresh solve
+    # fresh.basis holds the factor of solve's own presolve, not of lp.cols, so
+    # the stored basis is factored again and fails; the slack basis repeats
+    # the fresh solve
     again = solve(lp)
     assert again.status == simplex.OPTIMAL
     assert again.objective == fresh.objective
     assert again.iterations == fresh.iterations
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+    original = simplex.splu
+
+    def counting(B, **kw):
+        calls.append(1)
+        return original(B, **kw)
+
+    monkeypatch.setattr(simplex, "splu", counting)
+    return calls
+
+
+def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
+    model = build_lp_r3(gen_cycle(5, 2, 80))[0]
+    lp = presolve(model)
+    first = solve(lp)
+    assert first.status == simplex.OPTIMAL and first.basis.factor[0] is lp.cols
+    lp.basis = first.basis
+    # loosen a '<=' row whose slack is basic and raise the upper bound of a
+    # column at its lower one: the basis stays optimal
+    na = len(lp.active)
+    status = first.basis.status
+    row = next(
+        r for r in model.rows
+        if r.sense == SENSE_LE and status[na + np.searchsorted(lp.rows, r.id)] == simplex._BASIC
+    )
+    lp.set_rhs([row.id], [row.rhs + 1.0])
+    j = int(np.flatnonzero((status[:na] == simplex._NB_LOWER) & (lp.ub[:na] < INF))[0])
+    lp.set_upper([lp.active[j]], [lp.ub[j] + 1.0])
+
+    calls = _counting_splu(monkeypatch)
+    warm = solve(lp)
+    assert warm.status == simplex.OPTIMAL and warm.iterations == 0
+    assert calls == []
+    lp.basis = dataclasses.replace(first.basis, factor=None)
+    _assert_bitwise_equal(warm, solve(lp))
+    assert len(calls) == 1
+
+    # a factor is reused only for the very matrix it was computed on, which
+    # test_singular_start_basis_falls_back_cold relies on too: a basis handed
+    # to a second presolve, or extended by add_rows, is factored afresh
+    calls.clear()
+    other = presolve(model)
+    other.basis = first.basis
+    assert solve(other).iterations == 0 and len(calls) == 1
+    calls.clear()
+    lp.basis = first.basis
+    lp.add_rows([(SENSE_LE, 100.0, [(int(lp.active[0]), 1.0)])])
+    assert solve(lp).iterations == 0 and len(calls) == 1
+
+
+def test_rows_appended_in_steps_match_one_presolve():
+    instance = gen_random(10, 2, 3, 3, seed=7)
+    tau0 = instance.failures[0]
+    model, varmap = build_master(instance, tau0)
+    lower = np.array([v.lower for v in model.variables])
+    upper = np.array([v.upper for v in model.variables])
+    pinned = int(np.flatnonzero(lower == upper)[0])
+    wbar = [int(e) for e in varmap.wbar]
+    cuts = [
+        (SENSE_LE, -1.0 - i, [(e, 0.5 + i) for e in wbar[i : i + 3]]) for i in range(4)
+    ]
+    # its support is pinned, and the pinned value satisfies it: presolve drops it
+    dropped = (SENSE_LE, lower[pinned] + 1.0, [(pinned, 1.0)])
+    batches = [cuts[:2], [cuts[2], dropped, cuts[3]]]
+
+    lp = presolve(model)
+    for batch in batches:
+        lp.add_rows(batch)
+    ids = [model.add_row(*row) for batch in batches for row in batch]
+    whole = presolve(model)
+
+    assert not lp.infeasible and ids[3] not in lp.rows and ids[4] in lp.rows
+    for a, b in ((lp.cols, whole.cols), (lp.K, whole.K)):
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("b", "lb", "ub", "rows"):
+        assert np.array_equal(getattr(lp, name), getattr(whole, name)), name
 
 
 def test_dependent_start_basis_falls_back_cold():
@@ -335,8 +418,8 @@ def test_pivot_paths_are_pinned(net4):
     """
     cases = [
         (build_lp_r3(gen_cycle(5, 2, 80))[0], 38, 10.0),
-        (build_ip_rwap_ppp(net4, relax=True)[0], 96, 3.0),
-        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 277, 8.0),
+        (build_ip_rwap_ppp(net4, relax=True)[0], 104, 3.0),
+        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 336, 8.0),
         (_open_columns_model(), 5, -12.0),
     ]
     for model, pivots, objective in cases:
