@@ -313,7 +313,9 @@ def cut_from_duals(
     The weak-duality bound of lp under the solution's duals is a lower bound
     on the subproblem optimum, and it is affine in the capacity rows'
     right-hand sides wbar with slope theta, their signed duals. So the cut
-    bound + theta.(wbar' - wbar) <= 0 holds at every feasible wbar'.
+    bound + theta.(wbar' - wbar) <= 0 holds at every feasible wbar'. The
+    columns the bound takes at 0 as forced are the same at every wbar',
+    because a capacity row holds eps at coefficient -1 and so never forces.
     """
     if solution.status != "Optimal":
         raise FormulationError("cut requires an Optimal subproblem solution")

@@ -57,11 +57,23 @@ bounds (`set_upper`) and appended rows (`add_rows`, whose slacks join the
 stored basis as basic) without a rebuild, and carries the start basis of
 its next solve. Primal and dual pivots share one basis change.
 
+A kept row forces when its rhs is 0, its sense is '<=' or '=' and every
+coefficient is positive on a column whose lower bound is 0: then each of
+those columns is 0 at every feasible point (a forcing constraint, Brearley,
+Mitra and Williams, 1975). The flow models' null and exclusion rows are of
+this kind. add_rows marks the candidate rows once, set_rhs re-reads only the
+candidates it touches, and every solve takes a forced column's upper bound
+as 0, so that it cannot enter, flip, be perturbed or sit at a nonzero bound.
+The rows themselves stay, so row ids, set_rhs and stored bases keep working.
+
 Row duals follow the minimization convention: '<=' rows have dual <= 0,
 '>=' rows dual >= 0, '=' rows free. Reduced costs are c - A'y for every
-variable, so dual objectives (rhs'y plus bound terms) certify optima.
-`dual_bound` evaluates that dual objective for any row duals, after moving
-each to its sign, so it bounds the optimum from below whatever produced them.
+variable, so dual objectives (rhs'y plus bound terms) certify optima. The
+postsolve moves each forcing row's dual down until no reduced cost on its
+row is negative, which keeps the objective and certifies it under the
+model's own bounds. `dual_bound` evaluates that dual objective for any row
+duals, after moving each to its sign and with forced columns at 0, as in the
+solve, so it bounds the optimum from below whatever produced them.
 
 `solve` refuses a model with more than MAX_ROWS rows after presolve with a
 ModelError, which bounds the time a single solve can take.
@@ -177,8 +189,10 @@ class ArrayLP:
     kept row (`rows`, model row ids in ascending order): `cols` is [A | I]
     and `lb`/`ub`/`c` are their bounds and costs. `K` holds the kept rows
     over every model variable, for the reduced costs, and `b` is the kept
-    rows' rhs less the pinned variables' share `shift`. `basis` is the start
-    basis of the next solve; None starts from the slack basis.
+    rows' rhs less the pinned variables' share `shift`. `colsT` and `KT` are
+    their transposed views. `forced` lists the structural columns that the
+    forcing rows hold at 0 under the current rhs. `basis` is the start basis
+    of the next solve; None starts from the slack basis.
     """
 
     def __init__(self, name: str, cost, lb, ub):
@@ -192,6 +206,7 @@ class ArrayLP:
         self.num_rows = 0
         self.cols = sp.csc_matrix((0, len(self.active)))
         self.K = sp.csr_matrix((0, len(cost)))
+        self.colsT, self.KT = self.cols.T, self.K.T  # CSR/CSC views, not copies
         self.b = np.zeros(0)
         self.shift = np.zeros(0)
         self.lb = lb[self.active]
@@ -199,11 +214,38 @@ class ArrayLP:
         self.c = cost[self.active]
         self.infeasible = False
         self.basis: Basis | None = None
+        # forcing-row candidates: a flag per kept row, and their structural
+        # coefficients in row order; the live ones are those with b = 0
+        self._candidate = np.zeros(0, dtype=bool)
+        self._cand_rows = sp.csr_matrix((0, len(self.active)))
+        self.forced = np.zeros(0, dtype=int)  # structural columns that live rows force
+        self._forcing = None  # (kept positions, CSR rows) of the live forcing rows
 
     def set_rhs(self, row_ids, values):
         """Overwrite the right-hand sides of kept rows, given by model row id."""
         pos = _positions(self.rows, row_ids, "set_rhs on a row that presolve dropped")
         self.b[pos] = np.asarray(values, dtype=float) - self.shift[pos]
+        if self._candidate[pos].any():
+            self._refresh_forcing()
+
+    def _refresh_forcing(self):
+        """Re-read which candidate rows force, from their current rhs."""
+        pos = np.flatnonzero(self._candidate)
+        live = self.b[pos] == 0.0
+        if not live.any():
+            self.forced, self._forcing = np.zeros(0, dtype=int), None
+            return
+        R = self._cand_rows[live]
+        self.forced = np.unique(R.indices)
+        self._forcing = (pos[live], R)
+
+    def upper(self) -> np.ndarray:
+        """Upper bounds of every column as a solve takes them: forced columns at 0."""
+        if not len(self.forced):
+            return self.ub
+        ub = self.ub.copy()
+        ub[self.forced] = 0.0
+        return ub
 
     def set_upper(self, var_ids, values):
         """Overwrite the upper bounds of unpinned variables, given by model variable id.
@@ -238,9 +280,20 @@ class ArrayLP:
         if not k:
             return
         # stacking rows is a concatenation in CSR; in CSC it would go through COO
-        A = sp.vstack([self.cols[:, :na].tocsr(), live[kept]], format="csr").tocsc()
+        new = live[kept]
+        A = sp.vstack([self.cols[:, :na].tocsr(), new], format="csr").tocsc()
         self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
         self.K = sp.vstack([self.K, R[kept]], format="csr")
+        self.colsT, self.KT = self.cols.T, self.K.T
+        # a candidate row holds its columns at zero whenever its rhs is 0: its
+        # slack lies in [0, inf) or [0, 0] and every coefficient is positive on
+        # a column whose lower bound is 0
+        starts = new.indptr[:-1]
+        candidate = (
+            (senses[kept] != SENSE_GE)
+            & (np.minimum.reduceat(new.data, starts) > 0)
+            & np.logical_and.reduceat(self.lb[new.indices] == 0.0, starts)
+        )
         self.rows = np.concatenate([self.rows, rid[kept]])
         self.b = np.concatenate([self.b, rhs[kept] - shift[kept]])
         self.shift = np.concatenate([self.shift, shift[kept]])
@@ -248,6 +301,10 @@ class ArrayLP:
         self.lb = np.concatenate([self.lb, slack_lb])
         self.ub = np.concatenate([self.ub, slack_ub])
         self.c = np.concatenate([self.c, np.zeros(k)])
+        self._candidate = np.concatenate([self._candidate, candidate])
+        if candidate.any():
+            self._cand_rows = sp.vstack([self._cand_rows, new[candidate]], format="csr")
+            self._refresh_forcing()
         if self.basis is not None:
             weights = self.basis.weights
             self.basis = Basis(
@@ -266,7 +323,7 @@ def _slack_basis(lp: ArrayLP) -> Basis:
 
 
 def presolve(model: LinearModel) -> ArrayLP:
-    """Pin fixed variables, drop rows whose support is entirely fixed."""
+    """Pin fixed variables, drop rows whose support is entirely fixed, mark forcing rows."""
     if model.num_variables == 0:
         raise ModelError("model must have at least one variable")
     lp = ArrayLP(
@@ -286,7 +343,7 @@ class _Core:
         self.m = len(lp.b)
         self.n_struct = len(lp.active)
         self.b = lp.b
-        self.A, self.lb, self.ub = lp.cols, lp.lb, lp.ub
+        self.A, self.AT, self.lb, self.ub = lp.cols, lp.colsT, lp.lb, lp.upper()
         self.iterations = 0
 
     def _load(self, head, status, costs, lu=None) -> bool:
@@ -301,7 +358,6 @@ class _Core:
         self.x[head] = 0.0
         if not np.isfinite(self.x).all():
             return False
-        self.AT = self.A.T  # a CSR view of the CSC columns, not a copy
         self.c = costs
         self.fixed = (self.ub - self.lb) <= FIX_TOL
         self.refactor(lu)
@@ -386,7 +442,7 @@ class _Core:
         self.etas = []
         if lu is None:
             try:
-                lu = splu(self.A[:, self.basis], permc_spec="COLAMD", relax=1, panel_size=1)
+                lu = splu(self._basis_matrix(), permc_spec="COLAMD", relax=1, panel_size=1)
             except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
                 if "singular" not in str(err):
                     raise
@@ -395,6 +451,15 @@ class _Core:
         self._solve_basics()
         self._recompute_duals()
         self._since_refactor = 0
+
+    def _basis_matrix(self):
+        """The basis columns of A, gathered from its CSC arrays."""
+        A, head = self.A, self.basis
+        starts, ends = A.indptr[head], A.indptr[head + 1]
+        indptr = np.zeros(len(head) + 1, dtype=A.indptr.dtype)
+        np.cumsum(ends - starts, out=indptr[1:])
+        take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], ends - starts)
+        return sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m, self.m))
 
     def _ftran_dense(self, a):
         """B^-1 a: the LU solve, then each eta in pivot order."""
@@ -567,9 +632,14 @@ class _Core:
                     self.bland = True
 
     def run_phase(self, costs):
-        """Iterate to optimality/unboundedness under the given cost vector."""
-        self.c = costs
-        self._recompute_duals()
+        """Iterate to optimality/unboundedness under the given cost vector.
+
+        The duals are recomputed unless they already belong to these very
+        costs on a fresh factorization.
+        """
+        if costs is not self.c or self._since_refactor:
+            self.c = costs
+            self._recompute_duals()
         return self._iterate(self._step)
 
     def _dual_step(self):
@@ -592,20 +662,22 @@ class _Core:
 
         rho = self._pivot_row(p)
         alpha = self.AT @ rho  # pivot row over every column
+        # only columns with a pivot element can enter
+        nz = np.flatnonzero(np.abs(alpha) > PIVOT_TOL)
         # a candidate's reduced cost moves toward zero as the dual step grows
-        slope = -alpha if to_lower else alpha
-        st = self.vstatus
-        open_nb = ~self.fixed
-        elig = open_nb & (
-            ((st == _NB_LOWER) & (slope > PIVOT_TOL))
-            | ((st == _NB_UPPER) & (slope < -PIVOT_TOL))
-            | ((st == _NB_FREE) & (np.abs(slope) > PIVOT_TOL))
+        slope = -alpha[nz] if to_lower else alpha[nz]
+        st = self.vstatus[nz]
+        elig = ~self.fixed[nz] & (
+            ((st == _NB_LOWER) & (slope > 0.0))
+            | ((st == _NB_UPPER) & (slope < 0.0))
+            | (st == _NB_FREE)
         )
-        cand = np.flatnonzero(elig)
+        cand = nz[elig]
         if not len(cand):
             return INFEASIBLE
-        ratios = self.d[cand] / slope[cand]
-        ratios = np.where(st[cand] == _NB_FREE, np.abs(ratios), np.maximum(ratios, 0.0))
+        slope, st = slope[elig], st[elig]
+        ratios = self.d[cand] / slope
+        ratios = np.where(st == _NB_FREE, np.abs(ratios), np.maximum(ratios, 0.0))
         ties = cand[ratios <= ratios.min() + RATIO_TIE]
         if self.bland:
             q = int(ties[0])
@@ -673,9 +745,24 @@ def _no_solution(lp: ArrayLP, status: str, iterations: int) -> Solution:
 
 
 def _solution(lp: ArrayLP, status: str, x, y, iterations=0, basis=None) -> Solution:
-    """The model-space solution with active columns at x and kept-row duals y."""
+    """The model-space solution with active columns at x and kept-row duals y.
+
+    Postsolve: each live forcing row's dual moves down by the least that
+    leaves every reduced cost on its row nonnegative. Its columns sit at 0,
+    their lower bound, and the row is tight with rhs 0, so the duals then
+    certify the optimum under the model's own bounds at the same objective.
+    """
     primal = lp.x_fixed.copy()
     primal[lp.active] = x
+    reduced = lp.cost - lp.KT @ y
+    if lp._forcing is not None:
+        pos, R = lp._forcing
+        ratio = reduced[lp.active[R.indices]] / R.data
+        move = np.minimum(np.minimum.reduceat(ratio, R.indptr[:-1]), 0.0)
+        if move.any():
+            y = y.copy()
+            y[pos] += move
+            reduced = lp.cost - lp.KT @ y
     duals = np.zeros(lp.num_rows)
     duals[lp.rows] = y
     return Solution(
@@ -683,7 +770,7 @@ def _solution(lp: ArrayLP, status: str, x, y, iterations=0, basis=None) -> Solut
         objective=float(lp.cost @ primal),
         primal=primal,
         duals=duals,
-        reduced_costs=lp.cost - lp.K.T @ y,
+        reduced_costs=reduced,
         iterations=iterations,
         basis=basis,
     )
@@ -758,16 +845,18 @@ def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:
     duals has one entry per model row. Each inequality row's dual is first
     moved to its sign (<= 0 on '<=' rows, >= 0 on '>=' rows); with r = c - A'y
     the bound is cost.x_fixed + b'y + sum_j min(r_j l_j, r_j u_j), which is
-    -inf when a reduced cost points at an infinite bound. Returns the bound
-    and the signed duals, zero on rows that presolve dropped.
+    -inf when a reduced cost points at an infinite bound. Columns that a
+    forcing row holds at zero count at upper bound 0, as in the solve; the
+    bound is valid for every rhs under which those rows still force. Returns
+    the bound and the signed duals, zero on rows that presolve dropped.
     """
     n = len(lp.active)
     slack_lb, slack_ub = lp.lb[n:], lp.ub[n:]
     y = np.asarray(duals, dtype=float)[lp.rows]
     y = np.where(slack_ub == INF, np.minimum(y, 0.0), y)
     y = np.where(slack_lb == -INF, np.maximum(y, 0.0), y)
-    r = (lp.cost - lp.K.T @ y)[lp.active]
-    at = np.where(r > 0, lp.lb[:n], np.where(r < 0, lp.ub[:n], 0.0))
+    r = (lp.cost - lp.KT @ y)[lp.active]
+    at = np.where(r > 0, lp.lb[:n], np.where(r < 0, lp.upper()[:n], 0.0))
     signed = np.zeros(lp.num_rows)
     signed[lp.rows] = y
     return float(lp.cost @ lp.x_fixed + lp.b @ y + r @ at), signed

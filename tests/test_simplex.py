@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from helpers import linprog_solve, solve_checked
 from lambdabound import simplex
 from lambdabound.benders import solve_lp_r3_benders
-from lambdabound.formulations import build_ip_rwap_ppp, build_lp_r3, build_master
+from lambdabound.formulations import (
+    build_ip_rwap,
+    build_ip_rwap_ppp,
+    build_lp_r3,
+    build_master,
+)
 from lambdabound.instance import gen_cycle, gen_random
 from lambdabound.lpmodel import (
     INF,
@@ -417,9 +422,9 @@ def test_pivot_paths_are_pinned(net4):
     leaves these exact.
     """
     cases = [
-        (build_lp_r3(gen_cycle(5, 2, 80))[0], 38, 10.0),
-        (build_ip_rwap_ppp(net4, relax=True)[0], 104, 3.0),
-        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 336, 8.0),
+        (build_lp_r3(gen_cycle(5, 2, 80))[0], 19, 10.0),
+        (build_ip_rwap_ppp(net4, relax=True)[0], 68, 3.0),
+        (build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0], 163, 8.0),
         (_open_columns_model(), 5, -12.0),
     ]
     for model, pivots, objective in cases:
@@ -429,9 +434,10 @@ def test_pivot_paths_are_pinned(net4):
         assert sol.objective == pytest.approx(objective, abs=1e-9), model.name
 
     res = solve_lp_r3_benders(gen_random(10, 2, 3, 3, seed=7))
-    assert (res.iterations, res.cuts_added) == (6, 31)
+    assert (res.iterations, res.cuts_added) == (7, 33)
+    assert res.lower_bound == pytest.approx(20.0, abs=1e-9)
     assert [(rec.master_pivots, rec.sub_pivots) for rec in res.log] == [
-        (27, 33), (8, 20), (6, 30), (10, 10), (7, 21), (4, 4)
+        (27, 29), (6, 16), (3, 27), (6, 14), (4, 27), (1, 8), (1, 3)
     ]
 
 
@@ -681,6 +687,7 @@ def test_weights_stay_finite_and_floored(net4, monkeypatch):
         build_ip_rwap_ppp(net4, relax=True)[0],
         build_ip_rwap_ppp(gen_random(5, 1, 2, 2, 7), relax=True)[0],
         build_lp_r3(gen_random(8, 2, 4, 10, seed=1))[0],
+        build_lp_r3(gen_random(8, 2, 4, 10, seed=2))[0],
     ):
         assert solve_checked(model).status == simplex.OPTIMAL
     assert len(seen) > 500
@@ -756,9 +763,9 @@ def test_open_columns_match_highs(seed):
     assert sol.status == (simplex.UNBOUNDED if feasible.status == 0 else simplex.INFEASIBLE)
 
 
-def test_slack_basis_dual_restarts_perturbed_after_m_pivots():
-    # its unperturbed dual from the slack basis takes 5007 pivots on 1380 rows
-    model = build_ip_rwap_ppp(gen_random(6, 2, 2, 2, 402), relax=True)[0]
+def test_slack_basis_dual_restarts_perturbed_after_m_pivots(net4):
+    # its unperturbed dual from the slack basis is still going after m = 22 pivots
+    model = build_ip_rwap(net4, relax=True)[0]
     lp = presolve(model)
     m = len(lp.b)
     assert simplex._solve_from(lp, simplex._slack_basis(lp), 0, False) == (None, m)
@@ -769,5 +776,71 @@ def test_slack_basis_dual_restarts_perturbed_after_m_pivots():
     assert starts == ["slack", "last"]
     _assert_bitwise_equal(sol, perturbed)
     # the clean-up pass prices under the true costs, so the certificates hold
-    assert sol.objective == pytest.approx(8.0, abs=1e-9)
+    assert sol.objective == pytest.approx(3.0, abs=1e-9)
     _assert_certified(model, sol)
+
+
+# -- forcing rows ----------------------------------------------------------------
+
+
+def _forcing_case(seed):
+    """A random boxed LP, feasible at x0, with planted forcing rows.
+
+    Each forcing row has rhs 0, sense '<=' or '=', and positive integer
+    coefficients on columns with lower bound 0, which x0 leaves at 0. The
+    first is a '<=' row that also holds the column `lone`, which no other
+    row has and whose cost is -5: once that row's rhs exceeds its reach, an
+    optimum holds `lone` nonbasic at its upper bound. Returns the bounds,
+    costs, forcing rows, the other rows and `lone`.
+    """
+    rng, hi, cost, A, senses, x0 = _bounded_feasible(seed)
+    n = len(hi)
+    lone = n
+    hi = np.append(hi, float(rng.integers(1, 9)))
+    cost = np.append(cost, -5.0)
+    A = np.hstack([A, np.zeros((A.shape[0], 1))])
+    x0 = np.append(x0, 0.0)
+    forcing = []
+    for i in range(int(rng.integers(1, 4))):
+        held = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        held = np.append(held, lone) if i == 0 else held
+        x0[held] = 0.0
+        coeffs = [(int(j), float(rng.integers(1, 4))) for j in held]
+        sense = SENSE_LE if i == 0 or rng.random() < 0.5 else SENSE_EQ
+        forcing.append((sense, 0.0, coeffs))
+    others = _rows(A, senses, _rhs_at(rng, A, senses, x0))
+    return rng, hi, cost, forcing, others, lone
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_forcing_rows_match_highs(seed):
+    rng, hi, cost, forcing, others, lone = _forcing_case(seed)
+    lp = presolve(_model(hi, cost, forcing + others))
+    assert lone in lp.active[lp.forced]
+    first = solve(lp)
+    _assert_matches_highs(_model(hi, cost, forcing + others), first)
+    assert first.primal[lone] == 0.0
+
+    # a rhs above the row's reach frees its columns; back at 0 it forces again
+    coeffs = forcing[0][2]
+    reach = sum(c * hi[j] for j, c in coeffs)
+    opened = [(SENSE_LE, reach + 1.0, coeffs)] + forcing[1:]
+    lp.basis = first.basis
+    lp.set_rhs([0], [reach + 1.0])
+    assert lone not in lp.active[lp.forced]
+    free = solve(lp)
+    _assert_matches_highs(_model(hi, cost, opened + others), free)
+    # the stored basis holds lone at its upper bound, which the row then forces to 0
+    assert free.basis.status[lone] == simplex._NB_UPPER and free.primal[lone] == hi[lone]
+    lp.basis = free.basis
+    lp.set_rhs([0], [0.0])
+    assert lone in lp.active[lp.forced]
+    again = solve(lp)
+    _assert_matches_highs(_model(hi, cost, forcing + others), again)
+    assert again.objective == pytest.approx(first.objective, abs=1e-9 * (1 + abs(first.objective)))
+
+    ref = linprog_solve(_model(hi, cost, forcing + others)).fun
+    for _ in range(5):
+        bound, _ = simplex.dual_bound(lp, rng.normal(scale=3.0, size=lp.num_rows))
+        assert bound <= ref + 1e-9 * (1 + abs(ref))
