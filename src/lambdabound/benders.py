@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .formulations import (
     Cut,
@@ -155,7 +156,7 @@ class BendersState:
         self._capacity_rows = varmap.rows_capacity
         # failure tau closes the unpinned flow columns of its two arcs
         flows = varmap.y_agg[None]
-        upper = np.array([v.upper for v in model.variables])
+        upper = model.upper
         self._closed = {}
         for tau in instance.failures:
             ids = flows[:, 2 * tau : 2 * tau + 2].ravel()
@@ -231,13 +232,16 @@ class BendersState:
 
         new = [cut for cut in cuts if cut not in self.cuts]
         self.cuts.update(dict.fromkeys(new))
+        # one CSR block of cut rows over the master's wbar columns
+        edges = [e for cut in new for e, _ in cut.wbar_coeffs]
+        coeffs = [c for cut in new for _, c in cut.wbar_coeffs]
+        indptr = np.cumsum([0] + [len(cut.wbar_coeffs) for cut in new])
+        R = sp.csr_matrix(
+            (np.array(coeffs, dtype=float), self._wbar_ids[edges], indptr),
+            shape=(len(new), len(self.master.cost)),
+        )
         self.master.add_rows(
-            (
-                SENSE_LE,
-                -cut.constant,
-                [(int(self._wbar_ids[e]), c) for e, c in cut.wbar_coeffs],
-            )
-            for cut in new
+            np.full(len(new), SENSE_LE), np.array([-cut.constant for cut in new]), R
         )
 
         self.log.append(

@@ -6,15 +6,18 @@ indexed like its symbol. Variable and row orderings are fixed (lexicographic
 in the index tuples) so that repeated builds are identical and exports are
 byte-stable.
 
-_columns creates one variable block and returns its ids. Every model is made
+_columns appends one variable block and returns its ids. Every model is made
 of flow blocks, one per scenario (a failed edge, or None for no failure), and
-_flow_rows writes each over ids y[c, l, a] (commodity, layer, arc). A path
-block (the working block, one backup block per failure) has the requests as
-commodities and the wavelengths as layers. An aggregated block (one per
-failure in lp-r3, one in lp-rwap-agg, the master and each subproblem) has the
-origins as commodities and one layer: lp-r3 is the backup-only path model
-with requests grouped by origin and wavelengths merged. _path_model
-assembles the four path models from their working, backup and linking blocks.
+_flow_rows lays out each over ids y[c, l, a] (commodity, layer, arc) as
+kinds of rows, each kind coordinate arrays built from the node-arc incidence.
+A path block (the working block, one backup block per failure) has the
+requests as commodities and the wavelengths as layers. An aggregated block
+(one per failure in lp-r3, one in lp-rwap-agg, the master and each
+subproblem) has the origins as commodities and one layer: lp-r3 is the
+backup-only path model with requests grouped by origin and wavelengths
+merged. _path_model assembles the four path models from their working,
+backup and linking blocks. Each builder appends all of its rows as one block
+(_append_rows), so no row or coefficient is ever a Python object.
 
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
@@ -31,8 +34,6 @@ Builders:
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,63 +78,109 @@ class Cut:
         return self.constant + sum(c * wbar[e] for e, c in self.wbar_coeffs)
 
 
+def _grid(shape) -> np.ndarray:
+    """Every index of shape in lexicographic order, one per row."""
+    return np.indices(shape).reshape(len(shape), -1).T
+
+
 def _columns(model, shape, upper, cost, name, integrality=CONTINUOUS):
     """One variable per index of shape, in lexicographic order; returns their ids.
 
     Each lies in [0, upper], where upper broadcasts against shape, and is
     named by name.format(*index).
     """
-    first = model.num_variables
-    uppers = np.broadcast_to(upper, shape).ravel().tolist()
-    for index, ub in zip(itertools.product(*map(range, shape)), uppers):
-        model.add_variable(0.0, ub, cost, integrality, name=name.format(*index))
-    return np.arange(first, model.num_variables).reshape(shape)
+    upper = np.broadcast_to(upper, shape).ravel()
+    ids = model.add_variables(0.0, upper, cost, integrality, [(name, _grid(shape))])
+    return ids.reshape(shape)
 
 
-def _flow_rows(
-    model, table: ArcTable, y, sources, supply, balance, cap_cols, cap_rhs, tau, names
-):
+def _append_rows(model, kinds) -> list[np.ndarray]:
+    """Append kinds of rows as one block; returns each kind's row ids.
+
+    A kind is (sense, rhs, (row, column, value), names), its rows counted
+    from 0 and names as LinearModel.add_rows takes them.
+    """
+    if not kinds:
+        return []
+    counts = [len(rhs) for _, rhs, _, _ in kinds]
+    starts = np.cumsum([0] + counts)
+    rows, cols, vals = zip(*(entries for _, _, entries, _ in kinds))
+    ids = model.add_rows(
+        np.repeat([sense for sense, _, _, _ in kinds], counts),
+        np.concatenate([rhs for _, rhs, _, _ in kinds]),
+        (
+            np.concatenate([row + start for row, start in zip(rows, starts)]),
+            np.concatenate(cols),
+            np.concatenate(vals),
+        ),
+        [pair for _, _, _, names in kinds for pair in names],
+    )
+    return [ids[a:b] for a, b in zip(starts, starts[1:])]
+
+
+def _arc_ends(table: ArcTable) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head node of every arc."""
+    tail = np.zeros(table.num_arcs, dtype=int)
+    head = np.zeros(table.num_arcs, dtype=int)
+    for v, (out, into) in enumerate(zip(table.out_arcs, table.in_arcs)):
+        tail[list(out)] = v
+        head[list(into)] = v
+    return tail, head
+
+
+def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names):
     """Source, null, balance, capacity and exclusion rows of one flow block.
 
-    y holds the block's ids by (commodity c, layer l, arc a). Commodity c
-    sends supply[c] out of node sources[c] over all its layers and takes none
-    back there; in each layer node v keeps balance[c, v] of it, with no row
-    where that is nan. The flow of layer l over edge e less column
-    cap_cols[l, e] is at most cap_rhs[l, e], and under failure tau (None = no
-    failure) no flow uses edge tau. names holds the five row name formats,
-    given (c), (c), (c, l, v), (l, e) and (c, l). Returns the capacity row
-    ids by (l, e).
+    y holds the block's ids by (commodity c, layer l, arc a), and ends the
+    tail and head node of each arc. Commodity c sends supply[c] out of node
+    sources[c] over all its layers and takes none back there; in each layer
+    node v keeps balance[c, v] of it, with no row where that is nan. The
+    flow of layer l over edge e less column cap_cols[l, e] is at most
+    cap_rhs[l, e], and under failure tau (None = no failure) no flow uses
+    edge tau. names holds the five row name formats, given (c), (c),
+    (c, l, v), (l, e) and (c, l). Every kind is written from the node-arc
+    incidence, repeated over commodities and layers. Returns the kinds for
+    _append_rows in that order, so the capacity rows, by (l, e), are the
+    fourth.
     """
     src, null, bal, cap, excl = names
-    # lists of Python numbers, so that every Row holds ints and floats
-    y, supply, balance, cap_cols, cap_rhs = (
-        a.tolist() for a in (y, supply, balance, cap_cols, cap_rhs)
+    C, L, A = y.shape
+    layers = np.arange(L)
+    tail, head = ends
+    sources = np.asarray(sources)
+    kinds = []
+    for name, end, rhs in ((src, tail, supply), (null, head, np.zeros(C))):
+        # commodity c's arcs out of (into) its source, in every layer
+        c, a = np.nonzero(end == sources[:, None])
+        cols = y[c[:, None], layers, a[:, None]].ravel()
+        entries = (np.repeat(c, L), cols, np.ones(len(cols)))
+        kinds.append((SENSE_EQ, rhs, entries, [(name, np.arange(C))]))
+    # (c, l, v) of each balance row: in-arcs of v at +1, out-arcs at -1
+    kept = np.broadcast_to(~np.isnan(balance)[:, None, :], (C, L, balance.shape[1]))
+    row_of = np.full(kept.shape, -1)
+    row_of[kept] = np.arange(kept.sum())
+    rows = np.concatenate([row_of[:, :, head], row_of[:, :, tail]]).ravel()
+    cols = np.concatenate([y, y]).ravel()
+    vals = np.repeat([1.0, -1.0], y.size)
+    live = rows >= 0
+    rhs = np.broadcast_to(balance[:, None, :], kept.shape)[kept]
+    entries = (rows[live], cols[live], vals[live])
+    kinds.append((SENSE_EQ, rhs, entries, [(bal, np.argwhere(kept))]))
+    # row (l, e): both arcs of e in layer l, every commodity, less cap_cols[l, e]
+    E = cap_cols.shape[1]
+    arc_row = np.broadcast_to(layers[:, None] * E + np.arange(A) // 2, y.shape)
+    entries = (
+        np.concatenate([arc_row.ravel(), np.arange(L * E)]),
+        np.concatenate([y.ravel(), cap_cols.ravel()]),
+        np.repeat([1.0, -1.0], [y.size, L * E]),
     )
-    for c, s in enumerate(sources):
-        coeffs = [(yl[a], 1.0) for yl in y[c] for a in table.out_arcs[s]]
-        model.add_row(SENSE_EQ, supply[c], coeffs, name=src.format(c))
-    for c, s in enumerate(sources):
-        coeffs = [(yl[a], 1.0) for yl in y[c] for a in table.in_arcs[s]]
-        model.add_row(SENSE_EQ, 0.0, coeffs, name=null.format(c))
-    for c, yc in enumerate(y):
-        kept = [(v, rhs) for v, rhs in enumerate(balance[c]) if not math.isnan(rhs)]
-        for l, yl in enumerate(yc):
-            for v, rhs in kept:
-                coeffs = [(yl[a], 1.0) for a in table.in_arcs[v]]
-                coeffs += [(yl[a], -1.0) for a in table.out_arcs[v]]
-                model.add_row(SENSE_EQ, rhs, coeffs, name=bal.format(c, l, v))
-    rows = []
-    for l, (cols, rhss) in enumerate(zip(cap_cols, cap_rhs)):
-        for e, (col, rhs) in enumerate(zip(cols, rhss)):
-            coeffs = [(yc[l][a], 1.0) for yc in y for a in (2 * e, 2 * e + 1)]
-            coeffs.append((col, -1.0))
-            rows.append(model.add_row(SENSE_LE, rhs, coeffs, name=cap.format(l, e)))
+    kinds.append((SENSE_LE, cap_rhs.ravel(), entries, [(cap, _grid((L, E)))]))
     if tau is not None:
-        for c, yc in enumerate(y):
-            for l, yl in enumerate(yc):
-                coeffs = [(yl[2 * tau], 1.0), (yl[2 * tau + 1], 1.0)]
-                model.add_row(SENSE_EQ, 0.0, coeffs, name=excl.format(c, l))
-    return np.array(rows, dtype=int).reshape(len(cap_cols), -1)
+        # row (c, l): both arcs of the failed edge
+        pair = y[:, :, 2 * tau : 2 * tau + 2].ravel()
+        entries = (np.repeat(np.arange(C * L), 2), pair, np.ones(len(pair)))
+        kinds.append((SENSE_EQ, np.zeros(C * L), entries, [(excl, _grid((C, L)))]))
+    return kinds
 
 
 def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
@@ -143,50 +190,72 @@ def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
     failure misses the working path.
     """
     table = arcs(instance.network)
+    ends = _arc_ends(table)
     model = LinearModel(f"{tag}:{instance.name}")
     kind = CONTINUOUS if relax else BINARY
     D, K, A = instance.num_requests, instance.num_wavelengths, table.num_arcs
+    failures = np.array(instance.failures, dtype=int)
     vm = VarMap()
     if working:
         vm.x = _columns(model, (D, K, A), 1.0, 0.0, "x_d{}k{}a{}", kind)
     vm.w = _columns(model, (K, instance.num_edges), 1.0, 1.0, "w_k{}e{}", kind)
     if backup:
-        for tau in instance.failures:
-            vm.y[tau] = _columns(model, (D, K, A), 1.0, 0.0, f"yb_t{tau}d{{}}k{{}}a{{}}", kind)
+        # y[tau][d, k, a], every failure's block in one, named by tau
+        index = _grid((len(failures), D, K, A))
+        index[:, 0] = failures[index[:, 0]]
+        y = model.add_variables(0.0, np.ones(len(index)), 0.0, kind, [("yb_t{}d{}k{}a{}", index)])
+        vm.y = dict(zip(instance.failures, y.reshape(len(failures), D, K, A)))
     # request d sends one unit from its source to its sink over all wavelengths
     balance = np.zeros((D, instance.num_nodes))
     for d, req in enumerate(instance.requests):
         balance[d, [req.s, req.t]] = np.nan
     sources = [req.s for req in instance.requests]
+    kinds = []
     for tau, y in ([(None, vm.x)] if working else []) + list(vm.y.items()):
         p, t = ("w", "") if tau is None else ("b", f"t{tau}")
         names = (f"{p}src_{t}d{{}}", f"{p}null_{t}d{{}}", f"{p}bal_{t}d{{}}k{{}}v{{}}",
                  f"{p}cap_{t}k{{}}e{{}}", f"bexcl_{t}d{{}}k{{}}")
-        _flow_rows(
-            model, table, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape),
-            tau, names,
+        kinds += _flow_rows(
+            ends, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape), tau, names
         )
-    if not linking:
-        return model, vm
-    x = vm.x.tolist()
-    for tau, y in vm.y.items():
-        y = y.tolist()
-        fwd, bwd = 2 * tau, 2 * tau + 1
-        for d in range(D):
-            onpath = [(x[d][kk][fwd], 1.0) for kk in range(K)]
-            onpath += [(x[d][kk][bwd], 1.0) for kk in range(K)]
-            for k in range(K):
-                for a in range(A):
-                    low = [(x[d][k][a], 1.0)]
-                    low += [(vid, -c) for vid, c in onpath]
-                    low.append((y[d][k][a], -1.0))
-                    model.add_row(SENSE_LE, 0.0, low, name=f"lnklo_t{tau}d{d}k{k}a{a}")
-            for k in range(K):
-                for a in range(A):
-                    high = [(y[d][k][a], 1.0), (x[d][k][a], -1.0)]
-                    high += [(vid, -c) for vid, c in onpath]
-                    model.add_row(SENSE_LE, 0.0, high, name=f"lnkhi_t{tau}d{d}k{k}a{a}")
+    if linking and len(failures):
+        kinds.append(_linking_rows(vm, failures))
+    _append_rows(model, kinds)
     return model, vm
+
+
+def _linking_rows(vm: VarMap, failures):
+    """The row kind that ties each backup to the working assignment.
+
+    Rows lo then hi of (failure tau, request d), each by (k, a): with on the
+    sum of x[d, :, a'] over both arcs a' of tau, lo says
+    x[d, k, a] - on - y[tau][d, k, a] <= 0 and hi
+    y[tau][d, k, a] - x[d, k, a] - on <= 0.
+    """
+    x = vm.x
+    D, K, A = x.shape
+    y = np.stack([vm.y[tau] for tau in failures.tolist()])
+    P = len(failures)
+    row = np.arange(P * D * 2 * K * A).reshape(P, D, 2, K, A)
+    lo, hi = row[:, :, 0], row[:, :, 1]
+    xb = np.broadcast_to(x, y.shape)
+    # on[tau, d]: x[d, :, 2 tau], then x[d, :, 2 tau + 1]
+    on = np.concatenate([x[:, :, 2 * failures], x[:, :, 2 * failures + 1]], axis=1)
+    on = on.transpose(2, 0, 1)[:, :, None, None, None, :]
+    on_cols = np.broadcast_to(on, row.shape + (2 * K,))
+    on_rows = np.broadcast_to(row[..., None], on_cols.shape)
+    n = y.size
+    entries = (
+        np.concatenate([lo.ravel(), lo.ravel(), hi.ravel(), hi.ravel(), on_rows.ravel()]),
+        np.concatenate([xb.ravel(), y.ravel(), y.ravel(), xb.ravel(), on_cols.ravel()]),
+        np.repeat([1.0, -1.0, 1.0, -1.0, -1.0], [n, n, n, n, on_cols.size]),
+    )
+    index = _grid((K, A))
+    names = [
+        (f"lnk{side}_t{tau}d{d}k{{}}a{{}}", index)
+        for tau in failures.tolist() for d in range(D) for side in ("lo", "hi")
+    ]
+    return SENSE_LE, np.zeros(row.size), entries, names
 
 
 def build_ip_rwap_ppp(instance: Instance, relax: bool = False):
@@ -216,13 +285,14 @@ def _aggregated_vars(model, table: ArcTable, q, tau):
     return _columns(model, (len(q), table.num_arcs), totals, 0.0, f"ya_{tag}s{{}}a{{}}")
 
 
-def _aggregated_rows(model, table: ArcTable, q, y, tau, cap_cols, cap_rhs):
-    """Rows of one origin-aggregated flow block (tau None = no failure).
+def _aggregated_rows(ends, q, y, tau, cap_cols, cap_rhs):
+    """Row kinds of one origin-aggregated flow block (tau None = no failure).
 
     The flow block with origins as commodities and one layer: origin s sends
     out all of its demand and every other node v keeps q[s, v] of it, the
     flow over edge e less column cap_cols[e] is at most cap_rhs[e], and under
-    failure tau no flow uses edge tau. Returns the capacity row ids, by edge.
+    failure tau no flow uses edge tau. The capacity rows, by edge, are the
+    fourth kind.
     """
     t = "" if tau is None else f"t{tau}"
     balance = q.astype(float)
@@ -231,9 +301,9 @@ def _aggregated_rows(model, table: ArcTable, q, y, tau, cap_cols, cap_rhs):
              f"acap_{t}e{{1}}", f"aexcl_{t}s{{0}}")
     cap_cols, cap_rhs = np.reshape(cap_cols, (1, -1)), np.reshape(cap_rhs, (1, -1))
     return _flow_rows(
-        model, table, y[:, None, :], range(len(q)), q.sum(axis=1), balance, cap_cols,
-        cap_rhs, tau, names,
-    )[0]
+        ends, y[:, None, :], range(len(q)), q.sum(axis=1), balance, cap_cols, cap_rhs,
+        tau, names,
+    )
 
 
 def _aggregated_model(name: str, instance: Instance, scenarios):
@@ -245,8 +315,11 @@ def _aggregated_model(name: str, instance: Instance, scenarios):
     vm = VarMap(wbar=_columns(model, (E,), instance.num_wavelengths, 1.0, "wb_e{}"))
     for tau in scenarios:
         vm.y_agg[tau] = _aggregated_vars(model, table, q, tau)
+    ends = _arc_ends(table)
+    kinds = []
     for tau in scenarios:
-        _aggregated_rows(model, table, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
+        kinds += _aggregated_rows(ends, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
+    _append_rows(model, kinds)
     return model, vm
 
 
@@ -299,9 +372,9 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     # each origin's arc flow is at most its total, so an edge carries at most
     # 2|D|; the box keeps every column bounded and so every dual bound finite
     eps = model.add_variable(0.0, 2.0 * instance.num_requests, 1.0, name="eps")
-    rows = _aggregated_rows(
-        model, table, q, y, failed_edge, np.full(instance.num_edges, eps), wbar
-    )
+    cap_cols = np.full(instance.num_edges, eps)
+    kinds = _aggregated_rows(_arc_ends(table), q, y, failed_edge, cap_cols, wbar)
+    rows = _append_rows(model, kinds)[3]
     return model, VarMap(y_agg={failed_edge: y}, rows_capacity=rows)
 
 

@@ -50,9 +50,9 @@ NumericalError. Both passes switch to Bland's rule after BLAND_STALL
 consecutive degenerate steps, which rules out cycling. An Optimal solve
 returns its final basis, weights and LU.
 
-`presolve` turns a LinearModel into an ArrayLP: fixed variables are pinned,
-rows whose support is entirely fixed are dropped and the rest is held as
-sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`), new upper
+`presolve` turns a LinearModel into an ArrayLP from the model's arrays:
+fixed variables are pinned, rows whose support is entirely fixed are dropped
+and the rest is held as sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`), new upper
 bounds (`set_upper`) and appended rows (`add_rows`, whose slacks join the
 stored basis as basic) without a rebuild, and carries the start basis of
 its next solve. Primal and dual pivots share one basis change.
@@ -133,26 +133,6 @@ class Basis:
     weights: np.ndarray | None = None  # per position: DSE weight, None for all 1
     # (cols, lu): the eta-free LU of cols[:, head]; reused only for that very cols
     factor: tuple | None = field(default=None, compare=False, repr=False)
-
-
-def _row_matrix(rows, num_columns: int):
-    """Rows `(sense, rhs, coeffs)` as arrays of senses and rhs and a CSR matrix.
-
-    Each row's coefficients come merged and in ascending column order, as
-    LinearModel.add_row stores them.
-    """
-    senses, rhs, indptr, indices, data = [], [], [0], [], []
-    for sense, b, coeffs in rows:
-        senses.append(sense)
-        rhs.append(b)
-        indices.extend(j for j, _ in coeffs)
-        data.extend(c for _, c in coeffs)
-        indptr.append(len(indices))
-    R = sp.csr_matrix(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int32), np.array(indptr)),
-        shape=(len(rhs), num_columns),
-    )
-    return np.array(senses, dtype=object), np.array(rhs, dtype=float), R
 
 
 def _row_excess(senses: np.ndarray, slack: np.ndarray) -> np.ndarray:
@@ -256,8 +236,11 @@ class ArrayLP:
         pos = _positions(self.active, var_ids, "set_upper on a variable that presolve pinned")
         self.ub[pos] = values
 
-    def add_rows(self, rows):
-        """Append rows `(sense, rhs, coeffs)` as the model's next row ids.
+    def add_rows(self, senses, rhs, R):
+        """Append rows as the model's next row ids: senses, rhs and a CSR block R.
+
+        R has one row per new row over every model column, its coefficients
+        merged and in ascending column order, as LinearModel.matrix holds them.
 
         A row whose support is entirely fixed is dropped, after checking that
         the pinned values satisfy it. Each kept row's slack joins the start
@@ -266,7 +249,6 @@ class ArrayLP:
         which belongs to the old columns.
         """
         na, m = len(self.active), len(self.b)
-        senses, rhs, R = _row_matrix(rows, len(self.cost))
         rid = self.num_rows + np.arange(len(rhs))
         self.num_rows += len(rhs)
         shift = R @ self.x_fixed
@@ -326,13 +308,8 @@ def presolve(model: LinearModel) -> ArrayLP:
     """Pin fixed variables, drop rows whose support is entirely fixed, mark forcing rows."""
     if model.num_variables == 0:
         raise ModelError("model must have at least one variable")
-    lp = ArrayLP(
-        model.name,
-        np.array([v.obj for v in model.variables]),
-        np.array([v.lower for v in model.variables]),
-        np.array([v.upper for v in model.variables]),
-    )
-    lp.add_rows((row.sense, row.rhs, row.coeffs) for row in model.rows)
+    lp = ArrayLP(model.name, model.cost, model.lower, model.upper)
+    lp.add_rows(model.senses, model.rhs, model.matrix)
     return lp
 
 
@@ -870,11 +847,8 @@ def check_certificates(model: LinearModel, sol: Solution) -> dict:
     presolved form, so that a presolve fault cannot hide.
     """
     x, y, d = sol.primal, sol.duals, sol.reduced_costs
-    lower = np.array([v.lower for v in model.variables])
-    upper = np.array([v.upper for v in model.variables])
-    senses, rhs, R = _row_matrix(
-        ((row.sense, row.rhs, row.coeffs) for row in model.rows), model.num_variables
-    )
+    lower, upper = model.lower, model.upper
+    senses, rhs, R = model.senses, model.rhs, model.matrix
 
     bound_viol = max(np.max(lower - x, initial=0.0), np.max(x - upper, initial=0.0))
     inside = (x > lower + FEASIBILITY_TOL) & (x < upper - FEASIBILITY_TOL)

@@ -19,7 +19,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 import lambdabound
 from lambdabound import benders, simplex
 from lambdabound.formulations import build_subproblem
-from lambdabound.lpmodel import BINARY, SENSE_GE, SENSE_LE
+from lambdabound.lpmodel import BINARY, SENSE_GE, SENSE_LE, LinearModel
 from lambdabound.simplex import check_certificates
 
 INF = float("inf")
@@ -37,6 +37,16 @@ def run_python(args, blas_threads: int) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def row_block(rows, num_columns: int):
+    """Rows `(sense, rhs, coeffs)` over num_columns columns, in the form that
+    ArrayLP.add_rows takes: senses, rhs and a CSR block, merged by add_row."""
+    model = LinearModel()
+    model.add_variables(0.0, np.zeros(num_columns), 0.0)
+    for row in rows:
+        model.add_row(*row)
+    return model.senses, model.rhs, model.matrix
 
 
 def solve_checked(model):

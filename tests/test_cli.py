@@ -5,10 +5,10 @@ import json
 import pytest
 
 from helpers import parse_mps, run_python
-from lambdabound import benders, cli, simplex
+from lambdabound import benders, cli, lpmodel, simplex
 from lambdabound.cli import CSV_HEADER, main
 from lambdabound.formulations import Cut
-from lambdabound.instance import bundled_text, load_instance
+from lambdabound.instance import bundled_text, gen_random, load_instance, save_instance
 from lambdabound.lpmodel import Solution
 
 
@@ -613,3 +613,30 @@ def _leaf_options(parser, path=()):
 
 def test_no_tuning_flags():
     assert dict(_leaf_options(cli.build_parser())) == CLI_OPTIONS
+
+
+def test_solve_paths_build_no_row_or_variable(tmp_path, capsys, monkeypatch):
+    """Direct solves, the decomposition and chain-check read the model's arrays."""
+    paths = [tmp_path / "net4.json", tmp_path / "random8.json"]
+    paths[0].write_text(bundled_text("net4.json"))
+    paths[1].write_text(save_instance(gen_random(8, 2, 3, 3, seed=4)))
+    argvs = [
+        argv
+        for path in map(str, paths)
+        for argv in (
+            ["solve", path, "--model", "lp-r3"],
+            ["solve", path, "--model", "lp-r3", "--method", "benders"],
+            ["chain-check", path],
+        )
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(lpmodel.Row, "__init__", refuse)
+    monkeypatch.setattr(lpmodel.Variable, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        lpmodel.Row(0, lpmodel.SENSE_EQ, 0.0, ())
+    assert [run(capsys, *argv) for argv in argvs] == expected

@@ -3,10 +3,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import linprog_solve, solve_checked
 from lambdabound import benders, simplex
-from lambdabound.cli import EXPORT_MODELS, main
+from lambdabound.cli import _BUILDERS, EXPORT_MODELS, main
 from lambdabound.formulations import (
     Cut,
     FormulationError,
@@ -29,7 +31,14 @@ from lambdabound.instance import (
     gen_random,
     save_instance,
 )
-from lambdabound.lpmodel import BINARY, CONTINUOUS, Solution
+from lambdabound.lpmodel import (
+    BINARY,
+    CONTINUOUS,
+    LinearModel,
+    Solution,
+    export_lp,
+    export_mps,
+)
 
 
 def _sizes(instance):
@@ -418,3 +427,44 @@ def test_decomposition_models_are_pinned(monkeypatch):
         assert sub.name == f"sub:{inst.name}:t{tau}"
         models.append(sub)
     assert [_structure_digest(m) for m in models] == DECOMPOSITION_DIGESTS
+
+
+def _rebuilt(model):
+    """The model rebuilt one add_variable and add_row call at a time from its views."""
+    copy = LinearModel(model.name)
+    for v in model.variables:
+        copy.add_variable(v.lower, v.upper, v.obj, v.integrality, v.name)
+    for r in model.rows:
+        copy.add_row(r.sense, r.rhs, r.coeffs, r.name)
+    return copy
+
+
+def _assert_same_presolve(a, b, label):
+    for name in ("cols", "K"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape, (label, name)
+        for part in ("indptr", "indices", "data"):
+            u, v = getattr(x, part), getattr(y, part)
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, name, part)
+    for name in ("b", "lb", "ub", "c", "rows", "forced"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, name)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(3, 7), st.integers(0, 2), st.integers(0, 2), st.integers(0, 1),
+    st.integers(0, 2**16),
+)
+def test_block_built_models_match_scalar_rebuilds(nodes, extra, requests, spare, seed):
+    inst = gen_random(nodes, extra, requests, max(1, requests) + spare, seed)
+    wbar = np.random.default_rng(seed).uniform(0.0, inst.num_wavelengths, inst.num_edges)
+    models = {name: build(inst) for name, build in _BUILDERS.items()}
+    models["master"] = build_master(inst, min(inst.failures))[0]
+    models["template"] = build_subproblem(inst, None, wbar)[0]
+    models["sub"] = build_subproblem(inst, inst.failures[-1], wbar)[0]
+    for label, model in models.items():
+        copy = _rebuilt(model)
+        _assert_same_presolve(simplex.presolve(model), simplex.presolve(copy), label)
+        assert export_lp(model) == export_lp(copy), label
+        assert export_mps(model) == export_mps(copy), label

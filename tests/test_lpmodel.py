@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from helpers import parse_lp, parse_mps
@@ -5,12 +8,15 @@ from lambdabound.instance import gen_cycle
 from lambdabound.formulations import build_lp_r3
 from lambdabound.lpmodel import (
     BINARY,
+    CONTINUOUS,
     INF,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
     LinearModel,
     ModelError,
+    Row,
+    Variable,
     export_lp,
     export_mps,
 )
@@ -127,3 +133,83 @@ def test_export_mixed_senses_roundtrip():
         res = parse(export(m)).solve()
         assert res.status == 0
         assert abs(res.fun - 4.0) < 1e-9  # y = 1, x = 2
+
+
+def _message(call) -> str:
+    with pytest.raises(ModelError) as exc:
+        call()
+    return str(exc.value)
+
+
+def _two_columns():
+    m = LinearModel()
+    m.add_variables(0.0, [1.0, 1.0], 0.0)
+    return m
+
+
+@pytest.mark.parametrize(
+    "scalar, block",
+    [
+        # a non-finite coefficient
+        (lambda m: m.add_row(SENSE_LE, 0.0, [(0, math.nan)]),
+         lambda m: m.add_rows(SENSE_LE, [0.0, 1.0], ([0, 1], [0, 1], [1.0, math.nan]))),
+        # a non-finite rhs
+        (lambda m: m.add_row(SENSE_LE, INF, [(0, 1.0)]),
+         lambda m: m.add_rows(SENSE_LE, [0.0, INF], ([0, 1], [0, 1], 1.0))),
+        # an unknown column id
+        (lambda m: m.add_row(SENSE_GE, 0.0, [(5, 1.0)]),
+         lambda m: m.add_rows(SENSE_GE, [0.0, 0.0], ([0, 1], [1, 5], 1.0))),
+        # an unknown sense
+        (lambda m: m.add_row("<", 0.0, [(0, 1.0)]),
+         lambda m: m.add_rows([SENSE_LE, "<"], [0.0, 0.0], ([0, 1], [0, 1], 1.0))),
+        # inverted bounds
+        (lambda m: m.add_variable(3.0, 1.0, 0.0),
+         lambda m: m.add_variables([0.0, 3.0], 1.0, 0.0)),
+        # a binary outside [0, 1]
+        (lambda m: m.add_variable(0.0, 2.0, 0.0, integrality=BINARY),
+         lambda m: m.add_variables(0.0, [1.0, 2.0], 0.0, BINARY)),
+    ],
+)
+def test_block_append_refuses_like_the_scalar_calls(scalar, block):
+    m = _two_columns()
+    expected = _message(lambda: scalar(m))
+    assert _message(lambda: block(m)) == expected
+    # a refused block appends nothing
+    assert (m.num_variables, m.num_rows) == (2, 0)
+    assert len(m.variables) == 2 and m.rows == ()
+
+
+def test_block_rows_merge_duplicates_in_order():
+    m = _two_columns()
+    # row 0: 1 + 2 on column 1 and 0.5 on column 0; row 1: 1 - 1 on column 0
+    block = m.add_rows(SENSE_EQ, [0.0, 0.0], ([0, 0, 1, 1, 0], [1, 1, 0, 0, 0],
+                                              [1.0, 2.0, 1.0, -1.0, 0.5]))
+    assert m.rows[block[0]].coeffs == ((0, 0.5), (1, 3.0))
+    assert m.rows[block[1]].coeffs == ((0, 0.0),)  # a merged zero stays
+    scalar = m.add_row(SENSE_EQ, 0.0, [(0, 1.0), (0, -1.0)])
+    assert m.rows[scalar].coeffs == ((0, 0.0),)
+    # three duplicates add left to right, as a sum from zero does, and -0.0 becomes 0.0
+    row = m.add_rows(SENSE_LE, [1.0], ([0, 0, 0, 0], [1, 1, 1, 0], [0.1, 0.2, 0.3, -0.0]))[0]
+    (j0, zero), (j1, total) = m.rows[row].coeffs
+    assert (j0, j1) == (0, 1) and total == ((0.0 + 0.1) + 0.2) + 0.3
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+    row = m.add_row(SENSE_LE, 1.0, [(1, 0.1), (1, 0.2), (1, 0.3)])
+    assert m.rows[row].coeffs == ((1, total),)
+
+
+def test_views_show_later_appends():
+    m = _two_columns()
+    m.add_row(SENSE_LE, 1.0, [(0, 1.0)])
+    assert len(m.variables) == 2 and len(m.rows) == 1
+    names = m.variable_names
+    x = m.add_variables(0.0, [4.0, 5.0], 2.0, names=[("y{}_{}", [[0, 1], [2, 3]])])
+    r = m.add_rows(SENSE_GE, [3.0], ([0, 0], x, [1.0, -1.0]), names=[("cap{}", [7])])
+    assert names == ["x0", "x1"]  # a list read before stays as it was
+    assert [v.name for v in m.variables] == ["x0", "x1", "y0_1", "y2_3"]
+    assert m.variables[-1] == Variable(3, 0.0, 5.0, 2.0, CONTINUOUS, "y2_3")
+    assert m.rows[-1] == Row(int(r[0]), SENSE_GE, 3.0, ((2, 1.0), (3, -1.0)), "cap7")
+    assert m.matrix.shape == (2, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.variables[0].upper = 9.0
+    with pytest.raises(ValueError):
+        m.upper[0] = 9.0

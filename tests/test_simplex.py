@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linprog_solve, solve_checked
+from helpers import linprog_solve, row_block, solve_checked
 from lambdabound import simplex
 from lambdabound.benders import solve_lp_r3_benders
 from lambdabound.formulations import (
@@ -343,7 +343,7 @@ def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
     assert solve(other).iterations == 0 and len(calls) == 1
     calls.clear()
     lp.basis = first.basis
-    lp.add_rows([(SENSE_LE, 100.0, [(int(lp.active[0]), 1.0)])])
+    lp.add_rows(*row_block([(SENSE_LE, 100.0, [(int(lp.active[0]), 1.0)])], len(lp.cost)))
     assert solve(lp).iterations == 0 and len(calls) == 1
 
 
@@ -351,8 +351,7 @@ def test_rows_appended_in_steps_match_one_presolve():
     instance = gen_random(10, 2, 3, 3, seed=7)
     tau0 = instance.failures[0]
     model, varmap = build_master(instance, tau0)
-    lower = np.array([v.lower for v in model.variables])
-    upper = np.array([v.upper for v in model.variables])
+    lower, upper = model.lower, model.upper
     pinned = int(np.flatnonzero(lower == upper)[0])
     wbar = [int(e) for e in varmap.wbar]
     cuts = [
@@ -364,7 +363,7 @@ def test_rows_appended_in_steps_match_one_presolve():
 
     lp = presolve(model)
     for batch in batches:
-        lp.add_rows(batch)
+        lp.add_rows(*row_block(batch, len(lp.cost)))
     ids = [model.add_row(*row) for batch in batches for row in batch]
     whole = presolve(model)
 
@@ -620,7 +619,7 @@ def test_warm_resolve_after_cutting_row(seed):
     # a row that x0 satisfies and the optimum violates
     sense = SENSE_LE if at_x0 < at_opt else SENSE_GE
     cut = (sense, (at_x0 + at_opt) / 2, [(j, float(g[j])) for j in range(len(g))])
-    lp.add_rows([cut])
+    lp.add_rows(*row_block([cut], len(lp.cost)))
     warm, shifted = _warm(lp)
     assert not shifted
     model = _model(hi, cost, _rows(A, senses, rhs) + [cut])
@@ -715,7 +714,8 @@ def test_weights_travel_with_the_basis():
     m = len(lp.b)
     assert len(first.basis.weights) == m and (first.basis.weights != 1.0).any()
     lp.basis = first.basis
-    lp.add_rows([(SENSE_LE, 100.0, [(0, 1.0)]), (SENSE_GE, -100.0, [(1, 1.0)])])
+    rows = [(SENSE_LE, 100.0, [(0, 1.0)]), (SENSE_GE, -100.0, [(1, 1.0)])]
+    lp.add_rows(*row_block(rows, len(lp.cost)))
     assert np.array_equal(lp.basis.weights[:m], first.basis.weights)
     assert np.array_equal(lp.basis.weights[m:], [1.0, 1.0])
 
@@ -756,9 +756,11 @@ def test_open_columns_match_highs(seed):
         return
     # HiGHS may call a feasible, unbounded LP infeasible; its zero-cost
     # solve settles feasibility
-    for v in model.variables:
-        v.obj = 0.0
-    feasible = linprog_solve(model)
+    zero_cost = LinearModel()
+    zero_cost.add_variables(model.lower, model.upper, 0.0)
+    for row in model.rows:
+        zero_cost.add_row(row.sense, row.rhs, row.coeffs)
+    feasible = linprog_solve(zero_cost)
     assert feasible.status in (0, 2)
     assert sol.status == (simplex.UNBOUNDED if feasible.status == 0 else simplex.INFEASIBLE)
 
