@@ -16,8 +16,9 @@ requests as commodities and the wavelengths as layers. An aggregated block
 subproblem) has the origins as commodities and one layer: lp-r3 is the
 backup-only path model with requests grouped by origin and wavelengths
 merged. _path_model assembles the four path models from their working,
-backup and linking blocks. Each builder appends all of its rows as one block
-(_append_rows), so no row or coefficient is ever a Python object.
+backup and linking blocks. The backup or aggregated flow columns of all
+scenarios are one column block, and each builder appends all of its rows as
+one block (_append_rows), so no row or coefficient is ever a Python object.
 
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
@@ -278,11 +279,14 @@ def build_ip_r2(instance: Instance, relax: bool = False):
     return _path_model("r2", instance, relax, working=False, backup=True, linking=False)
 
 
-def _aggregated_vars(model, table: ArcTable, q, tau):
-    """Origin-aggregated flows of one scenario by (s, a), each at most s's total."""
-    tag = "" if tau is None else f"t{tau}"
-    totals = q.sum(axis=1)[:, None]
-    return _columns(model, (len(q), table.num_arcs), totals, 0.0, f"ya_{tag}s{{}}a{{}}")
+def _aggregated_vars(model, table: ArcTable, q, scenarios) -> dict:
+    """Each scenario's origin-aggregated flows by (s, a), each at most s's total."""
+    shape = (len(q), table.num_arcs)
+    tags = ["" if tau is None else f"t{tau}" for tau in scenarios]
+    names = [(f"ya_{tag}s{{}}a{{}}", _grid(shape)) for tag in tags]
+    upper = np.tile(np.repeat(q.sum(axis=1), table.num_arcs), len(scenarios))
+    ids = model.add_variables(0.0, upper, 0.0, names=names)  # all scenarios in one block
+    return dict(zip(scenarios, ids.reshape(len(scenarios), *shape)))
 
 
 def _aggregated_rows(ends, q, y, tau, cap_cols, cap_rhs):
@@ -313,8 +317,7 @@ def _aggregated_model(name: str, instance: Instance, scenarios):
     E = instance.num_edges
     model = LinearModel(name)
     vm = VarMap(wbar=_columns(model, (E,), instance.num_wavelengths, 1.0, "wb_e{}"))
-    for tau in scenarios:
-        vm.y_agg[tau] = _aggregated_vars(model, table, q, tau)
+    vm.y_agg = _aggregated_vars(model, table, q, scenarios)
     ends = _arc_ends(table)
     kinds = []
     for tau in scenarios:
@@ -368,10 +371,10 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     q = demand_matrix(instance)
     tag = "" if failed_edge is None else f":t{failed_edge}"
     model = LinearModel(f"sub:{instance.name}{tag}")
-    y = _aggregated_vars(model, table, q, failed_edge)
+    y = _aggregated_vars(model, table, q, (failed_edge,))[failed_edge]
     # each origin's arc flow is at most its total, so an edge carries at most
     # 2|D|; the box keeps every column bounded and so every dual bound finite
-    eps = model.add_variable(0.0, 2.0 * instance.num_requests, 1.0, name="eps")
+    eps = model.add_variables(0.0, 2.0 * instance.num_requests, 1.0, names=[("eps", [()])])[0]
     cap_cols = np.full(instance.num_edges, eps)
     kinds = _aggregated_rows(_arc_ends(table), q, y, failed_edge, cap_cols, wbar)
     rows = _append_rows(model, kinds)[3]

@@ -5,15 +5,15 @@ annotation; the embedded solver treats binaries as their [0, 1] relaxation,
 while the LP and MPS writers emit them in the integrality sections so that
 external MIP solvers see the annotated model.
 
-A model keeps its columns (lower, upper, cost, binary flag) and its rows
-(senses, rhs, one CSR matrix over column ids) as arrays, appended in blocks:
-add_variables and add_rows append a block, add_variable and add_row a block
-of one. Duplicate coefficients of a row are merged additively in the order
-given, a merged zero stays an explicit coefficient, and each row keeps its
-coefficients in ascending variable-id order, which makes exports
-byte-deterministic. Names are kept per block as a format and its arguments
-and are formatted only when read. `variables` and `rows` are read-only views
-of Variable and Row records, built on first read from Python ints and floats.
+A model is a set of read-only arrays: its columns (lower, upper, cost,
+binary flag) and its rows (senses, rhs, and one CSR matrix over column ids
+held as indptr, indices and data). add_variables and add_rows append a
+block of entries and join each array with it once. Duplicate coefficients
+of a row are merged additively in the order given, a merged zero stays an
+explicit coefficient, and each row keeps its coefficients in ascending
+variable-id order, which makes exports byte-deterministic. Names are kept
+per block as a format and its arguments and are formatted only when read.
+`rows` is a read-only view of Row records, kept for the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ BINARY = "binary"
 SENSE_LE = "<="
 SENSE_EQ = "="
 SENSE_GE = ">="
-_SENSES = (SENSE_LE, SENSE_EQ, SENSE_GE)
 
 
 class ModelError(ValueError):
@@ -39,17 +38,7 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class Variable:
-    id: int
-    lower: float
-    upper: float
-    obj: float
-    integrality: str = CONTINUOUS
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class Row:
+class Row:  # kept for benchmark/tracing.py, which counts nnz over model.rows
     id: int
     sense: str
     rhs: float
@@ -70,15 +59,14 @@ class Solution:
     basis: object | None = None  # solver's final basis, for a warm re-solve
 
 
-def _named(name: str) -> list | None:
-    """The names argument that gives one entry the name name, or its default."""
-    if not name:
-        return None
-    return [(name.replace("{", "{{").replace("}", "}}"), [()])]
-
-
 def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask))
+
+
+def _joined(*parts) -> np.ndarray:
+    joined = np.concatenate(parts)
+    joined.flags.writeable = False
+    return joined
 
 
 class LinearModel:
@@ -86,52 +74,24 @@ class LinearModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.num_variables = 0
-        self.num_rows = 0
-        # per array, the blocks appended since it was last read
-        self._parts = {
-            "lower": [np.zeros(0)],
-            "upper": [np.zeros(0)],
-            "cost": [np.zeros(0)],
-            "binary": [np.zeros(0, dtype=bool)],
-            "senses": [np.zeros(0, dtype="<U2")],
-            "rhs": [np.zeros(0)],
-            "indptr": [np.zeros(1, dtype=np.int64)],
-            "indices": [np.zeros(0, dtype=np.int32)],
-            "data": [np.zeros(0)],
-        }
-        self._nnz = 0
+        self.lower = self.upper = self.cost = self.rhs = self.data = _joined(np.zeros(0))
+        self.binary = _joined(np.zeros(0, dtype=bool))
+        self.senses = _joined(np.zeros(0, dtype="<U2"))
+        self.indptr = _joined(np.zeros(1, dtype=np.int64))
+        self.indices = _joined(np.zeros(0, dtype=np.int32))
         # (format, arguments per entry) of each block's names
         self._names: dict[str, list] = {"variables": [], "rows": []}
         self._views: dict = {}  # what reads built; every append clears it
 
-    def _append(self, **parts):
-        for key, part in parts.items():
-            self._parts[key].append(part)
-        self._views.clear()
-
-    def _array(self, key: str) -> np.ndarray:
-        parts = self._parts[key]
-        if len(parts) > 1:
-            joined = np.concatenate(parts)
-            joined.flags.writeable = False
-            parts[:] = [joined]
-        return parts[0]
-
-    # the column and row arrays, read-only
-    lower = property(lambda self: self._array("lower"))
-    upper = property(lambda self: self._array("upper"))
-    cost = property(lambda self: self._array("cost"))
-    binary = property(lambda self: self._array("binary"))
-    senses = property(lambda self: self._array("senses"))
-    rhs = property(lambda self: self._array("rhs"))
+    num_variables = property(lambda self: len(self.lower))
+    num_rows = property(lambda self: len(self.rhs))
 
     @property
     def matrix(self) -> sp.csr_matrix:
         """The row coefficients, one CSR row per model row over every column."""
         if "matrix" not in self._views:
             self._views["matrix"] = sp.csr_matrix(
-                (self._array("data"), self._array("indices"), self._array("indptr")),
+                (self.data, self.indices, self.indptr),
                 shape=(self.num_rows, self.num_variables),
             )
         return self._views["matrix"]
@@ -148,27 +108,9 @@ class LinearModel:
     row_names = property(lambda self: self._formatted("rows"))
 
     @property
-    def variables(self) -> tuple[Variable, ...]:
-        if "variables" not in self._views:
-            kinds = np.where(self.binary, BINARY, CONTINUOUS).tolist()
-            self._views["variables"] = tuple(
-                map(
-                    Variable,
-                    range(self.num_variables),
-                    self.lower.tolist(),
-                    self.upper.tolist(),
-                    self.cost.tolist(),
-                    kinds,
-                    self.variable_names,
-                )
-            )
-        return self._views["variables"]
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
+    def rows(self) -> tuple[Row, ...]:  # kept for benchmark/tracing.py's nnz count
         if "rows" not in self._views:
-            R = self.matrix
-            ptr, cols, vals = R.indptr.tolist(), R.indices.tolist(), R.data.tolist()
+            ptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
             self._views["rows"] = tuple(
                 Row(i, sense, rhs, tuple(zip(cols[p:q], vals[p:q])), name)
                 for i, (sense, rhs, p, q, name) in enumerate(
@@ -206,6 +148,8 @@ class LinearModel:
             raise ModelError(f"inverted bounds: {lower[i]} > {upper[i]}")
         if np.isnan(lower).any() or np.isnan(upper).any() or not np.isfinite(obj).all():
             raise ModelError("non-finite variable data")
+        if (lower == INF).any() or (upper == -INF).any():
+            raise ModelError("lower bound +inf or upper bound -inf")
         if integrality not in (CONTINUOUS, BINARY):
             raise ModelError(f"unknown integrality {integrality!r}")
         if integrality == BINARY and ((lower < 0.0) | (upper > 1.0)).any():
@@ -214,23 +158,13 @@ class LinearModel:
         ids = self.num_variables + np.arange(n)
         if not n:
             return ids
-        blocks = self._name_blocks("variables", ids, names)
-        self._append(
-            lower=lower, upper=upper, cost=obj, binary=np.full(n, integrality == BINARY)
-        )
-        self._names["variables"] += blocks
-        self.num_variables += n
+        self._names["variables"] += self._name_blocks("variables", ids, names)
+        self.lower = _joined(self.lower, lower)
+        self.upper = _joined(self.upper, upper)
+        self.cost = _joined(self.cost, obj)
+        self.binary = _joined(self.binary, np.full(n, integrality == BINARY))
+        self._views.clear()
         return ids
-
-    def add_variable(
-        self,
-        lower: float = 0.0,
-        upper: float = INF,
-        obj: float = 0.0,
-        integrality: str = CONTINUOUS,
-        name: str = "",
-    ) -> int:
-        return int(self.add_variables(lower, upper, obj, integrality, _named(name))[0])
 
     def add_rows(self, sense, rhs, coeffs, names=None) -> np.ndarray:
         """Append one row per entry of rhs; sense is one sense or one per row.
@@ -274,25 +208,15 @@ class LinearModel:
         ids = self.num_rows + np.arange(k)
         if not k:
             return ids
-        blocks = self._name_blocks("rows", ids, names)
-        self._append(
-            senses=senses.astype("<U2"),
-            rhs=rhs,
-            indptr=self._nnz + np.cumsum(np.bincount(row, minlength=k)),
-            indices=col.astype(np.int32),
-            data=val,
-        )
-        self._names["rows"] += blocks
-        self._nnz += len(col)
-        self.num_rows += k
+        self._names["rows"] += self._name_blocks("rows", ids, names)
+        self.senses = _joined(self.senses, senses.astype("<U2"))
+        self.rhs = _joined(self.rhs, rhs)
+        ends = len(self.data) + np.cumsum(np.bincount(row, minlength=k))
+        self.indptr = _joined(self.indptr, ends)
+        self.indices = _joined(self.indices, col.astype(np.int32))
+        self.data = _joined(self.data, val)
+        self._views.clear()
         return ids
-
-    def add_row(self, sense: str, rhs: float, coeffs, name: str = "") -> int:
-        coeffs = list(coeffs)
-        cols = [vid for vid, _ in coeffs]
-        vals = [coef for _, coef in coeffs]
-        entries = (np.zeros(len(cols), dtype=int), cols, vals)
-        return int(self.add_rows(sense, [rhs], entries, _named(name))[0])
 
 
 def _num(x: float) -> str:

@@ -19,7 +19,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 import lambdabound
 from lambdabound import benders, simplex
 from lambdabound.formulations import build_subproblem
-from lambdabound.lpmodel import BINARY, SENSE_GE, SENSE_LE, LinearModel
+from lambdabound.lpmodel import CONTINUOUS, SENSE_GE, SENSE_LE, LinearModel
 from lambdabound.simplex import check_certificates
 
 INF = float("inf")
@@ -39,13 +39,37 @@ def run_python(args, blas_threads: int) -> subprocess.CompletedProcess:
     )
 
 
+def _named(name):
+    return None if name is None else [("{}", [name])]
+
+
+def add_column(model, lower=0.0, upper=INF, obj=0.0, integrality=CONTINUOUS, name=None) -> int:
+    """Append one column to model as a block of one; returns its id."""
+    return int(model.add_variables(lower, upper, obj, integrality, _named(name))[0])
+
+
+def add_row(model, sense, rhs, coeffs, name=None) -> int:
+    """Append one row of (column, value) pairs as a block of one; returns its id."""
+    coeffs = list(coeffs)
+    cols = [j for j, _ in coeffs]
+    vals = [c for _, c in coeffs]
+    entries = (np.zeros(len(cols), dtype=int), cols, vals)
+    return int(model.add_rows(sense, [rhs], entries, _named(name))[0])
+
+
+def row_coeffs(model, i) -> tuple:
+    """The (column, value) pairs of row i, in column order."""
+    p, q = model.indptr[i], model.indptr[i + 1]
+    return tuple(zip(model.indices[p:q].tolist(), model.data[p:q].tolist()))
+
+
 def row_block(rows, num_columns: int):
     """Rows `(sense, rhs, coeffs)` over num_columns columns, in the form that
     ArrayLP.add_rows takes: senses, rhs and a CSR block, merged by add_row."""
     model = LinearModel()
     model.add_variables(0.0, np.zeros(num_columns), 0.0)
     for row in rows:
-        model.add_row(*row)
+        add_row(model, *row)
     return model.senses, model.rhs, model.matrix
 
 
@@ -151,15 +175,15 @@ class LinprogData:
 def linprog_solve(model):
     """Solve a LinearModel directly with scipy (reference path, no export)."""
     data = LinprogData()
-    for v in model.variables:
-        j = data.var(v.name)
-        data.obj[j] = v.obj
-        data.lower[j] = v.lower
-        data.upper[j] = v.upper
-    for r in model.rows:
-        data.rows.append(
-            (r.sense, r.rhs, {jj: co for jj, co in r.coeffs})
-        )
+    columns = zip(model.variable_names, model.cost.tolist(), model.lower.tolist(),
+                  model.upper.tolist())
+    for name, obj, lower, upper in columns:
+        j = data.var(name)
+        data.obj[j] = obj
+        data.lower[j] = lower
+        data.upper[j] = upper
+    for i, (sense, rhs) in enumerate(zip(model.senses.tolist(), model.rhs.tolist())):
+        data.rows.append((sense, rhs, dict(row_coeffs(model, i))))
     # coeffs above are keyed by model variable id == insertion order
     return data.solve()
 
@@ -170,25 +194,17 @@ def milp_solve(model):
     The embedded simplex only ever sees the [0, 1] relaxation of binaries, so
     this is the independent reference for the integer optimum of a model.
     """
-    c = np.array([v.obj for v in model.variables])
-    integrality = np.array([v.integrality == BINARY for v in model.variables], dtype=int)
-    bounds = Bounds(
-        [v.lower for v in model.variables], [v.upper for v in model.variables]
-    )
-    data, ri, ci = [], [], []
-    lo, hi = [], []
-    for i, r in enumerate(model.rows):
-        for j, co in r.coeffs:
-            ri.append(i)
-            ci.append(j)
-            data.append(co)
-        lo.append(-INF if r.sense == SENSE_LE else r.rhs)
-        hi.append(INF if r.sense == SENSE_GE else r.rhs)
     constraints = []
-    if model.rows:
-        A = sp.csr_matrix((data, (ri, ci)), shape=(model.num_rows, model.num_variables))
-        constraints.append(LinearConstraint(A, lo, hi))
-    return milp(c, integrality=integrality, bounds=bounds, constraints=constraints)
+    if model.num_rows:
+        lo = np.where(model.senses == SENSE_LE, -INF, model.rhs)
+        hi = np.where(model.senses == SENSE_GE, INF, model.rhs)
+        constraints.append(LinearConstraint(model.matrix, lo, hi))
+    return milp(
+        model.cost,
+        integrality=model.binary.astype(int),
+        bounds=Bounds(model.lower, model.upper),
+        constraints=constraints,
+    )
 
 
 _TERM = re.compile(r"([+-])?\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s+(\S+)")

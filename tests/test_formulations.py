@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linprog_solve, solve_checked
+from helpers import add_column, add_row, linprog_solve, row_coeffs, solve_checked
 from lambdabound import benders, simplex
 from lambdabound.cli import _BUILDERS, EXPORT_MODELS, main
 from lambdabound.formulations import (
@@ -114,13 +114,10 @@ def test_relax_flag_controls_annotations():
     inst = gen_cycle(3, 1, 2)
     strict, _ = build_ip_rwap_ppp(inst, relax=False)
     relaxed, _ = build_ip_rwap_ppp(inst, relax=True)
-    assert all(v.integrality == BINARY for v in strict.variables)
-    assert all(v.integrality == CONTINUOUS for v in relaxed.variables)
+    assert strict.binary.all() and not relaxed.binary.any()
     assert strict.num_rows == relaxed.num_rows
-    assert all(
-        (v.lower, v.upper) == (w.lower, w.upper)
-        for v, w in zip(strict.variables, relaxed.variables)
-    )
+    assert np.array_equal(strict.lower, relaxed.lower)
+    assert np.array_equal(strict.upper, relaxed.upper)
 
 
 def test_ring_closed_forms():
@@ -321,7 +318,7 @@ def test_varmap_ids_are_unique(net4):
         ids = []
         for block, name in _named_blocks(vm):
             for index in np.ndindex(block.shape):
-                assert model.variables[block[index]].name == name(*index), label
+                assert model.variable_names[block[index]] == name(*index), label
             ids += block.ravel().tolist()
         assert ids and len(ids) == len(set(ids)), label
         # the subproblems' one other column is eps
@@ -329,7 +326,7 @@ def test_varmap_ids_are_unique(net4):
         if vm.rows_capacity is not None:
             assert vm.rows_capacity.shape == (E,), label
             for e, row in enumerate(vm.rows_capacity):
-                assert model.rows[row].name.endswith(f"e{e}"), label
+                assert model.row_names[row].endswith(f"e{e}"), label
         assert all(type(vid) is int for row in model.rows for vid, _ in row.coeffs), label
 
 
@@ -382,10 +379,10 @@ def test_export_bytes_are_pinned(tmp_path, capsys, net4):
 def _structure_digest(model):
     """Bounds, costs, senses, right-hand sides and coefficients; not names."""
     h = hashlib.sha256()
-    for v in model.variables:
-        h.update(repr((v.lower, v.upper, v.obj)).encode())
-    for r in model.rows:
-        h.update(repr((r.sense, r.rhs, r.coeffs)).encode())
+    for column in zip(model.lower.tolist(), model.upper.tolist(), model.cost.tolist()):
+        h.update(repr(column).encode())
+    for i, (sense, rhs) in enumerate(zip(model.senses.tolist(), model.rhs.tolist())):
+        h.update(repr((sense, rhs, row_coeffs(model, i))).encode())
     return h.hexdigest()
 
 
@@ -430,12 +427,16 @@ def test_decomposition_models_are_pinned(monkeypatch):
 
 
 def _rebuilt(model):
-    """The model rebuilt one add_variable and add_row call at a time from its views."""
+    """The model rebuilt from its arrays one column and one row per append."""
     copy = LinearModel(model.name)
-    for v in model.variables:
-        copy.add_variable(v.lower, v.upper, v.obj, v.integrality, v.name)
-    for r in model.rows:
-        copy.add_row(r.sense, r.rhs, r.coeffs, r.name)
+    kinds = np.where(model.binary, BINARY, CONTINUOUS).tolist()
+    columns = zip(model.lower.tolist(), model.upper.tolist(), model.cost.tolist(), kinds,
+                  model.variable_names)
+    for column in columns:
+        add_column(copy, *column)
+    rows = zip(model.senses.tolist(), model.rhs.tolist(), model.row_names)
+    for i, (sense, rhs, name) in enumerate(rows):
+        add_row(copy, sense, rhs, row_coeffs(model, i), name)
     return copy
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linprog_solve, row_block, solve_checked
+from helpers import add_column, add_row, linprog_solve, row_block, row_coeffs, solve_checked
 from lambdabound import simplex
 from lambdabound.benders import solve_lp_r3_benders
 from lambdabound.formulations import (
@@ -28,8 +28,8 @@ from lambdabound.simplex import check_certificates, presolve, solve
 
 def test_single_ge_row_dual():
     m = LinearModel()
-    x = m.add_variable(0, 10, 1.0)
-    r = m.add_row(SENSE_GE, 3.0, [(x, 1.0)])
+    x = add_column(m, 0, 10, 1.0)
+    r = add_row(m, SENSE_GE, 3.0, [(x, 1.0)])
     sol = solve_checked(m)
     assert sol.status == simplex.OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
@@ -38,8 +38,8 @@ def test_single_ge_row_dual():
 
 def test_model_without_rows():
     m = LinearModel()
-    m.add_variable(0, 4, -1.0)
-    m.add_variable(-1, 3, 2.0)
+    add_column(m, 0, 4, -1.0)
+    add_column(m, -1, 3, 2.0)
     sol = solve_checked(m)
     assert sol.status == simplex.OPTIMAL
     assert sol.objective == -6.0
@@ -47,9 +47,9 @@ def test_model_without_rows():
 
 def test_binding_equality():
     m = LinearModel()
-    x = m.add_variable(0, 10, 1.0)
-    y = m.add_variable(0, 10, 1.0)
-    m.add_row(SENSE_EQ, 5.0, [(x, 1.0), (y, 1.0)])
+    x = add_column(m, 0, 10, 1.0)
+    y = add_column(m, 0, 10, 1.0)
+    add_row(m, SENSE_EQ, 5.0, [(x, 1.0), (y, 1.0)])
     sol = solve_checked(m)
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
@@ -62,16 +62,16 @@ def test_ring_relaxation_value():
 
 def test_infeasible_detected():
     m = LinearModel()
-    x = m.add_variable(0, 10, 1.0)
-    m.add_row(SENSE_LE, 1.0, [(x, 1.0)])
-    m.add_row(SENSE_GE, 2.0, [(x, 1.0)])
+    x = add_column(m, 0, 10, 1.0)
+    add_row(m, SENSE_LE, 1.0, [(x, 1.0)])
+    add_row(m, SENSE_GE, 2.0, [(x, 1.0)])
     assert solve(m).status == simplex.INFEASIBLE
 
 
 def test_unbounded_detected():
     m = LinearModel()
-    x = m.add_variable(0, INF, -1.0)
-    m.add_row(SENSE_GE, 0.0, [(x, 1.0)])
+    x = add_column(m, 0, INF, -1.0)
+    add_row(m, SENSE_GE, 0.0, [(x, 1.0)])
     assert solve(m).status == simplex.UNBOUNDED
 
 
@@ -87,7 +87,7 @@ def test_iteration_limit_ends_a_warm_start(monkeypatch):
     model, _ = build_lp_r3(gen_random(8, 2, 4, 10, seed=1))
     lp = presolve(model)
     lp.basis = solve(lp).basis
-    capacities = [i for i, row in enumerate(model.rows) if row.name.startswith("acap_")]
+    capacities = [i for i, name in enumerate(model.row_names) if name.startswith("acap_")]
     lp.set_rhs(capacities, np.full(len(capacities), 1.5))
     monkeypatch.setattr(simplex, "MAX_ITERATIONS", 3)
     sol, starts = _starts(lp)
@@ -98,9 +98,9 @@ def test_iteration_limit_ends_a_warm_start(monkeypatch):
 
 def test_certificates_flag_a_corrupted_solution():
     m = LinearModel()
-    x = m.add_variable(0, 10, 1.0)
-    y = m.add_variable(0, 10, 2.0)
-    r = m.add_row(SENSE_EQ, 5.0, [(x, 1.0), (y, 1.0)])
+    x = add_column(m, 0, 10, 1.0)
+    y = add_column(m, 0, 10, 2.0)
+    r = add_row(m, SENSE_EQ, 5.0, [(x, 1.0), (y, 1.0)])
     sol = solve(m)
     assert sol.status == simplex.OPTIMAL and sol.duals[r] == pytest.approx(1.0)
     clean = check_certificates(m, sol)
@@ -122,15 +122,15 @@ def test_requires_a_variable():
 
 def test_fixed_variables_and_empty_rows_presolve():
     m = LinearModel()
-    x = m.add_variable(2.0, 2.0, 1.0)  # pinned
-    y = m.add_variable(0.0, 5.0, 1.0)
-    m.add_row(SENSE_LE, 3.0, [(x, 1.0)])          # 2 <= 3, row drops out
-    m.add_row(SENSE_GE, 4.0, [(x, 1.0), (y, 1.0)])
+    x = add_column(m, 2.0, 2.0, 1.0)  # pinned
+    y = add_column(m, 0.0, 5.0, 1.0)
+    add_row(m, SENSE_LE, 3.0, [(x, 1.0)])          # 2 <= 3, row drops out
+    add_row(m, SENSE_GE, 4.0, [(x, 1.0), (y, 1.0)])
     sol = solve_checked(m)
     assert sol.objective == pytest.approx(4.0)
     assert sol.primal[x] == 2.0 and sol.primal[y] == pytest.approx(2.0)
 
-    m.add_row(SENSE_EQ, 5.0, [(x, 1.0)])  # 2 == 5 is impossible
+    add_row(m, SENSE_EQ, 5.0, [(x, 1.0)])  # 2 == 5 is impossible
     assert solve(m).status == simplex.INFEASIBLE
 
     lp = presolve(m)
@@ -143,8 +143,8 @@ def test_fixed_variables_and_empty_rows_presolve():
 
 def test_all_variables_fixed():
     m = LinearModel()
-    x = m.add_variable(1.0, 1.0, 3.0)
-    m.add_row(SENSE_LE, 2.0, [(x, 1.0)])
+    x = add_column(m, 1.0, 1.0, 3.0)
+    add_row(m, SENSE_LE, 2.0, [(x, 1.0)])
     sol = solve_checked(m)
     assert sol.status == simplex.OPTIMAL
     assert sol.objective == pytest.approx(3.0)
@@ -167,11 +167,11 @@ def _random_model(rng, open_columns=False):
         lower = np.where(kind <= 1, 0.0, -INF)
         upper = np.where(kind % 2 == 0, hi, INF)
     for j in range(n):
-        model.add_variable(lower[j], upper[j], c[j])
+        add_column(model, lower[j], upper[j], c[j])
     senses = rng.choice([SENSE_LE, SENSE_EQ, SENSE_GE], size=mm)
     for i in range(mm):
         coeffs = [(j, float(rng.integers(-3, 4))) for j in range(n)]
-        model.add_row(senses[i], float(rng.integers(-5, 10)), coeffs)
+        add_row(model, senses[i], float(rng.integers(-5, 10)), coeffs)
     return model
 
 
@@ -180,20 +180,20 @@ def _certificates_by_loop(model, sol):
     tol = simplex.FEASIBILITY_TOL
     x, y, d = sol.primal, sol.duals, sol.reduced_costs
     bound_viol = cs_var = dual_obj = 0.0
-    for v in model.variables:
-        bound_viol = max(bound_viol, v.lower - x[v.id], x[v.id] - v.upper)
-        if v.lower + tol < x[v.id] < v.upper - tol:
-            cs_var = max(cs_var, abs(d[v.id]))
-        if abs(d[v.id]) > 1e-12:
-            dual_obj += d[v.id] * (v.lower if d[v.id] > 0 else v.upper)
+    for j, (lower, upper) in enumerate(zip(model.lower.tolist(), model.upper.tolist())):
+        bound_viol = max(bound_viol, lower - x[j], x[j] - upper)
+        if lower + tol < x[j] < upper - tol:
+            cs_var = max(cs_var, abs(d[j]))
+        if abs(d[j]) > 1e-12:
+            dual_obj += d[j] * (lower if d[j] > 0 else upper)
     row_viol = cs_row = 0.0
-    for row in model.rows:
-        slack = row.rhs - sum(c * x[j] for j, c in row.coeffs)
-        excess = {SENSE_LE: -slack, SENSE_GE: slack}.get(row.sense, abs(slack))
+    for i, (sense, rhs) in enumerate(zip(model.senses.tolist(), model.rhs.tolist())):
+        slack = rhs - sum(c * x[j] for j, c in row_coeffs(model, i))
+        excess = {SENSE_LE: -slack, SENSE_GE: slack}.get(sense, abs(slack))
         row_viol = max(row_viol, excess)
-        if abs(y[row.id]) > simplex.OPTIMALITY_TOL:
+        if abs(y[i]) > simplex.OPTIMALITY_TOL:
             cs_row = max(cs_row, abs(slack))
-        dual_obj += y[row.id] * row.rhs
+        dual_obj += y[i] * rhs
     return {
         "bound_violation": bound_viol,
         "row_violation": row_viol,
@@ -233,11 +233,8 @@ def test_dual_sign_conventions():
         sol = solve(model)
         if sol.status != simplex.OPTIMAL:
             continue
-        for row in model.rows:
-            if row.sense == SENSE_LE:
-                assert sol.duals[row.id] <= 1e-9
-            elif row.sense == SENSE_GE:
-                assert sol.duals[row.id] >= -1e-9
+        assert (sol.duals[model.senses == SENSE_LE] <= 1e-9).all()
+        assert (sol.duals[model.senses == SENSE_GE] >= -1e-9).all()
 
 
 def test_bitwise_determinism():
@@ -319,10 +316,10 @@ def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
     na = len(lp.active)
     status = first.basis.status
     row = next(
-        r for r in model.rows
-        if r.sense == SENSE_LE and status[na + np.searchsorted(lp.rows, r.id)] == simplex._BASIC
+        i for i, sense in enumerate(model.senses)
+        if sense == SENSE_LE and status[na + np.searchsorted(lp.rows, i)] == simplex._BASIC
     )
-    lp.set_rhs([row.id], [row.rhs + 1.0])
+    lp.set_rhs([row], [model.rhs[row] + 1.0])
     j = int(np.flatnonzero((status[:na] == simplex._NB_LOWER) & (lp.ub[:na] < INF))[0])
     lp.set_upper([lp.active[j]], [lp.ub[j] + 1.0])
 
@@ -364,7 +361,7 @@ def test_rows_appended_in_steps_match_one_presolve():
     lp = presolve(model)
     for batch in batches:
         lp.add_rows(*row_block(batch, len(lp.cost)))
-    ids = [model.add_row(*row) for batch in batches for row in batch]
+    ids = [add_row(model, *row) for batch in batches for row in batch]
     whole = presolve(model)
 
     assert not lp.infeasible and ids[3] not in lp.rows and ids[4] in lp.rows
@@ -378,10 +375,10 @@ def test_rows_appended_in_steps_match_one_presolve():
 
 def test_dependent_start_basis_falls_back_cold():
     m = LinearModel()
-    x = m.add_variable(0, 4, -1.0)
-    y = m.add_variable(0, 4, -2.0)
-    m.add_row(SENSE_LE, 5.0, [(x, 1.0), (y, 1.0)])
-    m.add_row(SENSE_GE, 1.0, [(x, 2.0), (y, 2.0)])
+    x = add_column(m, 0, 4, -1.0)
+    y = add_column(m, 0, 4, -2.0)
+    add_row(m, SENSE_LE, 5.0, [(x, 1.0), (y, 1.0)])
+    add_row(m, SENSE_GE, 1.0, [(x, 2.0), (y, 2.0)])
     fresh = solve(m)
     lp = presolve(m)
     # x and y have the same column, so a basis of both is singular
@@ -401,14 +398,14 @@ def test_dependent_start_basis_falls_back_cold():
 def _open_columns_model():
     """min x - y + 2z - 3w with x free, y >= 0 and z <= 3 open, w boxed."""
     m = LinearModel()
-    x = m.add_variable(-INF, INF, 1.0)
-    y = m.add_variable(0.0, INF, -1.0)
-    z = m.add_variable(-INF, 3.0, 2.0)
-    w = m.add_variable(0.0, 4.0, -3.0)
-    m.add_row(SENSE_GE, 2.0, [(x, 1.0), (y, -1.0)])
-    m.add_row(SENSE_LE, 6.0, [(y, 1.0), (w, 1.0)])
-    m.add_row(SENSE_EQ, 1.0, [(x, 1.0), (z, 1.0), (w, -1.0)])
-    m.add_row(SENSE_GE, -5.0, [(z, 1.0), (y, -1.0)])
+    x = add_column(m, -INF, INF, 1.0)
+    y = add_column(m, 0.0, INF, -1.0)
+    z = add_column(m, -INF, 3.0, 2.0)
+    w = add_column(m, 0.0, 4.0, -3.0)
+    add_row(m, SENSE_GE, 2.0, [(x, 1.0), (y, -1.0)])
+    add_row(m, SENSE_LE, 6.0, [(y, 1.0), (w, 1.0)])
+    add_row(m, SENSE_EQ, 1.0, [(x, 1.0), (z, 1.0), (w, -1.0)])
+    add_row(m, SENSE_GE, -5.0, [(z, 1.0), (y, -1.0)])
     return m
 
 
@@ -475,9 +472,9 @@ def _rhs_at(rng, A, senses, x):
 def _model(hi, cost, rows):
     model = LinearModel()
     for j in range(len(hi)):
-        model.add_variable(0.0, hi[j], cost[j])
+        add_column(model, 0.0, hi[j], cost[j])
     for sense, rhs, coeffs in rows:
-        model.add_row(sense, float(rhs), coeffs)
+        add_row(model, sense, float(rhs), coeffs)
     return model
 
 
@@ -505,9 +502,9 @@ def test_dual_bound_is_a_lower_bound(seed):
 def test_dual_bound_with_open_and_fixed_columns():
     # min x + 3z, x + z >= 3, x >= 0, z pinned at 2: optimum 7
     m = LinearModel()
-    x = m.add_variable(0.0, INF, 1.0)
-    z = m.add_variable(2.0, 2.0, 3.0)
-    m.add_row(SENSE_GE, 3.0, [(x, 1.0), (z, 1.0)])
+    x = add_column(m, 0.0, INF, 1.0)
+    z = add_column(m, 2.0, 2.0, 3.0)
+    add_row(m, SENSE_GE, 3.0, [(x, 1.0), (z, 1.0)])
     lp = presolve(m)
     assert simplex.dual_bound(lp, [1.0])[0] == 7.0  # r = 0 meets the open bound
     assert simplex.dual_bound(lp, [2.0])[0] == -INF  # r < 0 points at it
@@ -644,9 +641,9 @@ def test_warm_resolve_reports_infeasible(seed, which):
 
 def test_infeasible_resolve_ends_at_its_first_start():
     m = LinearModel()
-    x = m.add_variable(0.0, 10.0, -1.0)
-    y = m.add_variable(0.0, 10.0, -1.0)
-    r = m.add_row(SENSE_LE, 4.0, [(x, 1.0), (y, 1.0)])
+    x = add_column(m, 0.0, 10.0, -1.0)
+    y = add_column(m, 0.0, 10.0, -1.0)
+    r = add_row(m, SENSE_LE, 4.0, [(x, 1.0), (y, 1.0)])
     lp = presolve(m)
     first = solve(lp)
     assert first.status == simplex.OPTIMAL and first.objective == -4.0
@@ -758,8 +755,8 @@ def test_open_columns_match_highs(seed):
     # solve settles feasibility
     zero_cost = LinearModel()
     zero_cost.add_variables(model.lower, model.upper, 0.0)
-    for row in model.rows:
-        zero_cost.add_row(row.sense, row.rhs, row.coeffs)
+    R = model.matrix.tocoo()
+    zero_cost.add_rows(model.senses, model.rhs, (R.row, R.col, R.data))
     feasible = linprog_solve(zero_cost)
     assert feasible.status in (0, 2)
     assert sol.status == (simplex.UNBOUNDED if feasible.status == 0 else simplex.INFEASIBLE)
