@@ -19,7 +19,9 @@ from it. The subproblems of all failures share one presolved template, the
 subproblem built with no failure: each round overwrites its capacity
 right-hand sides with the candidate wbar, and failure tau is applied by
 fixing at zero the flow columns of arcs 2tau and 2tau+1 of every origin and
-reopening those of the failure solved before. The run keeps one basis per
+reopening those of the failure solved before; the presolved template keeps
+the model's row and column ids, so both are set by the ids the builder
+hands out. The run keeps one basis per
 failure. A failure re-solves from its own last basis, and its first solve
 starts from the last optimal basis of any failure: costs are shared and
 every reopened column is boxed, so that basis is dual feasible once its
@@ -154,14 +156,12 @@ class BendersState:
         model, varmap = build_subproblem(instance, None, np.zeros(instance.num_edges))
         self.subproblem = presolve(model)
         self._capacity_rows = varmap.rows_capacity
-        # failure tau closes the unpinned flow columns of its two arcs
+        # failure tau closes the flow columns of its two arcs
         flows = varmap.y_agg[None]
-        upper = model.upper
         self._closed = {}
         for tau in instance.failures:
             ids = flows[:, 2 * tau : 2 * tau + 2].ravel()
-            ids = ids[np.isin(ids, self.subproblem.active)]
-            self._closed[tau] = (ids, upper[ids])
+            self._closed[tau] = (ids, model.upper[ids])
         self._applied: int | None = None  # the failure whose columns are closed
         self.bases: dict[int, Basis] = {}
         self._last_basis: Basis | None = None

@@ -13,12 +13,15 @@ kinds of rows, each kind coordinate arrays built from the node-arc incidence.
 A path block (the working block, one backup block per failure) has the
 requests as commodities and the wavelengths as layers. An aggregated block
 (one per failure in lp-r3, one in lp-rwap-agg, the master and each
-subproblem) has the origins as commodities and one layer: lp-r3 is the
-backup-only path model with requests grouped by origin and wavelengths
-merged. _path_model assembles the four path models from their working,
-backup and linking blocks. The backup or aggregated flow columns of all
-scenarios are one column block, and each builder appends all of its rows as
-one block (_append_rows), so no row or coefficient is ever a Python object.
+subproblem) has as commodities the origins that send demand, in ascending
+node order, and one layer: lp-r3 is the backup-only path model with requests
+grouped by origin and wavelengths merged. A node that sends nothing gets no
+flow columns and no rows, so no built model has a fixed column or an empty
+row. Names keep the node id of an origin. _path_model assembles the four
+path models from their working, backup and linking blocks. The backup or
+aggregated flow columns of all scenarios are one column block, and each
+builder appends all of its rows as one block (_append_rows), so no row or
+coefficient is ever a Python object.
 
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instance import ArcTable, Instance, arcs, demand_matrix
+from .instance import Instance, arc_ends, demand_matrix
 from .lpmodel import (
     BINARY,
     CONTINUOUS,
@@ -63,7 +66,8 @@ class VarMap:
     w: np.ndarray | None = None  # [k, e] -> var
     y: dict = field(default_factory=dict)  # tau -> [d, k, a] -> var
     wbar: np.ndarray | None = None  # [e] -> var
-    y_agg: dict = field(default_factory=dict)  # tau -> [s, a] -> var; tau None = no failure
+    # tau -> [i, a] -> var over the demand origins; tau None = no failure
+    y_agg: dict = field(default_factory=dict)
     rows_capacity: np.ndarray | None = None  # [e] -> row
 
 
@@ -82,6 +86,12 @@ class Cut:
 def _grid(shape) -> np.ndarray:
     """Every index of shape in lexicographic order, one per row."""
     return np.indices(shape).reshape(len(shape), -1).T
+
+
+def _relabel(index, labels) -> np.ndarray:
+    """index, one per row, with its first coordinate i written as labels[i]."""
+    index[:, 0] = np.asarray(labels)[index[:, 0]]
+    return index
 
 
 def _columns(model, shape, upper, cost, name, integrality=CONTINUOUS):
@@ -119,17 +129,7 @@ def _append_rows(model, kinds) -> list[np.ndarray]:
     return [ids[a:b] for a, b in zip(starts, starts[1:])]
 
 
-def _arc_ends(table: ArcTable) -> tuple[np.ndarray, np.ndarray]:
-    """Tail and head node of every arc."""
-    tail = np.zeros(table.num_arcs, dtype=int)
-    head = np.zeros(table.num_arcs, dtype=int)
-    for v, (out, into) in enumerate(zip(table.out_arcs, table.in_arcs)):
-        tail[list(out)] = v
-        head[list(into)] = v
-    return tail, head
-
-
-def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names):
+def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names, labels):
     """Source, null, balance, capacity and exclusion rows of one flow block.
 
     y holds the block's ids by (commodity c, layer l, arc a), and ends the
@@ -139,8 +139,9 @@ def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names)
     flow of layer l over edge e less column cap_cols[l, e] is at most
     cap_rhs[l, e], and under failure tau (None = no failure) no flow uses
     edge tau. names holds the five row name formats, given (c), (c),
-    (c, l, v), (l, e) and (c, l). Every kind is written from the node-arc
-    incidence, repeated over commodities and layers. Returns the kinds for
+    (c, l, v), (l, e) and (c, l), with commodity c written as labels[c].
+    Every kind is written from the node-arc incidence, repeated over
+    commodities and layers. Returns the kinds for
     _append_rows in that order, so the capacity rows, by (l, e), are the
     fourth.
     """
@@ -155,7 +156,7 @@ def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names)
         c, a = np.nonzero(end == sources[:, None])
         cols = y[c[:, None], layers, a[:, None]].ravel()
         entries = (np.repeat(c, L), cols, np.ones(len(cols)))
-        kinds.append((SENSE_EQ, rhs, entries, [(name, np.arange(C))]))
+        kinds.append((SENSE_EQ, rhs, entries, [(name, labels)]))
     # (c, l, v) of each balance row: in-arcs of v at +1, out-arcs at -1
     kept = np.broadcast_to(~np.isnan(balance)[:, None, :], (C, L, balance.shape[1]))
     row_of = np.full(kept.shape, -1)
@@ -166,7 +167,7 @@ def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names)
     live = rows >= 0
     rhs = np.broadcast_to(balance[:, None, :], kept.shape)[kept]
     entries = (rows[live], cols[live], vals[live])
-    kinds.append((SENSE_EQ, rhs, entries, [(bal, np.argwhere(kept))]))
+    kinds.append((SENSE_EQ, rhs, entries, [(bal, _relabel(np.argwhere(kept), labels))]))
     # row (l, e): both arcs of e in layer l, every commodity, less cap_cols[l, e]
     E = cap_cols.shape[1]
     arc_row = np.broadcast_to(layers[:, None] * E + np.arange(A) // 2, y.shape)
@@ -180,7 +181,8 @@ def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names)
         # row (c, l): both arcs of the failed edge
         pair = y[:, :, 2 * tau : 2 * tau + 2].ravel()
         entries = (np.repeat(np.arange(C * L), 2), pair, np.ones(len(pair)))
-        kinds.append((SENSE_EQ, np.zeros(C * L), entries, [(excl, _grid((C, L)))]))
+        index = _relabel(_grid((C, L)), labels)
+        kinds.append((SENSE_EQ, np.zeros(C * L), entries, [(excl, index)]))
     return kinds
 
 
@@ -190,11 +192,10 @@ def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
     The linking rows tie each backup to the working assignment when the
     failure misses the working path.
     """
-    table = arcs(instance.network)
-    ends = _arc_ends(table)
+    ends = arc_ends(instance.network)
     model = LinearModel(f"{tag}:{instance.name}")
     kind = CONTINUOUS if relax else BINARY
-    D, K, A = instance.num_requests, instance.num_wavelengths, table.num_arcs
+    D, K, A = instance.num_requests, instance.num_wavelengths, 2 * instance.num_edges
     failures = np.array(instance.failures, dtype=int)
     vm = VarMap()
     if working:
@@ -202,8 +203,7 @@ def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
     vm.w = _columns(model, (K, instance.num_edges), 1.0, 1.0, "w_k{}e{}", kind)
     if backup:
         # y[tau][d, k, a], every failure's block in one, named by tau
-        index = _grid((len(failures), D, K, A))
-        index[:, 0] = failures[index[:, 0]]
+        index = _relabel(_grid((len(failures), D, K, A)), failures)
         y = model.add_variables(0.0, np.ones(len(index)), 0.0, kind, [("yb_t{}d{}k{}a{}", index)])
         vm.y = dict(zip(instance.failures, y.reshape(len(failures), D, K, A)))
     # request d sends one unit from its source to its sink over all wavelengths
@@ -217,7 +217,8 @@ def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
         names = (f"{p}src_{t}d{{}}", f"{p}null_{t}d{{}}", f"{p}bal_{t}d{{}}k{{}}v{{}}",
                  f"{p}cap_{t}k{{}}e{{}}", f"bexcl_{t}d{{}}k{{}}")
         kinds += _flow_rows(
-            ends, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape), tau, names
+            ends, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape), tau, names,
+            np.arange(D),
         )
     if linking and len(failures):
         kinds.append(_linking_rows(vm, failures))
@@ -279,49 +280,55 @@ def build_ip_r2(instance: Instance, relax: bool = False):
     return _path_model("r2", instance, relax, working=False, backup=True, linking=False)
 
 
-def _aggregated_vars(model, table: ArcTable, q, scenarios) -> dict:
-    """Each scenario's origin-aggregated flows by (s, a), each at most s's total."""
-    shape = (len(q), table.num_arcs)
+def _origins(instance: Instance):
+    """The origins that send demand, ascending, and each one's row of request counts."""
+    q = demand_matrix(instance)
+    origins = np.flatnonzero(q.sum(axis=1))
+    return origins, q[origins]
+
+
+def _aggregated_vars(model, num_arcs, origins, q, scenarios) -> dict:
+    """Each scenario's origin-aggregated flows by (origin, a), each at most its total."""
+    shape = (len(origins), num_arcs)
     tags = ["" if tau is None else f"t{tau}" for tau in scenarios]
-    names = [(f"ya_{tag}s{{}}a{{}}", _grid(shape)) for tag in tags]
-    upper = np.tile(np.repeat(q.sum(axis=1), table.num_arcs), len(scenarios))
+    names = [(f"ya_{tag}s{{}}a{{}}", _relabel(_grid(shape), origins)) for tag in tags]
+    upper = np.tile(np.repeat(q.sum(axis=1), num_arcs), len(scenarios))
     ids = model.add_variables(0.0, upper, 0.0, names=names)  # all scenarios in one block
     return dict(zip(scenarios, ids.reshape(len(scenarios), *shape)))
 
 
-def _aggregated_rows(ends, q, y, tau, cap_cols, cap_rhs):
+def _aggregated_rows(ends, origins, q, y, tau, cap_cols, cap_rhs):
     """Row kinds of one origin-aggregated flow block (tau None = no failure).
 
-    The flow block with origins as commodities and one layer: origin s sends
-    out all of its demand and every other node v keeps q[s, v] of it, the
-    flow over edge e less column cap_cols[e] is at most cap_rhs[e], and under
-    failure tau no flow uses edge tau. The capacity rows, by edge, are the
-    fourth kind.
+    The flow block with the origins as commodities and one layer: origin
+    origins[i] sends out all of its demand and every other node v keeps
+    q[i, v] of it, the flow over edge e less column cap_cols[e] is at most
+    cap_rhs[e], and under failure tau no flow uses edge tau. The capacity
+    rows, by edge, are the fourth kind.
     """
     t = "" if tau is None else f"t{tau}"
     balance = q.astype(float)
-    np.fill_diagonal(balance, np.nan)
+    balance[np.arange(len(origins)), origins] = np.nan
     names = (f"asrc_{t}s{{0}}", f"anull_{t}s{{0}}", f"abal_{t}s{{0}}v{{2}}",
              f"acap_{t}e{{1}}", f"aexcl_{t}s{{0}}")
     cap_cols, cap_rhs = np.reshape(cap_cols, (1, -1)), np.reshape(cap_rhs, (1, -1))
     return _flow_rows(
-        ends, y[:, None, :], range(len(q)), q.sum(axis=1), balance, cap_cols, cap_rhs,
-        tau, names,
+        ends, y[:, None, :], origins, q.sum(axis=1), balance, cap_cols, cap_rhs,
+        tau, names, origins,
     )
 
 
 def _aggregated_model(name: str, instance: Instance, scenarios):
     """Edge capacities wbar, each costing one, and one flow block per scenario."""
-    table = arcs(instance.network)
-    q = demand_matrix(instance)
+    ends = arc_ends(instance.network)
+    origins, q = _origins(instance)
     E = instance.num_edges
     model = LinearModel(name)
     vm = VarMap(wbar=_columns(model, (E,), instance.num_wavelengths, 1.0, "wb_e{}"))
-    vm.y_agg = _aggregated_vars(model, table, q, scenarios)
-    ends = _arc_ends(table)
+    vm.y_agg = _aggregated_vars(model, 2 * E, origins, q, scenarios)
     kinds = []
     for tau in scenarios:
-        kinds += _aggregated_rows(ends, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
+        kinds += _aggregated_rows(ends, origins, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
     _append_rows(model, kinds)
     return model, vm
 
@@ -361,22 +368,23 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     """
     if failed_edge is not None and failed_edge not in instance.failures:
         raise FormulationError(f"edge {failed_edge} is not in the failure set")
-    K = instance.num_wavelengths
+    K, E = instance.num_wavelengths, instance.num_edges
     wbar = np.asarray(wbar, dtype=float)
-    if wbar.shape != (instance.num_edges,):
+    if wbar.shape != (E,):
         raise FormulationError("wbar must have one entry per edge")
     if (wbar < -1e-9).any() or (wbar > K + 1e-9).any():
         raise FormulationError("wbar entries must lie within [0, |K|]")
-    table = arcs(instance.network)
-    q = demand_matrix(instance)
+    origins, q = _origins(instance)
     tag = "" if failed_edge is None else f":t{failed_edge}"
     model = LinearModel(f"sub:{instance.name}{tag}")
-    y = _aggregated_vars(model, table, q, (failed_edge,))[failed_edge]
+    y = _aggregated_vars(model, 2 * E, origins, q, (failed_edge,))[failed_edge]
     # each origin's arc flow is at most its total, so an edge carries at most
     # 2|D|; the box keeps every column bounded and so every dual bound finite
     eps = model.add_variables(0.0, 2.0 * instance.num_requests, 1.0, names=[("eps", [()])])[0]
-    cap_cols = np.full(instance.num_edges, eps)
-    kinds = _aggregated_rows(_arc_ends(table), q, y, failed_edge, cap_cols, wbar)
+    cap_cols = np.full(E, eps)
+    kinds = _aggregated_rows(
+        arc_ends(instance.network), origins, q, y, failed_edge, cap_cols, wbar
+    )
     rows = _append_rows(model, kinds)[3]
     return model, VarMap(y_agg={failed_edge: y}, rows_capacity=rows)
 

@@ -65,31 +65,14 @@ class Network:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class ArcTable:
-    """Per-node out/in incidence lists of the 2|E| directed arcs.
+def arc_ends(network: Network) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head node of each of the 2|E| directed arcs.
 
     Arc 2e runs u -> v along edge e and arc 2e+1 runs v -> u.
     """
-
-    num_arcs: int
-    out_arcs: tuple[tuple[int, ...], ...]
-    in_arcs: tuple[tuple[int, ...], ...]
-
-
-def arcs(network: Network) -> ArcTable:
-    """Build the arc table; arc ids are 2e (forward) and 2e+1 (backward)."""
-    out_lists: list[list[int]] = [[] for _ in range(network.num_nodes)]
-    in_lists: list[list[int]] = [[] for _ in range(network.num_nodes)]
-    for e in network.edges:
-        for a, tail, head in ((2 * e.id, e.u, e.v), (2 * e.id + 1, e.v, e.u)):
-            out_lists[tail].append(a)
-            in_lists[head].append(a)
-    return ArcTable(
-        num_arcs=2 * network.num_edges,
-        out_arcs=tuple(tuple(lst) for lst in out_lists),
-        in_arcs=tuple(tuple(lst) for lst in in_lists),
-    )
+    edges = sorted(network.edges, key=lambda e: e.id)
+    uv = np.array([(e.u, e.v) for e in edges], dtype=int).reshape(-1, 2)
+    return uv.ravel(), uv[:, ::-1].ravel()
 
 
 @dataclass(frozen=True)

@@ -50,16 +50,17 @@ NumericalError. Both passes switch to Bland's rule after BLAND_STALL
 consecutive degenerate steps, which rules out cycling. An Optimal solve
 returns its final basis, weights and LU.
 
-`presolve` turns a LinearModel into an ArrayLP from the model's arrays:
-fixed variables are pinned, rows whose support is entirely fixed are dropped
-and the rest is held as sparse arrays. An ArrayLP takes new right-hand sides (`set_rhs`), new upper
+`presolve` turns a LinearModel into an ArrayLP from the model's arrays,
+every variable and row kept under its model id. A fixed variable
+(lower = upper) stays nonbasic at its bound: no pivot, flip or perturbation
+moves it. An ArrayLP takes new right-hand sides (`set_rhs`), new upper
 bounds (`set_upper`) and appended rows (`add_rows`, whose slacks join the
 stored basis as basic) without a rebuild, and carries the start basis of
 its next solve. Primal and dual pivots share one basis change.
 
-A kept row forces when its rhs is 0, its sense is '<=' or '=' and every
-coefficient is positive on a column whose lower bound is 0: then each of
-those columns is 0 at every feasible point (a forcing constraint, Brearley,
+A row forces when its rhs is 0, its sense is '<=' or '=', it has
+coefficients and each is positive on a column whose lower bound is 0: then
+each of those columns is 0 at every feasible point (a forcing constraint, Brearley,
 Mitra and Williams, 1975). The flow models' null and exclusion rows are of
 this kind. add_rows marks the candidate rows once, set_rhs re-reads only the
 candidates it touches, and every solve takes a forced column's upper bound
@@ -75,8 +76,8 @@ model's own bounds. `dual_bound` evaluates that dual objective for any row
 duals, after moving each to its sign and with forced columns at 0, as in the
 solve, so it bounds the optimum from below whatever produced them.
 
-`solve` refuses a model with more than MAX_ROWS rows after presolve with a
-ModelError, which bounds the time a single solve can take.
+`solve` refuses a model with more than MAX_ROWS rows with a ModelError,
+which bounds the time a single solve can take.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ DSE_FLOOR = 1e-4  # least dual steepest-edge weight an update may leave
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-7
 MAX_ITERATIONS = 10_000_000
-# rows after presolve that solve accepts. It bounds solve time (the relaxed
+# model rows that solve accepts. It bounds solve time (the relaxed
 # ip-rwap-ppp of gen_cycle(5, 2, 80), 22,104 rows, ran over 600 s) and keeps
 # the eta file's dot products at most 10,000 long, which OpenBLAS runs on one
 # thread whatever its thread count, so pivot paths stay independent of it
@@ -130,7 +131,7 @@ class Basis:
 
     head: np.ndarray  # column in each basis position
     status: np.ndarray  # per column: nonbasic at lower/upper, basic, free
-    weights: np.ndarray | None = None  # per position: DSE weight, None for all 1
+    weights: np.ndarray  # per position: DSE weight
     # (cols, lu): the eta-free LU of cols[:, head]; reused only for that very cols
     factor: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -153,59 +154,50 @@ def _at_finite_bound(lb, ub) -> np.ndarray:
     return np.where(lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE))
 
 
-def _positions(kept: np.ndarray, ids, error: str) -> np.ndarray:
-    """Positions of model ids in the ascending id array kept; ModelError if absent."""
+def _checked(ids, size: int, what: str) -> np.ndarray:
+    """ids as an int array; ModelError unless each lies in [0, size)."""
     ids = np.asarray(ids, dtype=int)
-    pos = np.searchsorted(kept, ids)
-    if (pos >= len(kept)).any() or (kept[pos] != ids).any():
-        raise ModelError(error)
-    return pos
+    if ((ids < 0) | (ids >= size)).any():
+        raise ModelError(f"{what}: id outside 0..{size - 1}")
+    return ids
 
 
 class ArrayLP:
     """A LinearModel after presolve, in the array form the simplex works on.
 
-    Columns are the model's unfixed variables (`active`), then one slack per
-    kept row (`rows`, model row ids in ascending order): `cols` is [A | I]
-    and `lb`/`ub`/`c` are their bounds and costs. `K` holds the kept rows
-    over every model variable, for the reduced costs, and `b` is the kept
-    rows' rhs less the pinned variables' share `shift`. `colsT` and `KT` are
-    their transposed views. `forced` lists the structural columns that the
-    forcing rows hold at 0 under the current rhs. `basis` is the start basis
-    of the next solve; None starts from the slack basis.
+    Columns are the model's variables, then one slack per model row: `cols`
+    is [A | I] and `lb`/`ub`/`c` are their bounds and costs, with
+    `cost == c[:n]` the model's costs and `b` its rhs. `colsT` is the
+    transposed view of `cols`. `forced` lists the structural columns that
+    the forcing rows hold at 0 under the current rhs. `basis` is the start
+    basis of the next solve; None starts from the slack basis.
     """
 
     def __init__(self, name: str, cost, lb, ub):
         """Variables only; rows come through add_rows."""
-        fixed = (ub - lb) <= FIX_TOL
         self.name = name
         self.cost = cost
-        self.x_fixed = np.where(fixed, lb, 0.0)
-        self.active = np.flatnonzero(~fixed)
-        self.rows = np.zeros(0, dtype=int)
-        self.num_rows = 0
-        self.cols = sp.csc_matrix((0, len(self.active)))
-        self.K = sp.csr_matrix((0, len(cost)))
-        self.colsT, self.KT = self.cols.T, self.K.T  # CSR/CSC views, not copies
+        self.cols = sp.csc_matrix((0, len(cost)))
+        self.colsT = self.cols.T  # a CSR view, not a copy
         self.b = np.zeros(0)
-        self.shift = np.zeros(0)
-        self.lb = lb[self.active]
-        self.ub = ub[self.active]
-        self.c = cost[self.active]
-        self.infeasible = False
+        self.lb = np.array(lb, dtype=float)
+        self.ub = np.array(ub, dtype=float)
+        self.c = np.array(cost, dtype=float)
         self.basis: Basis | None = None
-        # forcing-row candidates: a flag per kept row, and their structural
+        # forcing-row candidates: a flag per row, and their structural
         # coefficients in row order; the live ones are those with b = 0
         self._candidate = np.zeros(0, dtype=bool)
-        self._cand_rows = sp.csr_matrix((0, len(self.active)))
+        self._cand_rows = sp.csr_matrix((0, len(cost)))
         self.forced = np.zeros(0, dtype=int)  # structural columns that live rows force
-        self._forcing = None  # (kept positions, CSR rows) of the live forcing rows
+        self._forcing = None  # (row ids, CSR rows) of the live forcing rows
+
+    num_rows = property(lambda self: len(self.b))
 
     def set_rhs(self, row_ids, values):
-        """Overwrite the right-hand sides of kept rows, given by model row id."""
-        pos = _positions(self.rows, row_ids, "set_rhs on a row that presolve dropped")
-        self.b[pos] = np.asarray(values, dtype=float) - self.shift[pos]
-        if self._candidate[pos].any():
+        """Overwrite the right-hand sides of rows, given by model row id."""
+        row_ids = _checked(row_ids, len(self.b), "set_rhs")
+        self.b[row_ids] = values
+        if self._candidate[row_ids].any():
             self._refresh_forcing()
 
     def _refresh_forcing(self):
@@ -228,13 +220,12 @@ class ArrayLP:
         return ub
 
     def set_upper(self, var_ids, values):
-        """Overwrite the upper bounds of unpinned variables, given by model variable id.
+        """Overwrite the upper bounds of variables, given by model variable id.
 
         An upper bound equal to the lower one fixes the column for the next
         solve; a later call can open it again.
         """
-        pos = _positions(self.active, var_ids, "set_upper on a variable that presolve pinned")
-        self.ub[pos] = values
+        self.ub[_checked(var_ids, len(self.cost), "set_upper")] = values
 
     def add_rows(self, senses, rhs, R):
         """Append rows as the model's next row ids: senses, rhs and a CSR block R.
@@ -242,70 +233,51 @@ class ArrayLP:
         R has one row per new row over every model column, its coefficients
         merged and in ascending column order, as LinearModel.matrix holds them.
 
-        A row whose support is entirely fixed is dropped, after checking that
-        the pinned values satisfy it. Each kept row's slack joins the start
-        basis as basic, so a basis that was dual feasible stays dual feasible,
-        and its pricing weight starts at 1. The basis loses its stored factor,
-        which belongs to the old columns.
+        Each row's slack joins the start basis as basic, so a basis that was
+        dual feasible stays dual feasible, and its pricing weight starts at 1.
+        The basis loses its stored factor, which belongs to the old columns.
         """
-        na, m = len(self.active), len(self.b)
-        rid = self.num_rows + np.arange(len(rhs))
-        self.num_rows += len(rhs)
-        shift = R @ self.x_fixed
-        live = R[:, self.active]
-        kept = np.diff(live.indptr) > 0
-        dropped = ~kept
-        self.infeasible = self.infeasible or bool(
-            (_row_excess(senses[dropped], rhs[dropped] - shift[dropped]) > FEASIBILITY_TOL).any()
-        )
-        k = int(kept.sum())
+        n, m, k = len(self.cost), len(self.b), len(rhs)
         if not k:
             return
         # stacking rows is a concatenation in CSR; in CSC it would go through COO
-        new = live[kept]
-        A = sp.vstack([self.cols[:, :na].tocsr(), new], format="csr").tocsc()
+        A = sp.vstack([self.cols[:, :n].tocsr(), R], format="csr").tocsc()
         self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
-        self.K = sp.vstack([self.K, R[kept]], format="csr")
-        self.colsT, self.KT = self.cols.T, self.K.T
+        self.colsT = self.cols.T
         # a candidate row holds its columns at zero whenever its rhs is 0: its
-        # slack lies in [0, inf) or [0, 0] and every coefficient is positive on
-        # a column whose lower bound is 0
-        starts = new.indptr[:-1]
-        candidate = (
-            (senses[kept] != SENSE_GE)
-            & (np.minimum.reduceat(new.data, starts) > 0)
-            & np.logical_and.reduceat(self.lb[new.indices] == 0.0, starts)
-        )
-        self.rows = np.concatenate([self.rows, rid[kept]])
-        self.b = np.concatenate([self.b, rhs[kept] - shift[kept]])
-        self.shift = np.concatenate([self.shift, shift[kept]])
-        slack_lb, slack_ub = _slack_bounds(senses[kept])
+        # slack lies in [0, inf) or [0, 0], it has coefficients, and each is
+        # positive on a column whose lower bound is 0
+        counts = np.diff(R.indptr)
+        blocking = (R.data <= 0) | (self.lb[R.indices] != 0.0)
+        blocked = np.bincount(np.repeat(np.arange(k), counts)[blocking], minlength=k)
+        candidate = (senses != SENSE_GE) & (counts > 0) & (blocked == 0)
+        self.b = np.concatenate([self.b, rhs])
+        slack_lb, slack_ub = _slack_bounds(senses)
         self.lb = np.concatenate([self.lb, slack_lb])
         self.ub = np.concatenate([self.ub, slack_ub])
         self.c = np.concatenate([self.c, np.zeros(k)])
         self._candidate = np.concatenate([self._candidate, candidate])
         if candidate.any():
-            self._cand_rows = sp.vstack([self._cand_rows, new[candidate]], format="csr")
+            self._cand_rows = sp.vstack([self._cand_rows, R[candidate]], format="csr")
             self._refresh_forcing()
         if self.basis is not None:
-            weights = self.basis.weights
             self.basis = Basis(
-                np.concatenate([self.basis.head, na + m + np.arange(k)]).astype(np.int32),
+                np.concatenate([self.basis.head, n + m + np.arange(k)]).astype(np.int32),
                 np.concatenate([self.basis.status, np.full(k, _BASIC)]).astype(np.int8),
-                None if weights is None else np.concatenate([weights, np.ones(k)]),
+                np.concatenate([self.basis.weights, np.ones(k)]),
             )
 
 
 def _slack_basis(lp: ArrayLP) -> Basis:
     """Every slack basic, each structural at a finite bound; B = I, so every weight is 1."""
-    n, m = len(lp.active), len(lp.b)
+    n, m = len(lp.cost), len(lp.b)
     status = _at_finite_bound(lp.lb, lp.ub)
     status[n:] = _BASIC
     return Basis((n + np.arange(m)).astype(np.int32), status.astype(np.int8), np.ones(m))
 
 
 def presolve(model: LinearModel) -> ArrayLP:
-    """Pin fixed variables, drop rows whose support is entirely fixed, mark forcing rows."""
+    """The model's arrays as an ArrayLP, its forcing rows marked."""
     if model.num_variables == 0:
         raise ModelError("model must have at least one variable")
     lp = ArrayLP(model.name, model.cost, model.lower, model.upper)
@@ -318,7 +290,7 @@ class _Core:
 
     def __init__(self, lp: ArrayLP):
         self.m = len(lp.b)
-        self.n_struct = len(lp.active)
+        self.n_struct = len(lp.cost)
         self.b = lp.b
         self.A, self.AT, self.lb, self.ub = lp.cols, lp.colsT, lp.lb, lp.upper()
         self.iterations = 0
@@ -347,16 +319,14 @@ class _Core:
     def start(self, basis: Basis, costs, last: bool) -> bool:
         """Load a start basis and its weights under the given costs; False unless dual feasible.
 
-        Weights of the wrong length, or none, load as 1s. The basis's stored
-        factor is used only if it was computed on this very column matrix;
-        after add_rows, or on another ArrayLP, the basis is factored afresh.
-        See _make_dual_feasible for `last`. Raises numpy.linalg.LinAlgError
-        when the basis is singular.
+        A basis of another size is refused. Its stored factor is used only if
+        it was computed on this very column matrix; after add_rows, or on
+        another ArrayLP, the basis is factored afresh. See _make_dual_feasible
+        for `last`. Raises numpy.linalg.LinAlgError when the basis is singular.
         """
-        if len(basis.head) != self.m or len(basis.status) != len(self.lb):
+        if {len(basis.head), len(basis.weights)} != {self.m} or len(basis.status) != len(self.lb):
             return False
-        w = basis.weights
-        self.w = np.array(w, dtype=float) if w is not None and len(w) == self.m else np.ones(self.m)
+        self.w = np.array(basis.weights, dtype=float)
         head, status = basis.head.astype(int), basis.status.astype(int)
         factor = basis.factor
         lu = factor[1] if factor is not None and factor[0] is self.A else None
@@ -722,31 +692,29 @@ def _no_solution(lp: ArrayLP, status: str, iterations: int) -> Solution:
 
 
 def _solution(lp: ArrayLP, status: str, x, y, iterations=0, basis=None) -> Solution:
-    """The model-space solution with active columns at x and kept-row duals y.
+    """The model-space solution with the columns at x and row duals y.
 
     Postsolve: each live forcing row's dual moves down by the least that
     leaves every reduced cost on its row nonnegative. Its columns sit at 0,
     their lower bound, and the row is tight with rhs 0, so the duals then
     certify the optimum under the model's own bounds at the same objective.
     """
-    primal = lp.x_fixed.copy()
-    primal[lp.active] = x
-    reduced = lp.cost - lp.KT @ y
+    n = len(lp.cost)
+    primal = np.array(x)
+    reduced = lp.cost - (lp.colsT @ y)[:n]
     if lp._forcing is not None:
-        pos, R = lp._forcing
-        ratio = reduced[lp.active[R.indices]] / R.data
+        rows, R = lp._forcing
+        ratio = reduced[R.indices] / R.data
         move = np.minimum(np.minimum.reduceat(ratio, R.indptr[:-1]), 0.0)
         if move.any():
             y = y.copy()
-            y[pos] += move
-            reduced = lp.cost - lp.KT @ y
-    duals = np.zeros(lp.num_rows)
-    duals[lp.rows] = y
+            y[rows] += move
+            reduced = lp.cost - (lp.colsT @ y)[:n]
     return Solution(
         status=status,
         objective=float(lp.cost @ primal),
         primal=primal,
-        duals=duals,
+        duals=y,
         reduced_costs=reduced,
         iterations=iterations,
         basis=basis,
@@ -802,13 +770,8 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     lp = model if isinstance(model, ArrayLP) else presolve(model)
     if len(lp.b) > MAX_ROWS:
         raise ModelError(
-            f"{lp.name}: {len(lp.b)} rows after presolve exceed the row "
-            f"limit of {MAX_ROWS}"
+            f"{lp.name}: {len(lp.b)} rows exceed the row limit of {MAX_ROWS}"
         )
-    if lp.infeasible:
-        return _no_solution(lp, INFEASIBLE, 0)
-    if len(lp.active) == 0:
-        return _solution(lp, OPTIMAL, np.zeros(0), np.zeros(0))
     sol, spent = (None, 0) if lp.basis is None else _solve_from(lp, lp.basis, 0, False)
     for last in (False, True):
         if sol is None:
@@ -821,22 +784,20 @@ def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:
 
     duals has one entry per model row. Each inequality row's dual is first
     moved to its sign (<= 0 on '<=' rows, >= 0 on '>=' rows); with r = c - A'y
-    the bound is cost.x_fixed + b'y + sum_j min(r_j l_j, r_j u_j), which is
-    -inf when a reduced cost points at an infinite bound. Columns that a
-    forcing row holds at zero count at upper bound 0, as in the solve; the
-    bound is valid for every rhs under which those rows still force. Returns
-    the bound and the signed duals, zero on rows that presolve dropped.
+    the bound is b'y + sum_j min(r_j l_j, r_j u_j), which is -inf when a
+    reduced cost points at an infinite bound. Columns that a forcing row
+    holds at zero count at upper bound 0, as in the solve; the bound is valid
+    for every rhs under which those rows still force. Returns the bound and
+    the signed duals.
     """
-    n = len(lp.active)
+    n = len(lp.cost)
     slack_lb, slack_ub = lp.lb[n:], lp.ub[n:]
-    y = np.asarray(duals, dtype=float)[lp.rows]
+    y = np.asarray(duals, dtype=float)
     y = np.where(slack_ub == INF, np.minimum(y, 0.0), y)
     y = np.where(slack_lb == -INF, np.maximum(y, 0.0), y)
-    r = (lp.cost - lp.KT @ y)[lp.active]
+    r = lp.cost - (lp.colsT @ y)[:n]
     at = np.where(r > 0, lp.lb[:n], np.where(r < 0, lp.upper()[:n], 0.0))
-    signed = np.zeros(lp.num_rows)
-    signed[lp.rows] = y
-    return float(lp.cost @ lp.x_fixed + lp.b @ y + r @ at), signed
+    return float(lp.b @ y + r @ at), y
 
 
 def check_certificates(model: LinearModel, sol: Solution) -> dict:

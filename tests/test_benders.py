@@ -27,7 +27,6 @@ from lambdabound.instance import (
     Instance,
     Network,
     Request,
-    arcs,
     gen_cycle,
     gen_random,
 )
@@ -96,8 +95,7 @@ def test_cut_pool_soundness_at_convergence():
 
 def test_filter_definition():
     inst = gen_cycle(4, 2, 8)
-    table = arcs(inst.network)
-    flows = np.zeros((inst.num_nodes, table.num_arcs))
+    flows = np.zeros((inst.num_nodes, 2 * inst.num_edges))
     # route everything over edges 0 and 1 only
     flows[0, 2 * 0] = 2.0
     flows[0, 2 * 1] = 2.0

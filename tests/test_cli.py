@@ -71,6 +71,15 @@ def test_solve_direct_working_bound(tmp_path, capsys):
     assert out.strip() == "3.000000"
 
 
+@pytest.mark.parametrize("method", ["direct", "benders"])
+def test_solve_lp_r3_without_demand(tmp_path, capsys, method):
+    path = tmp_path / "idle.json"
+    path.write_text(save_instance(gen_random(4, 1, 0, 1, 0)))
+    code, out, _ = run(capsys, "solve", str(path), "--model", "lp-r3", "--method", method)
+    assert code == 0
+    assert out.strip() == "0.000000"
+
+
 def test_solve_usage_error(tmp_path):
     path = write_cycle(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -27,6 +27,7 @@ from lambdabound.instance import (
     Instance,
     Network,
     Request,
+    demand_matrix,
     gen_cycle,
     gen_random,
     save_instance,
@@ -86,17 +87,19 @@ def test_relaxation_counts(net4):
     assert r2.num_rows == 2 * P * D + P * D * K * (V - 2) + P * K * E + P * D * K
     assert r2.num_variables < r1.num_variables
 
+    # the aggregated models write a flow block for each of the S origins that send demand
+    S = len({req.s for req in net4.requests})
     r3, _ = build_lp_r3(net4)
-    assert r3.num_variables == E + P * V * A
-    assert r3.num_rows == 2 * P * V + P * V * (V - 1) + P * E + P * V
+    assert r3.num_variables == E + P * S * A
+    assert r3.num_rows == 2 * P * S + P * S * (V - 1) + P * E + P * S
 
     agg, _ = build_lp_rwap_agg(net4)
-    assert agg.num_variables == E + V * A
-    assert agg.num_rows == 2 * V + V * (V - 1) + E
+    assert agg.num_variables == E + S * A
+    assert agg.num_rows == 2 * S + S * (V - 1) + E
 
     sub, _ = build_subproblem(net4, net4.failures[0], np.zeros(E))
-    assert sub.num_variables == V * A + 1
-    assert sub.num_rows == 2 * V + V * (V - 1) + E + V
+    assert sub.num_variables == S * A + 1
+    assert sub.num_rows == 2 * S + S * (V - 1) + E + S
 
 
 def test_empty_failure_set_degenerates():
@@ -291,7 +294,7 @@ def test_cut_evaluate_is_affine():
     assert cut.evaluate([1.0, 9.0, 2.0]) == pytest.approx(2.0)
 
 
-def _named_blocks(vm):
+def _named_blocks(vm, instance):
     """(ids, name of the column at an index) for every column block of vm."""
     if vm.x is not None:
         yield vm.x, "x_d{}k{}a{}".format
@@ -301,8 +304,11 @@ def _named_blocks(vm):
         yield y, f"yb_t{tau}d{{}}k{{}}a{{}}".format
     if vm.wbar is not None:
         yield vm.wbar, "wb_e{}".format
+    # the first axis of y_agg runs over the origins that send demand, named by node id
+    origins = np.flatnonzero(demand_matrix(instance).sum(axis=1))
     for tau, y in vm.y_agg.items():
-        yield y, ("ya_" + ("" if tau is None else f"t{tau}") + "s{}a{}").format
+        name = ("ya_" + ("" if tau is None else f"t{tau}") + "s{}a{}").format
+        yield y, lambda i, a, name=name: name(origins[i], a)
 
 
 def test_varmap_ids_are_unique(net4):
@@ -316,7 +322,7 @@ def test_varmap_ids_are_unique(net4):
     built.append(("sub", *build_subproblem(net4, net4.failures[0], np.zeros(E))))
     for label, model, vm in built:
         ids = []
-        for block, name in _named_blocks(vm):
+        for block, name in _named_blocks(vm, net4):
             for index in np.ndindex(block.shape):
                 assert model.variable_names[block[index]] == name(*index), label
             ids += block.ravel().tolist()
@@ -330,23 +336,42 @@ def test_varmap_ids_are_unique(net4):
         assert all(type(vid) is int for row in model.rows for vid, _ in row.coeffs), label
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(3, 7), st.integers(0, 2), st.integers(1, 3), st.integers(0, 1),
+    st.integers(0, 2**16),
+)
+def test_models_leave_presolve_nothing_to_pin_or_drop(nodes, extra, requests, spare, seed):
+    """No built model has a fixed column or a row without coefficients, and
+    presolve keeps every column and row: cols is [A | I] over the model."""
+    inst = gen_random(nodes, extra, requests, requests + spare, seed)
+    models = {name: build(inst) for name, build in _BUILDERS.items()}
+    models["master"] = build_master(inst, min(inst.failures))[0]
+    models["template"] = build_subproblem(inst, None, np.zeros(inst.num_edges))[0]
+    for label, model in models.items():
+        assert (model.lower < model.upper).all(), label
+        assert (np.diff(model.indptr) > 0).all(), label
+        shape = (model.num_rows, model.num_variables + model.num_rows)
+        assert simplex.presolve(model).cols.shape == shape, label
+
+
 # sha256 of the LP then MPS text of every CLI export model: exports must stay
 # byte-identical, so any change to a builder's variables, rows or names shows here
 EXPORT_DIGESTS = {
-    ('net4', 'lp-rwap'): 'c25f7f3f8c0cd02f67e3cbaef96de2c5b6391292324f12e761acb50032c38c55',
+    ('net4', 'lp-rwap'): 'dd79c2f4f9fc382da3ddb3882f2799b24477cc13732df193a05dbfa0597aa5dc',
     ('net4', 'lp-rwap-ppp'): 'd303da265c7064ce65a11f905ed879802d07b18fd037ecbbdfddecde5d5941af',
     ('net4', 'lp-r1'): 'eddf4d55146df97bbad8aa3e92cf874aeddc1ba7965f66ad03f8e19ed23870ec',
     ('net4', 'lp-r2'): '3f8bfc5d76fa213caa82cc00f8d21d23cc04a2770eb0d15077eb9675a00beef6',
-    ('net4', 'lp-r3'): '7e65e915f289c7d3f6cee4d0995b597afa49598186de1c5875e164f0ae9d87d2',
+    ('net4', 'lp-r3'): '00e11d7032554df1a66bbe7cef13310baae39e1f15333535042070740ed256c0',
     ('net4', 'ip-rwap'): '5d90ffe9fd74fdb283e770e0f1daba76e221e566dfd327933eb202d20672d5dd',
     ('net4', 'ip-rwap-ppp'): '006cf1ba129d0650aface057beb3c42ea322c93899f7bbe1673fa2ab025aae38',
     ('net4', 'ip-r1'): '08c8d36f9ae3eb90cf7794d536f83a36e6adc04760a4532c1fcd552a0d16d9a0',
     ('net4', 'ip-r2'): 'f9605386c02ed596e2d791d92fa763075db992c8017470bba9f7f86da5f3bc13',
-    ('random6', 'lp-rwap'): '4b0b59722f913541399ff48920b51525d52c33fb08233a97c6f5bc75d7cde0d8',
+    ('random6', 'lp-rwap'): 'c658227b1e2b0fe95bc9dad1297cfd5ec222c51a589de9bc6380e1d3a2d13e4e',
     ('random6', 'lp-rwap-ppp'): '1eb3e5d2419c3c866eacfec2caaef6e03608c9af8d189df302647acfaffe05ff',
     ('random6', 'lp-r1'): '1bde3881e1bf3ce13e97334b8edaef8558930cdf0886311286b7989f7e5ae688',
     ('random6', 'lp-r2'): 'b86a4affd927031467fa37b22dabefb8360861d132ccee098fc1f049386a0927',
-    ('random6', 'lp-r3'): 'ba738f5250ededa47d9c7a584352b31206c47f6a3985f42b80eed348f5780b86',
+    ('random6', 'lp-r3'): 'f557183954444349fee60a25f90ca20437ca43a9451b0fa3cd13e0813f289d7c',
     ('random6', 'ip-rwap'): '24bc0afe25f8c0add63f4ba392e3d31a8652ff55a12afd194d28bbce203ce159',
     ('random6', 'ip-rwap-ppp'): 'e9a5da158a31ab733077ab1e4263c0a8ab0a51c6882fbc2b33ec6f253f4187c7',
     ('random6', 'ip-r1'): 'd9ca3d4e7207ee961b46f3337589bc302f873ed6d872e54177440a49cb437d0f',
@@ -387,19 +412,19 @@ def _structure_digest(model):
 
 
 # the subproblem template of a decomposition run: no failure, capacities 0
-TEMPLATE_DIGEST = 'a01818c8853ab4b0364381f95bb8425379e722694e5db1894afa4c6d49d1914a'
+TEMPLATE_DIGEST = 'd9e873472a9e880cda9de4ff43816c5dc11a36097c6e6698783f43f4bb415df8'
 
 # master, then the subproblem of each failure at capacities 0.5
 DECOMPOSITION_DIGESTS = [
-    '306a9f143e81498a857cc8844097009e6f58df235c3bdc0d420742b4cc7a34fd',
-    '26556d574d337567a217f24c229552437f6c9d231e076dd5700aa2005f92f39d',
-    'aba1d8247db5ebadc7cec1b651807b8d1ff76b9ac5e3dcaa27a97332984da13b',
-    '59f9ca690c5b93c0878d316db16fcf20d1dca42b27ebae546e2f48fb397d931c',
-    '3c65bfd00cd9d1c8d3a13095ac4708f6291e675bbee5ecfbee36fa44d788bc59',
-    '3259096d100eed240f0ae20ff25c28187cfe2c3b7b7e463f92578dd049cd6d27',
-    'e3eea3351a622b21cce8c2ef1cb66412d0a332bd4865643d11a86d66b8356ecc',
-    '0e5ed686d793658ece81a82fb39f3167d260ba6ffbee6284ebef2c0d7a75a8aa',
-    '125fc182b8aabeec8e99c2d4f33932faf671016c163c89807418804a55703850',
+    '82cea1c922ff5dbc33fd08a180acbf3ec8e4071160ff0663093d4440afdefb6b',
+    '1b988647fcaffd844ce482e88b9e94156feccd5fbf99825e5ff094d9faf71b05',
+    '343bc1966337967ee71587fbf9a3553bbabfa29e62aa65f359962c651ce596ed',
+    '34d9251d6d9aebd9eb55ce633372976f038e8b324c80bfb8a5266d8441e2d3ce',
+    '6ec2505eee36837b1faaeec5d4bb1a4689b4c3b0eb0742c6f591af187370e44a',
+    '1838808d618dc94942136e1e2153388a816ce3f9b2d08d4927fb04307261c205',
+    '6630104610c14f96f60391d2822f376dc24e5a1e0b6a41ab2fdd897c97579d19',
+    'c2eec980359faed59a2404bb997f6dded8e83525cfc4a9260663385a49cdf2fd',
+    'e51a3a4af288ae991816f8bc7abcc49a3f160abfc9176e372b260b442b3f948b',
 ]
 
 
@@ -441,13 +466,11 @@ def _rebuilt(model):
 
 
 def _assert_same_presolve(a, b, label):
-    for name in ("cols", "K"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.shape == y.shape, (label, name)
-        for part in ("indptr", "indices", "data"):
-            u, v = getattr(x, part), getattr(y, part)
-            assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, name, part)
-    for name in ("b", "lb", "ub", "c", "rows", "forced"):
+    assert a.cols.shape == b.cols.shape, label
+    for part in ("indptr", "indices", "data"):
+        u, v = getattr(a.cols, part), getattr(b.cols, part)
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, part)
+    for name in ("b", "lb", "ub", "c", "forced"):
         u, v = getattr(a, name), getattr(b, name)
         assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, name)
 

@@ -9,7 +9,7 @@ from lambdabound.instance import (
     InstanceValidationError,
     Network,
     Request,
-    arcs,
+    arc_ends,
     demand_matrix,
     gen_cycle,
     gen_random,
@@ -195,28 +195,26 @@ def test_demand_aggregation_of_identical_requests():
 
 def test_arc_table_single_edge():
     net = Network(node_labels=(0, 1), edges=(Edge(0, 0, 1),))
-    table = arcs(net)
-    assert table.num_arcs == 2
+    tail, head = arc_ends(net)
     # arc 0 runs 0 -> 1, arc 1 runs 1 -> 0
-    assert table.out_arcs == ((0,), (1,))
-    assert table.in_arcs == ((1,), (0,))
+    assert tail.tolist() == [0, 1]
+    assert head.tolist() == [1, 0]
 
 
 def test_arc_table_cycle():
-    table = arcs(gen_cycle(3, 1, 1).network)
-    assert table.num_arcs == 6
+    tail, head = arc_ends(gen_cycle(3, 1, 1).network)
+    assert len(tail) == len(head) == 6
     for v in range(3):
-        assert len(table.out_arcs[v]) == 2
-        assert len(table.in_arcs[v]) == 2
+        assert (tail == v).sum() == 2
+        assert (head == v).sum() == 2
 
 
 def test_arc_table_parallel_edges():
     net = Network(node_labels=(0, 1), edges=(Edge(0, 0, 1), Edge(1, 0, 1)))
-    table = arcs(net)
-    assert table.num_arcs == 4
+    tail, head = arc_ends(net)
     # arcs 2e and 2e+1 belong to edge e
-    assert table.out_arcs == ((0, 2), (1, 3))
-    assert table.in_arcs == ((1, 3), (0, 2))
+    assert tail.tolist() == [0, 1, 0, 1]
+    assert head.tolist() == [1, 0, 1, 0]
 
 
 def test_parallel_edges_roundtrip():

@@ -122,9 +122,9 @@ def test_requires_a_variable():
 
 def test_fixed_variables_and_empty_rows_presolve():
     m = LinearModel()
-    x = add_column(m, 2.0, 2.0, 1.0)  # pinned
+    x = add_column(m, 2.0, 2.0, 1.0)  # fixed
     y = add_column(m, 0.0, 5.0, 1.0)
-    add_row(m, SENSE_LE, 3.0, [(x, 1.0)])          # 2 <= 3, row drops out
+    add_row(m, SENSE_LE, 3.0, [(x, 1.0)])          # 2 <= 3 on the fixed column alone
     add_row(m, SENSE_GE, 4.0, [(x, 1.0), (y, 1.0)])
     sol = solve_checked(m)
     assert sol.objective == pytest.approx(4.0)
@@ -134,9 +134,7 @@ def test_fixed_variables_and_empty_rows_presolve():
     assert solve(m).status == simplex.INFEASIBLE
 
     lp = presolve(m)
-    lp.set_rhs([1], [5.0])  # a kept row
-    with pytest.raises(ModelError):
-        lp.set_rhs([0], [1.0])  # dropped: its support is all pinned
+    lp.set_rhs([0, 1], [1.0, 5.0])  # every row stays, also one whose support is fixed
     with pytest.raises(ModelError):
         presolve(m).set_rhs([7], [1.0])  # no such row
 
@@ -148,6 +146,45 @@ def test_all_variables_fixed():
     sol = solve_checked(m)
     assert sol.status == simplex.OPTIMAL
     assert sol.objective == pytest.approx(3.0)
+
+
+def test_empty_row_between_forcing_rows_forces_nothing():
+    m = LinearModel()
+    x = add_column(m, 0, 1, -1.0)
+    y = add_column(m, 0, 1, -1.0)
+    z = add_column(m, 0, 1, -1.0)
+    add_row(m, SENSE_LE, 0.0, [(x, 1.0)])
+    add_row(m, SENSE_LE, 0.0, [])  # no coefficients: it never forces
+    add_row(m, SENSE_LE, 0.0, [(y, 2.0)])
+    assert presolve(m).forced.tolist() == [x, y]
+    sol = solve_checked(m)
+    assert sol.objective == -1.0 and sol.primal[z] == 1.0
+    # each forcing row's dual prices its column; the empty row has none to price
+    assert sol.duals.tolist() == [-1.0, 0.0, -0.5]
+
+
+@pytest.mark.parametrize("sense, rhs", [(SENSE_LE, -1.0), (SENSE_EQ, 2.0), (SENSE_GE, 1.0)])
+def test_violated_empty_row_is_infeasible(sense, rhs):
+    m = LinearModel()
+    x = add_column(m, 0, 1, 1.0)
+    add_row(m, SENSE_LE, 1.0, [(x, 1.0)])
+    add_row(m, sense, rhs, [])
+    assert solve(m).status == simplex.INFEASIBLE
+
+
+def test_set_rhs_and_upper_check_their_ids():
+    m = LinearModel()
+    x = add_column(m, 0, 4, -1.0)
+    add_row(m, SENSE_LE, 3.0, [(x, 1.0)])
+    lp = presolve(m)
+    for ids in ([1], [-1]):
+        with pytest.raises(ModelError):
+            lp.set_rhs(ids, [1.0])
+        with pytest.raises(ModelError):
+            lp.set_upper(ids, [1.0])  # id 1 would be the row's slack
+    lp.set_rhs([0], [2.0])
+    lp.set_upper([0], [1.0])
+    assert solve(lp).objective == -1.0
 
 
 def _random_model(rng, open_columns=False):
@@ -313,15 +350,15 @@ def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
     lp.basis = first.basis
     # loosen a '<=' row whose slack is basic and raise the upper bound of a
     # column at its lower one: the basis stays optimal
-    na = len(lp.active)
+    n = len(lp.cost)
     status = first.basis.status
     row = next(
         i for i, sense in enumerate(model.senses)
-        if sense == SENSE_LE and status[na + np.searchsorted(lp.rows, i)] == simplex._BASIC
+        if sense == SENSE_LE and status[n + i] == simplex._BASIC
     )
     lp.set_rhs([row], [model.rhs[row] + 1.0])
-    j = int(np.flatnonzero((status[:na] == simplex._NB_LOWER) & (lp.ub[:na] < INF))[0])
-    lp.set_upper([lp.active[j]], [lp.ub[j] + 1.0])
+    j = int(np.flatnonzero((status[:n] == simplex._NB_LOWER) & (lp.ub[:n] < INF))[0])
+    lp.set_upper([j], [lp.ub[j] + 1.0])
 
     calls = _counting_splu(monkeypatch)
     warm = solve(lp)
@@ -340,7 +377,7 @@ def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
     assert solve(other).iterations == 0 and len(calls) == 1
     calls.clear()
     lp.basis = first.basis
-    lp.add_rows(*row_block([(SENSE_LE, 100.0, [(int(lp.active[0]), 1.0)])], len(lp.cost)))
+    lp.add_rows(*row_block([(SENSE_LE, 100.0, [(0, 1.0)])], len(lp.cost)))
     assert solve(lp).iterations == 0 and len(calls) == 1
 
 
@@ -348,28 +385,27 @@ def test_rows_appended_in_steps_match_one_presolve():
     instance = gen_random(10, 2, 3, 3, seed=7)
     tau0 = instance.failures[0]
     model, varmap = build_master(instance, tau0)
-    lower, upper = model.lower, model.upper
-    pinned = int(np.flatnonzero(lower == upper)[0])
     wbar = [int(e) for e in varmap.wbar]
     cuts = [
         (SENSE_LE, -1.0 - i, [(e, 0.5 + i) for e in wbar[i : i + 3]]) for i in range(4)
     ]
-    # its support is pinned, and the pinned value satisfies it: presolve drops it
-    dropped = (SENSE_LE, lower[pinned] + 1.0, [(pinned, 1.0)])
-    batches = [cuts[:2], [cuts[2], dropped, cuts[3]]]
+    # a row without coefficients is kept like any other
+    empty = (SENSE_LE, 1.0, [])
+    batches = [cuts[:2], [cuts[2], empty, cuts[3]]]
 
     lp = presolve(model)
     for batch in batches:
         lp.add_rows(*row_block(batch, len(lp.cost)))
-    ids = [add_row(model, *row) for batch in batches for row in batch]
+    for batch in batches:
+        for row in batch:
+            add_row(model, *row)
     whole = presolve(model)
 
-    assert not lp.infeasible and ids[3] not in lp.rows and ids[4] in lp.rows
-    for a, b in ((lp.cols, whole.cols), (lp.K, whole.K)):
-        for name in ("indptr", "indices", "data"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), name
-    for name in ("b", "lb", "ub", "rows"):
+    assert lp.cols.shape == (model.num_rows, model.num_variables + model.num_rows)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(lp.cols, name), getattr(whole.cols, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for name in ("b", "lb", "ub"):
         assert np.array_equal(getattr(lp, name), getattr(whole, name)), name
 
 
@@ -386,6 +422,7 @@ def test_dependent_start_basis_falls_back_cold():
         np.array([0, 1], dtype=np.int32),
         np.array([simplex._BASIC, simplex._BASIC, simplex._NB_LOWER, simplex._NB_UPPER],
                  dtype=np.int8),
+        np.ones(2),
     )
     with pytest.raises(np.linalg.LinAlgError):
         simplex._Core(lp).start(lp.basis, lp.c, False)
@@ -720,8 +757,9 @@ def test_weights_travel_with_the_basis():
     core = simplex._Core(lp)
     assert core.start(lp.basis, lp.c, False)
     assert np.array_equal(core.w, lp.basis.weights)
+    # weights of another basis size do not belong to this LP
     stale = dataclasses.replace(lp.basis, weights=np.ones(3))
-    assert core.start(stale, lp.c, False) and np.array_equal(core.w, np.ones(m + 2))
+    assert not core.start(stale, lp.c, False)
 
 
 def test_open_columns_shift_their_costs_on_the_last_start():
@@ -816,7 +854,7 @@ def _forcing_case(seed):
 def test_forcing_rows_match_highs(seed):
     rng, hi, cost, forcing, others, lone = _forcing_case(seed)
     lp = presolve(_model(hi, cost, forcing + others))
-    assert lone in lp.active[lp.forced]
+    assert lone in lp.forced
     first = solve(lp)
     _assert_matches_highs(_model(hi, cost, forcing + others), first)
     assert first.primal[lone] == 0.0
@@ -827,14 +865,14 @@ def test_forcing_rows_match_highs(seed):
     opened = [(SENSE_LE, reach + 1.0, coeffs)] + forcing[1:]
     lp.basis = first.basis
     lp.set_rhs([0], [reach + 1.0])
-    assert lone not in lp.active[lp.forced]
+    assert lone not in lp.forced
     free = solve(lp)
     _assert_matches_highs(_model(hi, cost, opened + others), free)
     # the stored basis holds lone at its upper bound, which the row then forces to 0
     assert free.basis.status[lone] == simplex._NB_UPPER and free.primal[lone] == hi[lone]
     lp.basis = free.basis
     lp.set_rhs([0], [0.0])
-    assert lone in lp.active[lp.forced]
+    assert lone in lp.forced
     again = solve(lp)
     _assert_matches_highs(_model(hi, cost, forcing + others), again)
     assert again.objective == pytest.approx(first.objective, abs=1e-9 * (1 + abs(first.objective)))
