@@ -41,6 +41,9 @@ _BUILDERS = {
     "ip-r1": lambda i: formulations.build_ip_r1(i, relax=False)[0],
     "ip-r2": lambda i: formulations.build_ip_r2(i, relax=False)[0],
 }
+# the relaxed path models and their formulations tags: their rows are
+# counted, and refused over simplex.MAX_ROWS, before they are built
+_PATH_LPS = {"lp-rwap-ppp": "rwap-ppp", "lp-r1": "r1", "lp-r2": "r2"}
 LP_MODELS = tuple(name for name in _BUILDERS if name.startswith("lp-"))
 EXPORT_MODELS = tuple(_BUILDERS)
 
@@ -120,6 +123,10 @@ def _solve_record(
         ok = res.status == CONVERGED
         detail = res.detail
     else:
+        tag = _PATH_LPS.get(model_name)
+        if tag is not None:
+            rows = formulations.path_model_rows(instance, tag)
+            simplex.check_rows(f"{tag}:{instance.name}", rows)
         sol = simplex.solve(_BUILDERS[model_name](instance))
         status = sol.status
         objective = sol.objective if sol.status == simplex.OPTIMAL else None

@@ -186,12 +186,43 @@ def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names,
     return kinds
 
 
-def _path_model(tag, instance: Instance, relax: bool, working, backup, linking):
-    """Usage w plus the chosen path blocks: working, one backup per failure, links.
+# the blocks of each path model: (working, backup per failure, linking rows)
+PATH_MODELS = {
+    "rwap-ppp": (True, True, True),
+    "rwap": (True, False, False),
+    "r1": (True, True, False),
+    "r2": (False, True, False),
+}
+
+
+def path_model_rows(instance: Instance, tag: str) -> int:
+    """The rows of path model `tag` of instance, from its sizes alone, without a build.
+
+    A flow block has a source and a null row per request, a balance row per
+    (request, wavelength, node) other than the request's two ends and a
+    capacity row per (wavelength, edge); a backup block adds an exclusion row
+    per (request, wavelength). The linking rows are two per (failure,
+    request, wavelength, arc).
+    """
+    working, backup, linking = PATH_MODELS[tag]
+    D, K = instance.num_requests, instance.num_wavelengths
+    V, E, P = instance.num_nodes, instance.num_edges, len(instance.failures)
+    block = 2 * D + D * K * (V - 2) + K * E
+    rows = block if working else 0
+    if backup:
+        rows += P * (block + D * K)
+    if linking:
+        rows += 2 * P * D * K * 2 * E
+    return rows
+
+
+def _path_model(tag, instance: Instance, relax: bool):
+    """Usage w plus the blocks PATH_MODELS[tag] names: working, one backup per failure, links.
 
     The linking rows tie each backup to the working assignment when the
     failure misses the working path.
     """
+    working, backup, linking = PATH_MODELS[tag]
     ends = arc_ends(instance.network)
     model = LinearModel(f"{tag}:{instance.name}")
     kind = CONTINUOUS if relax else BINARY
@@ -262,22 +293,22 @@ def _linking_rows(vm: VarMap, failures):
 
 def build_ip_rwap_ppp(instance: Instance, relax: bool = False):
     """Full model: working + per-failure backup assignment, linked."""
-    return _path_model("rwap-ppp", instance, relax, working=True, backup=True, linking=True)
+    return _path_model("rwap-ppp", instance, relax)
 
 
 def build_ip_rwap(instance: Instance, relax: bool = False):
     """Working-only model (no failures considered)."""
-    return _path_model("rwap", instance, relax, working=True, backup=False, linking=False)
+    return _path_model("rwap", instance, relax)
 
 
 def build_ip_r1(instance: Instance, relax: bool = False):
     """Full model with the working/backup linking rows dropped."""
-    return _path_model("r1", instance, relax, working=True, backup=True, linking=False)
+    return _path_model("r1", instance, relax)
 
 
 def build_ip_r2(instance: Instance, relax: bool = False):
     """Backup-only model: working variables and their rows removed."""
-    return _path_model("r2", instance, relax, working=False, backup=True, linking=False)
+    return _path_model("r2", instance, relax)
 
 
 def _origins(instance: Instance):

@@ -3,16 +3,29 @@
 Rows are turned into equalities with one slack column per row (slack bounds
 encode the sense), so the all-slack basis is always available. Variables sit
 nonbasic at a bound, which keeps box bounds out of the row count. The basis
-is held as a sparse LU factorization (SuperLU, COLAMD ordering, relaxed
-supernodes and panels of one column: wider ones pad these near-triangular
-bases with explicit zeros) with a product-form eta file on top, one eta per
-pivot, and is refactored every REFACTOR_INTERVAL pivots.
-FTRAN solves with the LU and then applies the etas in order; BTRAN applies
-them in reverse, then solves with the transposed LU. SuperLU is
-single-threaded and no dense BLAS update remains, so pivot paths do not
-depend on the BLAS thread count. Integrality annotations are ignored:
-solves are LP relaxations. The tolerances (FEASIBILITY_TOL, OPTIMALITY_TOL)
-and the iteration cap (MAX_ITERATIONS) are module constants.
+of m rows is refactored every REFACTOR_INTERVAL pivots and held in one of two
+ways, behind one interface (factor, ftran, column, btran, row, update):
+
+- m <= DENSE_ROWS: an explicit dense inverse, factored by LAPACK getrf and
+  getri; each pivot makes a rank-1 update into a new array. Most solves of
+  the decomposition are re-solves of a few pivots on bases of 20-70 rows,
+  where SuperLU's fixed costs per factorization and per solve and the
+  Python loop over the eta file outweigh the O(m^2) dense products.
+- m > DENSE_ROWS: a sparse LU factorization (SuperLU, COLAMD ordering,
+  relaxed supernodes and panels of one column: wider ones pad these
+  near-triangular bases with explicit zeros) with a product-form eta file
+  on top, one eta per pivot. FTRAN solves with the LU and then applies the
+  etas in order; BTRAN applies them in reverse, then solves with the
+  transposed LU. SuperLU is single-threaded and the eta file's dot products
+  stay below OpenBLAS's threading size, so these pivot paths do not depend
+  on the BLAS thread count.
+
+The crossover is flat between 50 and 150 rows on the benchmark workloads.
+At 200 the 158-row subproblems of a 16-node decomposition go dense, and
+take about twice the time per pivot and more rounds, so DENSE_ROWS is 100.
+Integrality annotations are ignored: solves are LP relaxations. The
+tolerances (FEASIBILITY_TOL, OPTIMALITY_TOL), the iteration cap
+(MAX_ITERATIONS) and DENSE_ROWS are module constants.
 
 Every solve runs the dual simplex from a start basis: the ArrayLP's stored
 basis if it has one, else the slack basis, where every slack is basic and
@@ -24,9 +37,10 @@ w_i = ||e_i' B^-1||^2 is the row's dual steepest-edge weight (Forrest and
 Goldfarb, 1992), kept up to date through every basis change by one extra
 FTRAN per pivot. The weights depend on the basis matrix alone: they travel
 with a stored basis, so a re-solve after new right-hand sides or bounds
-starts from them. So does the basis's LU, together with the column matrix it
-factors: a start reuses it, without factoring, only on that very matrix, so
-after add_rows or on another ArrayLP the basis is factored afresh. x_B and
+starts from them. So does the basis's factor, together with the column
+matrix it factors: a start reuses it, without factoring, only on that very
+matrix and only when it is of the kind that the row count picks, so after
+add_rows or on another ArrayLP the basis is factored afresh. x_B and
 the duals are recomputed at every start. A primal clean-up pass under the
 true costs ends every dual run.
 
@@ -42,13 +56,13 @@ d = c, so every cost-free column ties in the ratio test until the
 perturbation breaks the ties. The clean-up pass then reports Unbounded when
 the LP is. Every other outcome ends the solve at once. A dual ratio test
 with no entering column is a Farkas ray, whatever the costs, so Infeasible
-is declared, like optimality, only on an eta-free factorization of the
-basis, fresh or stored with it. The pivots of
+is declared, like optimality, only on a factorization of the basis with no
+pivot since, fresh or stored with it. The pivots of
 a start that falls back count toward the next, so MAX_ITERATIONS caps them
 all together. A singular factorization on the last start gives
 NumericalError. Both passes switch to Bland's rule after BLAND_STALL
 consecutive degenerate steps, which rules out cycling. An Optimal solve
-returns its final basis, weights and LU.
+returns its final basis, weights and factor.
 
 `presolve` turns a LinearModel into an ArrayLP from the model's arrays,
 every variable and row kept under its model id. A fixed variable
@@ -86,7 +100,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgetrf, dgetri
+from scipy.sparse.linalg import SuperLU, splu
 
 from .lpmodel import (
     INF,
@@ -121,8 +136,14 @@ MAX_ITERATIONS = 10_000_000
 # the eta file's dot products at most 10,000 long, which OpenBLAS runs on one
 # thread whatever its thread count, so pivot paths stay independent of it
 MAX_ROWS = 10_000
+# bases of at most this many rows are held as a dense inverse, larger ones
+# as sparse LU factors with an eta file
+DENSE_ROWS = 100
 
 _NB_LOWER, _NB_UPPER, _BASIC, _NB_FREE = 0, 1, 2, 3
+# by status: the way a nonbasic moves off its bound, up from its lower one
+# and down from its upper one; basic and free columns have none
+_DIRECTION = np.array([1.0, -1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -132,7 +153,8 @@ class Basis:
     head: np.ndarray  # column in each basis position
     status: np.ndarray  # per column: nonbasic at lower/upper, basic, free
     weights: np.ndarray  # per position: DSE weight
-    # (cols, lu): the eta-free LU of cols[:, head]; reused only for that very cols
+    # (cols, factor): a fresh factor of cols[:, head], no pivot since, a SuperLU
+    # object or a dense inverse; reused only for that very cols
     factor: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -240,9 +262,9 @@ class ArrayLP:
         n, m, k = len(self.cost), len(self.b), len(rhs)
         if not k:
             return
-        # stacking rows is a concatenation in CSR; in CSC it would go through COO
-        A = sp.vstack([self.cols[:, :n].tocsr(), R], format="csr").tocsc()
-        self.cols = sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
+        if R.shape != (k, n):
+            raise ModelError(f"add_rows: a {R.shape} block for {k} rows over {n} columns")
+        self.cols = _append_rows(self.cols, R, n)
         self.colsT = self.cols.T
         # a candidate row holds its columns at zero whenever its rhs is 0: its
         # slack lies in [0, inf) or [0, 0], it has coefficients, and each is
@@ -268,6 +290,29 @@ class ArrayLP:
             )
 
 
+def _append_rows(cols, R, n: int):
+    """[A | I] in CSC with the CSR rows R below A, given cols = [A | I] with n columns in A.
+
+    Each column of A keeps its entries and takes R's below them, in row
+    order: a stable sort of all entries by column. One slack column per row
+    follows.
+    """
+    m, k = cols.shape[0], R.shape[0]
+    end = cols.indptr[n]
+    col = np.concatenate([np.repeat(np.arange(n), np.diff(cols.indptr[: n + 1])), R.indices])
+    row = np.concatenate([cols.indices[:end], m + np.repeat(np.arange(k), np.diff(R.indptr))])
+    order = np.argsort(col, kind="stable")
+    counts = np.concatenate([np.bincount(col, minlength=n), np.ones(m + k, dtype=int)])
+    size = len(col) + m + k
+    index = np.int32 if max(size, n + m + k) < 2**31 else np.int64
+    indptr = np.zeros(n + m + k + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.concatenate([row[order], np.arange(m + k)]).astype(index)
+    data = np.concatenate([cols.data[:end], R.data])[order]
+    data = np.concatenate([data, np.ones(m + k)])
+    return sp.csc_matrix((data, indices, indptr), shape=(m + k, n + m + k))
+
+
 def _slack_basis(lp: ArrayLP) -> Basis:
     """Every slack basic, each structural at a finite bound; B = I, so every weight is 1."""
     n, m = len(lp.cost), len(lp.b)
@@ -285,6 +330,122 @@ def presolve(model: LinearModel) -> ArrayLP:
     return lp
 
 
+def _gather(A, head):
+    """Positions in A's CSC arrays of the entries of columns head, and their column pointer."""
+    starts, ends = A.indptr[head], A.indptr[head + 1]
+    indptr = np.zeros(len(head) + 1, dtype=A.indptr.dtype)
+    np.cumsum(ends - starts, out=indptr[1:])
+    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], ends - starts)
+    return take, indptr
+
+
+class _SparseLU:
+    """B^-1 as the SuperLU factors of B with a product-form eta file on top.
+
+    Each kernel factors the basis columns `head` of A, or adopts `stored`,
+    its own fresh factor of that matrix, and offers ftran (B^-1 a),
+    column (B^-1 A[:, q]), btran (B^-T v), row (e_p' B^-1) and update (the
+    pivot on u_p, given u = B^-1 a_q). `data` is what a Basis stores.
+    """
+
+    kind = SuperLU
+
+    def __init__(self, A, head, stored=None):
+        self.A = A
+        if stored is None:
+            take, indptr = _gather(A, head)
+            B = sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(len(head),) * 2)
+            try:
+                stored = splu(B, permc_spec="COLAMD", relax=1, panel_size=1)
+            except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
+                if "singular" not in str(err):
+                    raise
+                raise np.linalg.LinAlgError(str(err)) from err
+        self.data = stored
+        self.etas = []
+
+    def ftran(self, a):
+        """The LU solve, then each eta in pivot order."""
+        w = self.data.solve(a)
+        for p, eta in self.etas:
+            if w[p]:
+                w += w[p] * eta
+        return w
+
+    def column(self, q):
+        s, e = self.A.indptr[q], self.A.indptr[q + 1]
+        a = np.zeros(self.A.shape[0])
+        a[self.A.indices[s:e]] = self.A.data[s:e]
+        return self.ftran(a)
+
+    def btran(self, v):
+        """Each eta in reverse pivot order, then the transposed LU solve."""
+        v = v.copy()
+        for p, eta in reversed(self.etas):
+            v[p] += eta @ v
+        return self.data.solve(v, trans="T")
+
+    def row(self, p):
+        e = np.zeros(self.A.shape[0])
+        e[p] = 1.0
+        return self.btran(e)
+
+    def update(self, p, u):
+        """E^-1 B^-1 with E^-1 = I + eta e_p': eta = -u / u_p except eta_p = 1 / u_p - 1."""
+        eta = -u / u[p]
+        eta[p] = 1.0 / u[p] - 1.0
+        self.etas.append((p, eta))
+
+
+class _DenseInverse:
+    """B^-1 as an explicit m x m array (LAPACK getrf and getri), see _SparseLU.
+
+    Each pivot writes the updated inverse into a new array, so a stored
+    inverse and a row handed out earlier stay as they were.
+    """
+
+    kind = np.ndarray
+
+    def __init__(self, A, head, stored=None):
+        self.A = A
+        if stored is None:
+            m = len(head)
+            take, indptr = _gather(A, head)
+            stored = np.zeros((m, m))
+            stored[A.indices[take], np.repeat(np.arange(m), np.diff(indptr))] = A.data[take]
+            if m:  # LAPACK refuses an empty matrix
+                # B.T is B' in Fortran order: its inverse, transposed back, is
+                # B^-1 in C order, whose rows are contiguous
+                lu, piv, info = dgetrf(stored.T, overwrite_a=True)
+                if info == 0:
+                    inv, info = dgetri(lu, piv, overwrite_lu=True)
+                if info:
+                    raise np.linalg.LinAlgError(f"singular basis (LAPACK info {info})")
+                stored = inv.T
+        self.data = stored
+
+    def ftran(self, a):
+        return self.data @ a
+
+    def column(self, q):
+        s, e = self.A.indptr[q], self.A.indptr[q + 1]
+        return self.data[:, self.A.indices[s:e]] @ self.A.data[s:e]
+
+    def btran(self, v):
+        return v @ self.data
+
+    def row(self, p):
+        return self.data[p]
+
+    def update(self, p, u):
+        """Row p becomes rho / u_p and row i, rho's multiple u_i less."""
+        rho = self.data[p] / u[p]
+        inv = np.multiply.outer(-u, rho)
+        inv += self.data
+        inv[p] = rho
+        self.data = inv
+
+
 class _Core:
     """Simplex over the slack-extended equality system A x = b, l <= x <= u."""
 
@@ -295,10 +456,10 @@ class _Core:
         self.A, self.AT, self.lb, self.ub = lp.cols, lp.colsT, lp.lb, lp.upper()
         self.iterations = 0
 
-    def _load(self, head, status, costs, lu=None) -> bool:
+    def _load(self, head, status, costs, stored=None) -> bool:
         """Enter a basis: nonbasics at their bounds, then costs and a refactor.
 
-        An LU of exactly this basis matrix is used as given. Returns False
+        A stored factor of exactly this basis matrix is used as given. Returns False
         when a nonbasic sits at an infinite bound. Raises
         numpy.linalg.LinAlgError when the basis is singular.
         """
@@ -309,7 +470,9 @@ class _Core:
             return False
         self.c = costs
         self.fixed = (self.ub - self.lb) <= FIX_TOL
-        self.refactor(lu)
+        self.open = np.where(self.fixed, 0.0, 1.0)
+        self.any_free = bool(((self.lb == -INF) & (self.ub == INF)).any())
+        self.refactor(stored)
         return True
 
     def _at_bounds(self, st):
@@ -329,8 +492,8 @@ class _Core:
         self.w = np.array(basis.weights, dtype=float)
         head, status = basis.head.astype(int), basis.status.astype(int)
         factor = basis.factor
-        lu = factor[1] if factor is not None and factor[0] is self.A else None
-        return self._load(head, status, costs, lu) and self._make_dual_feasible(last)
+        stored = factor[1] if factor is not None and factor[0] is self.A else None
+        return self._load(head, status, costs, stored) and self._make_dual_feasible(last)
 
     def _make_dual_feasible(self, last: bool) -> bool:
         """Flip boxed nonbasics to the bound their reduced cost asks for.
@@ -342,14 +505,12 @@ class _Core:
         """
         tol = OPTIMALITY_TOL
         st, d = self.vstatus, self.d
-        open_nb = ~self.fixed
-        to_upper = (st == _NB_LOWER) & open_nb & (d < -tol)
-        to_lower = (st == _NB_UPPER) & open_nb & (d > tol)
-        stuck = (
-            ((st == _NB_FREE) & (np.abs(d) > tol))
-            | (to_upper & (self.ub == INF))
-            | (to_lower & (self.lb == -INF))
-        )
+        flip = self._signed(d) < -tol
+        to_upper = flip & (st == _NB_LOWER)
+        to_lower = flip & (st == _NB_UPPER)
+        stuck = (to_upper & (self.ub == INF)) | (to_lower & (self.lb == -INF))
+        if self.any_free:
+            stuck |= (st == _NB_FREE) & (np.abs(d) > tol)
         if stuck.any():
             if not last:
                 return False
@@ -370,81 +531,59 @@ class _Core:
     def final_basis(self) -> Basis:
         """The basis over structural and slack columns, with its weights.
 
-        Its LU goes with it when no eta sits on top, so that a re-solve on
-        the same columns need not factor it again.
+        Its factor goes with it when no pivot was made since the last
+        factorization, so that a re-solve on the same columns need not
+        factor it again.
         """
-        factor = None if self.etas else (self.A, self.lu)
+        factor = None if self._since_refactor else (self.A, self.factor.data)
         return Basis(
             self.basis.astype(np.int32), self.vstatus.astype(np.int8), self.w.copy(), factor
         )
 
     # -- factorization ----------------------------------------------------
 
-    def refactor(self, lu=None):
-        """LU-factor the basis matrix, clear the eta file, recompute x_B and duals.
+    def refactor(self, stored=None):
+        """Factor the basis matrix afresh, then recompute x_B and the duals.
 
-        Takes `lu` instead of factoring when given one of this basis matrix.
-        Raises numpy.linalg.LinAlgError when the basis is singular.
+        Takes `stored` instead of factoring when it is the kernel's fresh
+        factor of this very basis matrix. Raises numpy.linalg.LinAlgError
+        when the basis is singular.
         """
-        self.etas = []
-        if lu is None:
-            try:
-                lu = splu(self._basis_matrix(), permc_spec="COLAMD", relax=1, panel_size=1)
-            except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-                if "singular" not in str(err):
-                    raise
-                raise np.linalg.LinAlgError(str(err)) from err
-        self.lu = lu
+        kernel = _DenseInverse if self.m <= DENSE_ROWS else _SparseLU
+        self.factor = kernel(self.A, self.basis, stored if isinstance(stored, kernel.kind) else None)
         self._solve_basics()
         self._recompute_duals()
         self._since_refactor = 0
 
-    def _basis_matrix(self):
-        """The basis columns of A, gathered from its CSC arrays."""
-        A, head = self.A, self.basis
-        starts, ends = A.indptr[head], A.indptr[head + 1]
-        indptr = np.zeros(len(head) + 1, dtype=A.indptr.dtype)
-        np.cumsum(ends - starts, out=indptr[1:])
-        take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], ends - starts)
-        return sp.csc_matrix((A.data[take], A.indices[take], indptr), shape=(self.m, self.m))
-
-    def _ftran_dense(self, a):
-        """B^-1 a: the LU solve, then each eta in pivot order."""
-        w = self.lu.solve(a)
-        for p, eta in self.etas:
-            if w[p]:
-                w += w[p] * eta
-        return w
-
-    def _btran(self, v):
-        """B^-T v: each eta in reverse pivot order, then the transposed LU solve."""
-        v = v.copy()
-        for p, eta in reversed(self.etas):
-            v[p] += eta @ v
-        return self.lu.solve(v, trans="T")
-
     def _solve_basics(self):
         xn = self.x.copy()
         xn[self.basis] = 0.0
-        self.x[self.basis] = self._ftran_dense(self.b - self.A @ xn)
+        self.x[self.basis] = self.factor.ftran(self.b - self.A @ xn)
 
     def _recompute_duals(self):
-        self.y = self._btran(self.c[self.basis])
+        self.y = self.factor.btran(self.c[self.basis])
         self.d = self.c - self.AT @ self.y
         self.d[self.basis] = 0.0
 
     # -- pivoting ----------------------------------------------------------
 
+    def _signed(self, v):
+        """v_j times the way column j moves off its bound: +1 at its lower one, -1 at its upper.
+
+        Basic, free and fixed columns get 0.
+        """
+        return _DIRECTION[self.vstatus] * self.open * v
+
     def _price(self):
+        """The entering column of a primal step, or None when no reduced cost asks for one.
+
+        The largest reduced cost against the way its column can move, the
+        first such column under Bland's rule.
+        """
         tol = OPTIMALITY_TOL
-        score = np.full(len(self.d), -np.inf)
-        open_nb = ~self.fixed
-        mask_l = (self.vstatus == _NB_LOWER) & open_nb
-        mask_u = (self.vstatus == _NB_UPPER) & open_nb
-        mask_f = self.vstatus == _NB_FREE
-        score[mask_l] = -self.d[mask_l]
-        score[mask_u] = self.d[mask_u]
-        score[mask_f] = np.abs(self.d[mask_f])
+        score = -self._signed(self.d)
+        if self.any_free:
+            score = np.where(self.vstatus == _NB_FREE, np.abs(self.d), score)
         if self.bland:
             elig = score > tol
             if not elig.any():
@@ -455,25 +594,13 @@ class _Core:
             return None
         return q
 
-    def _ftran(self, q):
-        s, e = self.A.indptr[q], self.A.indptr[q + 1]
-        a = np.zeros(self.m)
-        a[self.A.indices[s:e]] = self.A.data[s:e]
-        return self._ftran_dense(a)
-
-    def _pivot_row(self, p):
-        """rho = e_p' B^-1."""
-        e = np.zeros(self.m)
-        e[p] = 1.0
-        return self._btran(e)
-
     def _update_weights(self, p, u, rho):
         """Forrest-Goldfarb update of the weights w_i = ||e_i' B^-1||^2 for a pivot on u_p.
 
         Takes u = B^-1 a_q and rho = B^-T e_p under the old basis. An update
         that overflows resets every weight to 1.
         """
-        tau = self._ftran_dense(rho)
+        tau = self.factor.ftran(rho)
         with np.errstate(over="ignore", invalid="ignore"):
             r = u / u[p]
             w = np.maximum(self.w - 2.0 * r * tau + r * r * self.w[p], DSE_FLOOR)
@@ -484,9 +611,7 @@ class _Core:
         """Column q takes basis position p, given u = B^-1 a_q and rho = B^-T e_p.
 
         x_q moves by `step` and the basics by -step * u; the leaving variable
-        goes to its lower bound if `to_lower`, else to its upper. The new
-        inverse is E^-1 B^-1 with E^-1 = I + eta e_p', where
-        eta = -u / u_p except eta_p = 1 / u_p - 1.
+        goes to its lower bound if `to_lower`, else to its upper.
         """
         self._update_weights(p, u, rho)
         self.x[self.basis] -= step * u
@@ -494,11 +619,7 @@ class _Core:
         leaving = self.basis[p]
         self.x[leaving] = self.lb[leaving] if to_lower else self.ub[leaving]
         self.vstatus[leaving] = _NB_LOWER if to_lower else _NB_UPPER
-
-        eta = -u / u[p]
-        eta[p] = 1.0 / u[p] - 1.0
-        self.etas.append((p, eta))
-
+        self.factor.update(p, u)
         self.basis[p] = q
         self.vstatus[q] = _BASIC
         self.d[q] = 0.0
@@ -514,7 +635,7 @@ class _Core:
             return OPTIMAL
         st = self.vstatus[q]
         sigma = 1.0 if (st == _NB_LOWER or (st == _NB_FREE and self.d[q] < 0)) else -1.0
-        u = self._ftran(q)
+        u = self.factor.column(q)
         delta = sigma * u
 
         xB = self.x[self.basis]
@@ -551,7 +672,7 @@ class _Core:
             p = int(cand[np.argmax(np.abs(delta[cand]))])
 
         t = max(t_block, 0.0)
-        rho = self._pivot_row(p)
+        rho = self.factor.row(p)
         self.d -= (self.d[q] / u[p]) * (self.AT @ rho)  # pricing left |d_q| > tol
         self._last_step = t
         self._pivot(p, q, u, rho, sigma * t, delta[p] > 0)
@@ -597,36 +718,39 @@ class _Core:
         xB = self.x[self.basis]
         below = self.lb[self.basis] - xB
         infeas = np.maximum(below, xB - self.ub[self.basis])
-        rows = np.flatnonzero(infeas > FEASIBILITY_TOL)
-        if not len(rows):
+        violated = infeas > FEASIBILITY_TOL
+        if not violated.any():
             return OPTIMAL
         if self.bland:
+            rows = np.flatnonzero(violated)
             p = int(rows[np.argmin(self.basis[rows])])
         else:
-            p = int(rows[np.argmax(infeas[rows] ** 2 / self.w[rows])])
+            p = int(np.argmax(np.where(violated, infeas * infeas / self.w, -1.0)))
         to_lower = below[p] > 0
         delta = -below[p] if to_lower else infeas[p]  # x_p minus its violated bound
 
-        rho = self._pivot_row(p)
+        rho = self.factor.row(p)
         alpha = self.AT @ rho  # pivot row over every column
-        # only columns with a pivot element can enter
-        nz = np.flatnonzero(np.abs(alpha) > PIVOT_TOL)
-        # a candidate's reduced cost moves toward zero as the dual step grows
-        slope = -alpha[nz] if to_lower else alpha[nz]
-        st = self.vstatus[nz]
-        elig = ~self.fixed[nz] & (
-            ((st == _NB_LOWER) & (slope > 0.0))
-            | ((st == _NB_UPPER) & (slope < 0.0))
-            | (st == _NB_FREE)
-        )
-        cand = nz[elig]
+        # a candidate's reduced cost moves toward zero as the dual step grows:
+        # its signed pivot entry is negative when x_p goes to its lower bound
+        # and positive when x_p goes to its upper one
+        slope = self._signed(alpha)
+        elig = slope < -PIVOT_TOL if to_lower else slope > PIVOT_TOL
+        if self.any_free:
+            elig |= (self.vstatus == _NB_FREE) & (np.abs(alpha) > PIVOT_TOL)
+        cand = np.flatnonzero(elig)
         if not len(cand):
             return INFEASIBLE
-        slope, st = slope[elig], st[elig]
-        ratios = self.d[cand] / slope
-        ratios = np.where(st == _NB_FREE, np.abs(ratios), np.maximum(ratios, 0.0))
+        ratios = self.d[cand] / alpha[cand]
+        if to_lower:
+            ratios = -ratios
+        if self.any_free:
+            free = self.vstatus[cand] == _NB_FREE
+            ratios = np.where(free, np.abs(ratios), np.maximum(ratios, 0.0))
+        else:
+            ratios = np.maximum(ratios, 0.0)
         ties = cand[ratios <= ratios.min() + RATIO_TIE]
-        if self.bland:
+        if self.bland or len(ties) == 1:
             q = int(ties[0])
         else:
             # among ties with a pivot of comparable size prefer a slack, which
@@ -638,7 +762,7 @@ class _Core:
                 ties = slacks
             q = int(ties[np.argmax(np.abs(alpha[ties]))])
 
-        u = self._ftran(q)
+        u = self.factor.column(q)
         theta_d = self.d[q] / u[p]
         self.d -= theta_d * alpha
         self._last_step = theta_d
@@ -755,6 +879,12 @@ def _solve_from(
     return _no_solution(lp, outcome, core.iterations), core.iterations
 
 
+def check_rows(name: str, rows: int):
+    """ModelError when a model of this many rows exceeds MAX_ROWS, as solve refuses it."""
+    if rows > MAX_ROWS:
+        raise ModelError(f"{name}: {rows} rows exceed the row limit of {MAX_ROWS}")
+
+
 def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     """Solve the LP relaxation of a model; statuses per module docstring.
 
@@ -768,10 +898,7 @@ def solve(model: LinearModel | ArrayLP, _none=None, /) -> Solution:
     if _none is not None:
         raise TypeError("solve() takes no options")
     lp = model if isinstance(model, ArrayLP) else presolve(model)
-    if len(lp.b) > MAX_ROWS:
-        raise ModelError(
-            f"{lp.name}: {len(lp.b)} rows exceed the row limit of {MAX_ROWS}"
-        )
+    check_rows(lp.name, len(lp.b))
     sol, spent = (None, 0) if lp.basis is None else _solve_from(lp, lp.basis, 0, False)
     for last in (False, True):
         if sol is None:

@@ -73,6 +73,30 @@ def row_block(rows, num_columns: int):
     return model.senses, model.rhs, model.matrix
 
 
+def patch_factor(monkeypatch, dense: bool, singular=lambda call: False) -> list:
+    """Pin the basis kernel for every row count and count its factorizations.
+
+    The dense inverse (LAPACK getrf) when `dense`, else SuperLU. The i-th
+    factorization, counted from 1, comes out singular when singular(i).
+    Returns the list that gets one entry per factorization.
+    """
+    calls = []
+    monkeypatch.setattr(simplex, "DENSE_ROWS", 10**6 if dense else 0)
+    name = "dgetrf" if dense else "splu"
+    original = getattr(simplex, name)
+
+    def factor(B, **kw):
+        calls.append(1)
+        if not singular(len(calls)):
+            return original(B, **kw)
+        if dense:  # getrf's info > 0: a zero pivot
+            return B, np.arange(1, len(B) + 1, dtype=np.int32), 1
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(simplex, name, factor)
+    return calls
+
+
 def solve_checked(model):
     """Solve with the embedded simplex and assert its optimality certificates."""
     sol = simplex.solve(model)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import parse_mps, run_python
+from helpers import parse_mps, patch_factor, run_python
 from lambdabound import benders, cli, lpmodel, simplex
 from lambdabound.cli import CSV_HEADER, main
 from lambdabound.formulations import Cut
@@ -389,29 +389,71 @@ def test_solve_refuses_rows_beyond_dense_limit(net4_files, capsys, monkeypatch):
     assert lines[0].startswith("lambdabound: error: ") and "limit of 10" in lines[0]
 
 
-def _singular(monkeypatch):
-    def splu(*_, **__):
-        raise RuntimeError("Factor is exactly singular")
+def test_over_limit_path_lp_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "wide.json"
+    assert main(["gen", "random", "--nodes", "4", "--extra-edges", "100", "--requests", "3",
+                 "--out", str(path)]) == 0
 
-    monkeypatch.setattr(simplex, "splu", splu)
+    def no_build(*_, **__):
+        raise AssertionError("an over-limit model was built")
+
+    for name in ("build_ip_rwap_ppp", "build_ip_r1", "build_ip_r2"):
+        monkeypatch.setattr(cli.formulations, name, no_build)
+    for model, rows in (("lp-rwap-ppp", 425592), ("lp-r1", 36216), ("lp-r2", 35880)):
+        code, out, err = run(capsys, "solve", str(path), "--model", model)
+        assert code == 2 and out == ""
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lambdabound: error: ")
+        assert f"{rows} rows exceed the row limit of 10000" in lines[0]
 
 
-def test_singular_basis_ends_chain_check_in_one_line(tmp_path, capsys, monkeypatch):
+def test_early_refusal_reads_as_the_solve_refusal(net4_files, capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_ROWS", 10)
+    instance = load_instance(net4_files[0].read_text())
+    for model in ("lp-rwap-ppp", "lp-r1", "lp-r2"):
+        with pytest.raises(lpmodel.ModelError) as late:
+            simplex.solve(cli._BUILDERS[model](instance))
+        code, out, err = run(capsys, "solve", str(net4_files[0]), "--model", model)
+        assert code == 2 and out == ""
+        assert err == f"lambdabound: error: {late.value}\n"
+
+
+def _chain_check_ends_in_one_line(tmp_path, capsys):
     path = write_cycle(tmp_path, m=3, n=1, k=1)
-    _singular(monkeypatch)
     code, _, err = run(capsys, "chain-check", str(path))
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "NumericalError" in lines[0]
 
 
-def test_singular_basis_ends_solve_in_one_line(tmp_path, capsys, monkeypatch):
+def _solve_ends_in_one_line(tmp_path, capsys):
     path = write_cycle(tmp_path)
-    _singular(monkeypatch)
     code, out, err = run(capsys, "solve", str(path), "--model", "lp-r3")
     assert code == 1
     assert out == ""
     assert err.strip() == "status: NumericalError"
+
+
+# every factorization singular, on SuperLU (DENSE_ROWS = 0) or, in the
+# _dense twins, on the dense inverse
+def test_singular_basis_ends_chain_check_in_one_line(tmp_path, capsys, monkeypatch):
+    patch_factor(monkeypatch, dense=False, singular=lambda call: True)
+    _chain_check_ends_in_one_line(tmp_path, capsys)
+
+
+def test_singular_basis_ends_chain_check_in_one_line_dense(tmp_path, capsys, monkeypatch):
+    patch_factor(monkeypatch, dense=True, singular=lambda call: True)
+    _chain_check_ends_in_one_line(tmp_path, capsys)
+
+
+def test_singular_basis_ends_solve_in_one_line(tmp_path, capsys, monkeypatch):
+    patch_factor(monkeypatch, dense=False, singular=lambda call: True)
+    _solve_ends_in_one_line(tmp_path, capsys)
+
+
+def test_singular_basis_ends_solve_in_one_line_dense(tmp_path, capsys, monkeypatch):
+    patch_factor(monkeypatch, dense=True, singular=lambda call: True)
+    _solve_ends_in_one_line(tmp_path, capsys)
 
 
 def _bad_lower_bound(tmp_path, inst, sol):

@@ -10,6 +10,7 @@ from helpers import add_column, add_row, linprog_solve, row_coeffs, solve_checke
 from lambdabound import benders, simplex
 from lambdabound.cli import _BUILDERS, EXPORT_MODELS, main
 from lambdabound.formulations import (
+    PATH_MODELS,
     Cut,
     FormulationError,
     build_ip_r1,
@@ -21,6 +22,7 @@ from lambdabound.formulations import (
     build_master,
     build_subproblem,
     cut_from_duals,
+    path_model_rows,
 )
 from lambdabound.instance import (
     Edge,
@@ -492,3 +494,25 @@ def test_block_built_models_match_scalar_rebuilds(nodes, extra, requests, spare,
         _assert_same_presolve(simplex.presolve(model), simplex.presolve(copy), label)
         assert export_lp(model) == export_lp(copy), label
         assert export_mps(model) == export_mps(copy), label
+
+
+_PATH_BUILDERS = {
+    "rwap-ppp": build_ip_rwap_ppp, "rwap": build_ip_rwap, "r1": build_ip_r1, "r2": build_ip_r2
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 7), st.integers(0, 4), st.integers(1, 4), st.integers(0, 2),
+    st.integers(0, 10**6),
+)
+def test_path_model_rows_are_counted_before_the_build(nodes, extra, requests, spare, seed):
+    """cli refuses an over-limit path LP from this count, so it must not exceed the build's rows.
+
+    It is exact: the refusal then names the rows that solve would refuse.
+    """
+    instance = gen_random(nodes, extra, requests, requests + spare, seed)
+    assert set(_PATH_BUILDERS) == set(PATH_MODELS)
+    for tag, build in _PATH_BUILDERS.items():
+        rows = path_model_rows(instance, tag)
+        assert rows == build(instance, relax=True)[0].num_rows, tag

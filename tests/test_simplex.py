@@ -2,10 +2,19 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import add_column, add_row, linprog_solve, row_block, row_coeffs, solve_checked
+from helpers import (
+    add_column,
+    add_row,
+    linprog_solve,
+    patch_factor,
+    row_block,
+    row_coeffs,
+    solve_checked,
+)
 from lambdabound import simplex
 from lambdabound.benders import solve_lp_r3_benders
 from lambdabound.formulations import (
@@ -288,39 +297,34 @@ def test_bitwise_determinism():
     assert np.array_equal(a.reduced_costs, b.reduced_costs)
 
 
-def test_singular_refactor_is_a_status(monkeypatch):
+# Each factorization test runs on both basis kernels: the name without a
+# suffix pins SuperLU (DENSE_ROWS = 0), the _dense twin the dense inverse.
+
+
+def _singular_refactor_is_a_status(monkeypatch, dense):
     model, _ = build_lp_r3(gen_cycle(5, 2, 80))
-    original = simplex.splu
-    calls = []
-
-    def singular_after_start(B, **kw):
-        # the slack basis factors; every later factorization is singular
-        calls.append(1)
-        if len(calls) > 1:
-            raise RuntimeError("Factor is exactly singular")
-        return original(B, **kw)
-
-    monkeypatch.setattr(simplex, "splu", singular_after_start)
+    # the slack basis factors; every later factorization is singular
+    patch_factor(monkeypatch, dense, singular=lambda call: call > 1)
     sol = solve(model)
     assert sol.status == simplex.NUMERICAL_ERROR
     assert sol.iterations > 0
 
 
-def test_singular_start_basis_falls_back_cold(monkeypatch):
+def test_singular_refactor_is_a_status(monkeypatch):
+    _singular_refactor_is_a_status(monkeypatch, dense=False)
+
+
+def test_singular_refactor_is_a_status_dense(monkeypatch):
+    _singular_refactor_is_a_status(monkeypatch, dense=True)
+
+
+def _singular_start_basis_falls_back_cold(monkeypatch, dense):
     model, _ = build_lp_r3(gen_cycle(5, 2, 80))
+    monkeypatch.setattr(simplex, "DENSE_ROWS", 10**6 if dense else 0)
     fresh = solve(model)
     lp = presolve(model)
     lp.basis = fresh.basis
-    original = simplex.splu
-    calls = []
-
-    def singular_once(B, **kw):
-        calls.append(1)
-        if len(calls) == 1:
-            raise RuntimeError("Factor is exactly singular")
-        return original(B, **kw)
-
-    monkeypatch.setattr(simplex, "splu", singular_once)
+    patch_factor(monkeypatch, dense, singular=lambda call: call == 1)
     # fresh.basis holds the factor of solve's own presolve, not of lp.cols, so
     # the stored basis is factored again and fails; the slack basis repeats
     # the fresh solve
@@ -330,23 +334,21 @@ def test_singular_start_basis_falls_back_cold(monkeypatch):
     assert again.iterations == fresh.iterations
 
 
-def _counting_splu(monkeypatch):
-    calls = []
-    original = simplex.splu
-
-    def counting(B, **kw):
-        calls.append(1)
-        return original(B, **kw)
-
-    monkeypatch.setattr(simplex, "splu", counting)
-    return calls
+def test_singular_start_basis_falls_back_cold(monkeypatch):
+    _singular_start_basis_falls_back_cold(monkeypatch, dense=False)
 
 
-def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
+def test_singular_start_basis_falls_back_cold_dense(monkeypatch):
+    _singular_start_basis_falls_back_cold(monkeypatch, dense=True)
+
+
+def _stored_factor_is_reused_on_the_same_columns(monkeypatch, dense):
+    monkeypatch.setattr(simplex, "DENSE_ROWS", 10**6 if dense else 0)
     model = build_lp_r3(gen_cycle(5, 2, 80))[0]
     lp = presolve(model)
     first = solve(lp)
     assert first.status == simplex.OPTIMAL and first.basis.factor[0] is lp.cols
+    assert isinstance(first.basis.factor[1], np.ndarray) == dense
     lp.basis = first.basis
     # loosen a '<=' row whose slack is basic and raise the upper bound of a
     # column at its lower one: the basis stays optimal
@@ -360,7 +362,7 @@ def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
     j = int(np.flatnonzero((status[:n] == simplex._NB_LOWER) & (lp.ub[:n] < INF))[0])
     lp.set_upper([j], [lp.ub[j] + 1.0])
 
-    calls = _counting_splu(monkeypatch)
+    calls = patch_factor(monkeypatch, dense)
     warm = solve(lp)
     assert warm.status == simplex.OPTIMAL and warm.iterations == 0
     assert calls == []
@@ -379,6 +381,59 @@ def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
     lp.basis = first.basis
     lp.add_rows(*row_block([(SENSE_LE, 100.0, [(0, 1.0)])], len(lp.cost)))
     assert solve(lp).iterations == 0 and len(calls) == 1
+
+
+def test_stored_factor_is_reused_on_the_same_columns(monkeypatch):
+    _stored_factor_is_reused_on_the_same_columns(monkeypatch, dense=False)
+
+
+def test_stored_factor_is_reused_on_the_same_columns_dense(monkeypatch):
+    _stored_factor_is_reused_on_the_same_columns(monkeypatch, dense=True)
+
+
+@pytest.mark.parametrize("kernel", [simplex._SparseLU, simplex._DenseInverse])
+def test_kernels_track_the_basis_inverse(kernel):
+    lp = presolve(build_lp_r3(gen_cycle(5, 2, 80))[0])
+    A, head = lp.cols, solve(lp).basis.head.astype(int)
+    factor = kernel(A, head.copy())
+    rng = np.random.default_rng(3)
+    entering = rng.choice(np.setdiff1d(np.arange(A.shape[1]), head), 6, replace=False)
+    for q in entering.tolist():
+        u = factor.column(q)
+        p = int(np.argmax(np.abs(u)))
+        factor.update(p, u)
+        head[p] = q
+        inverse = np.linalg.inv(A[:, head].toarray())
+        v = rng.standard_normal(len(head))
+        assert np.allclose(factor.ftran(v), inverse @ v)
+        assert np.allclose(factor.btran(v), inverse.T @ v)
+        assert np.allclose(factor.row(p), inverse[p])
+        assert np.allclose(factor.column(q), np.eye(len(head))[p])
+
+
+def test_factor_of_the_other_kernel_is_not_reused(monkeypatch):
+    lp = presolve(build_lp_r3(gen_cycle(5, 2, 80))[0])
+    for dense in (False, True):
+        monkeypatch.setattr(simplex, "DENSE_ROWS", 10**6 if dense else 0)
+        lp.basis = solve(lp).basis
+        calls = patch_factor(monkeypatch, not dense)
+        assert solve(lp).iterations == 0 and len(calls) == 1
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("dense_rows", [0, 10**6])
+def test_model_without_rows_on_both_kernels(monkeypatch, dense_rows):
+    monkeypatch.setattr(simplex, "DENSE_ROWS", dense_rows)
+    m = LinearModel()
+    add_column(m, 0, 4, -1.0)
+    add_column(m, -1, 3, 2.0)
+    sol = solve_checked(m)
+    assert sol.status == simplex.OPTIMAL and sol.objective == -6.0
+    assert sol.iterations == 0 and len(sol.duals) == 0
+    lp = presolve(m)
+    lp.basis = sol.basis
+    warm = solve(lp)
+    assert warm.objective == -6.0 and warm.iterations == 0
 
 
 def test_rows_appended_in_steps_match_one_presolve():
@@ -407,6 +462,35 @@ def test_rows_appended_in_steps_match_one_presolve():
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     for name in ("b", "lb", "ub"):
         assert np.array_equal(getattr(lp, name), getattr(whole, name)), name
+
+
+def _stacked(cols, R, n):
+    """[A | I] with R's rows below A, by scipy's stacking: the reference for add_rows."""
+    m, k = cols.shape[0], R.shape[0]
+    A = sp.vstack([cols[:, :n].tocsr(), R], format="csr").tocsc()
+    return sp.hstack([A, sp.identity(m + k, format="csc")], format="csc")
+
+
+def test_add_rows_matches_stacking():
+    rng = np.random.default_rng(11)
+    n = 9
+    lp = simplex.ArrayLP("blocks", np.zeros(n), np.zeros(n), np.ones(n))
+    # batches with empty rows, a block of empty rows only and columns that
+    # never get an entry
+    for k, empty in ((3, [0]), (1, []), (4, [1, 3]), (2, [0, 1]), (5, [])):
+        block = rng.integers(-3, 4, size=(k, n)) * (rng.random((k, n)) < 0.4)
+        block[empty] = 0
+        block[:, [2, 7]] = 0
+        R = sp.csr_matrix(block.astype(float))
+        want = _stacked(lp.cols, R, n)
+        lp.add_rows(np.full(k, SENSE_LE), np.zeros(k), R)
+        assert lp.cols.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(lp.cols, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert np.array_equal(lp.colsT.toarray(), want.T.toarray())
+    with pytest.raises(ModelError):
+        lp.add_rows(np.full(1, SENSE_LE), np.zeros(1), sp.csr_matrix((1, n + 1)))
 
 
 def test_dependent_start_basis_falls_back_cold():
@@ -690,6 +774,38 @@ def test_infeasible_resolve_ends_at_its_first_start():
     sol, starts = _starts(lp)
     assert starts == ["stored"]
     assert sol.status == simplex.INFEASIBLE and sol.iterations == 0
+
+
+def _on_kernel(dense_rows, fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "DENSE_ROWS", dense_rows)
+        return fn(*args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_dense_and_sparse_kernels_agree(seed):
+    """Cold solves and warm re-solves after new rhs end alike on both kernels."""
+    rng, hi, cost, A, senses, x0 = _bounded_feasible(seed)
+    rhs = _rhs_at(rng, A, senses, x0)
+    x1 = rng.integers(0, hi.astype(int) + 1).astype(float)
+    rhs1 = _rhs_at(rng, A, senses, x1)
+    runs = []
+    for dense_rows in (0, 10**6):
+        lp = presolve(_model(hi, cost, _rows(A, senses, rhs)))
+        cold = _on_kernel(dense_rows, solve, lp)
+        lp.basis = cold.basis
+        lp.set_rhs(np.arange(len(rhs1)), rhs1)
+        runs.append((cold, _on_kernel(dense_rows, solve, lp)))
+    for i, model in enumerate(
+        (_model(hi, cost, _rows(A, senses, rhs)), _model(hi, cost, _rows(A, senses, rhs1)))
+    ):
+        sparse, dense = runs[0][i], runs[1][i]
+        assert sparse.status == dense.status == simplex.OPTIMAL
+        scale = 1.0 + abs(sparse.objective)
+        assert abs(sparse.objective - dense.objective) <= 1e-9 * scale
+        _assert_certified(model, sparse)
+        _assert_certified(model, dense)
 
 
 # -- the slack-basis dual and its pricing weights ------------------------------
