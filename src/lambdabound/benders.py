@@ -19,7 +19,8 @@ from it. The subproblems of all failures share one presolved template, the
 subproblem built with no failure: each round overwrites its capacity
 right-hand sides with the candidate wbar, and failure tau is applied by
 fixing at zero the flow columns of arcs 2tau and 2tau+1 of every origin and
-reopening those of the failure solved before; the presolved template keeps
+giving those of the failure solved before their template bounds back, which
+keep the arcs into each origin closed; the presolved template keeps
 the model's row and column ids, so both are set by the ids the builder
 hands out. The run keeps one basis per
 failure. A failure re-solves from its own last basis, and its first solve

@@ -284,14 +284,13 @@ def cmd_chain_check(args, parser) -> int:
     instance = _read_instance(args.instance, parser)
     if not instance.failures:  # the ladder includes lp-r3
         return _no_failures_error(args.instance)
-    # the ladder solves the full model, whose rows scale with |Pi||D||K||E|;
-    # refuse clearly instead of grinding on a non-tiny instance
-    D, K = instance.num_requests, instance.num_wavelengths
-    A, P = 2 * instance.num_edges, len(instance.failures)
-    full_rows = 2 * P * D * K * A
-    if full_rows > CHAIN_MAX_ROWS:
+    # the ladder solves the full model, whose linking rows scale with
+    # |Pi||D||K||E|; refuse clearly instead of grinding on a non-tiny instance
+    count = formulations.path_model_rows
+    linking = count(instance, "rwap-ppp") - count(instance, "r1")
+    if linking > CHAIN_MAX_ROWS:
         print(
-            f"chain-check: full model needs ~{full_rows} linking rows "
+            f"chain-check: full model needs ~{linking} linking rows "
             f"(limit {CHAIN_MAX_ROWS}); this check is meant for tiny instances",
             file=sys.stderr,
         )

@@ -16,12 +16,19 @@ requests as commodities and the wavelengths as layers. An aggregated block
 subproblem) has as commodities the origins that send demand, in ascending
 node order, and one layer: lp-r3 is the backup-only path model with requests
 grouped by origin and wavelengths merged. A node that sends nothing gets no
-flow columns and no rows, so no built model has a fixed column or an empty
-row. Names keep the node id of an origin. _path_model assembles the four
-path models from their working, backup and linking blocks. The backup or
-aggregated flow columns of all scenarios are one column block, and each
-builder appends all of its rows as one block (_append_rows), so no row or
-coefficient is ever a Python object.
+flow columns and no rows, so no built model has an empty row. Names keep the
+node id of an origin.
+
+A flow never uses its closed arcs: the arcs into its commodity's source and,
+in a failure's block, both arcs of the failed edge. Their columns are created
+with upper bound 0 (_open_arcs), and they are a built model's only fixed
+columns. The null and exclusion rows that say the same stay, so exports keep
+the paper's formulation and row ids do not move.
+
+_path_model assembles the four path models from their working, backup and
+linking blocks. The backup or aggregated flow columns of all scenarios are
+one column block, and each builder appends all of its rows as one block
+(_append_rows), so no row or coefficient is ever a Python object.
 
 Builders:
   build_ip_rwap_ppp  full working+backup model (relax flag gives its LP)
@@ -129,6 +136,19 @@ def _append_rows(model, kinds) -> list[np.ndarray]:
     return [ids[a:b] for a, b in zip(starts, starts[1:])]
 
 
+def _open_arcs(ends, sources, scenarios) -> np.ndarray:
+    """1.0 on each (scenario, commodity, arc) a flow may use, 0.0 on the closed arcs.
+
+    Commodity c takes no flow into its source sources[c], and under failure
+    tau (None = no failure) none over either arc of edge tau: what the null
+    and exclusion rows of _flow_rows say, written as upper bounds.
+    """
+    failed = np.array([-1 if tau is None else tau for tau in scenarios], dtype=int)
+    into_source = ends[1] == np.asarray(sources)[:, None]
+    on_failed = np.arange(len(ends[1])) // 2 == failed[:, None, None]
+    return np.where(into_source | on_failed, 0.0, 1.0)
+
+
 def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names, labels):
     """Source, null, balance, capacity and exclusion rows of one flow block.
 
@@ -228,20 +248,23 @@ def _path_model(tag, instance: Instance, relax: bool):
     kind = CONTINUOUS if relax else BINARY
     D, K, A = instance.num_requests, instance.num_wavelengths, 2 * instance.num_edges
     failures = np.array(instance.failures, dtype=int)
+    sources = [req.s for req in instance.requests]
     vm = VarMap()
     if working:
-        vm.x = _columns(model, (D, K, A), 1.0, 0.0, "x_d{}k{}a{}", kind)
+        upper = _open_arcs(ends, sources, [None])[0][:, None, :]
+        vm.x = _columns(model, (D, K, A), upper, 0.0, "x_d{}k{}a{}", kind)
     vm.w = _columns(model, (K, instance.num_edges), 1.0, 1.0, "w_k{}e{}", kind)
     if backup:
         # y[tau][d, k, a], every failure's block in one, named by tau
-        index = _relabel(_grid((len(failures), D, K, A)), failures)
-        y = model.add_variables(0.0, np.ones(len(index)), 0.0, kind, [("yb_t{}d{}k{}a{}", index)])
-        vm.y = dict(zip(instance.failures, y.reshape(len(failures), D, K, A)))
+        shape = (len(failures), D, K, A)
+        upper = np.broadcast_to(_open_arcs(ends, sources, failures)[:, :, None, :], shape)
+        index = _relabel(_grid(shape), failures)
+        y = model.add_variables(0.0, upper, 0.0, kind, [("yb_t{}d{}k{}a{}", index)])
+        vm.y = dict(zip(instance.failures, y.reshape(shape)))
     # request d sends one unit from its source to its sink over all wavelengths
     balance = np.zeros((D, instance.num_nodes))
     for d, req in enumerate(instance.requests):
         balance[d, [req.s, req.t]] = np.nan
-    sources = [req.s for req in instance.requests]
     kinds = []
     for tau, y in ([(None, vm.x)] if working else []) + list(vm.y.items()):
         p, t = ("w", "") if tau is None else ("b", f"t{tau}")
@@ -318,12 +341,13 @@ def _origins(instance: Instance):
     return origins, q[origins]
 
 
-def _aggregated_vars(model, num_arcs, origins, q, scenarios) -> dict:
-    """Each scenario's origin-aggregated flows by (origin, a), each at most its total."""
-    shape = (len(origins), num_arcs)
+def _aggregated_vars(model, ends, origins, q, scenarios) -> dict:
+    """Each scenario's origin-aggregated flows by (origin, a), each at most its
+    total on an open arc and at 0 on a closed one."""
+    shape = (len(origins), len(ends[0]))
     tags = ["" if tau is None else f"t{tau}" for tau in scenarios]
     names = [(f"ya_{tag}s{{}}a{{}}", _relabel(_grid(shape), origins)) for tag in tags]
-    upper = np.tile(np.repeat(q.sum(axis=1), num_arcs), len(scenarios))
+    upper = q.sum(axis=1)[:, None] * _open_arcs(ends, origins, scenarios)
     ids = model.add_variables(0.0, upper, 0.0, names=names)  # all scenarios in one block
     return dict(zip(scenarios, ids.reshape(len(scenarios), *shape)))
 
@@ -356,7 +380,7 @@ def _aggregated_model(name: str, instance: Instance, scenarios):
     E = instance.num_edges
     model = LinearModel(name)
     vm = VarMap(wbar=_columns(model, (E,), instance.num_wavelengths, 1.0, "wb_e{}"))
-    vm.y_agg = _aggregated_vars(model, 2 * E, origins, q, scenarios)
+    vm.y_agg = _aggregated_vars(model, ends, origins, q, scenarios)
     kinds = []
     for tau in scenarios:
         kinds += _aggregated_rows(ends, origins, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
@@ -408,14 +432,13 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     origins, q = _origins(instance)
     tag = "" if failed_edge is None else f":t{failed_edge}"
     model = LinearModel(f"sub:{instance.name}{tag}")
-    y = _aggregated_vars(model, 2 * E, origins, q, (failed_edge,))[failed_edge]
+    ends = arc_ends(instance.network)
+    y = _aggregated_vars(model, ends, origins, q, (failed_edge,))[failed_edge]
     # each origin's arc flow is at most its total, so an edge carries at most
     # 2|D|; the box keeps every column bounded and so every dual bound finite
     eps = model.add_variables(0.0, 2.0 * instance.num_requests, 1.0, names=[("eps", [()])])[0]
     cap_cols = np.full(E, eps)
-    kinds = _aggregated_rows(
-        arc_ends(instance.network), origins, q, y, failed_edge, cap_cols, wbar
-    )
+    kinds = _aggregated_rows(ends, origins, q, y, failed_edge, cap_cols, wbar)
     rows = _append_rows(model, kinds)[3]
     return model, VarMap(y_agg={failed_edge: y}, rows_capacity=rows)
 
@@ -429,8 +452,8 @@ def cut_from_duals(
     on the subproblem optimum, and it is affine in the capacity rows'
     right-hand sides wbar with slope theta, their signed duals. So the cut
     bound + theta.(wbar' - wbar) <= 0 holds at every feasible wbar'. The
-    columns the bound takes at 0 as forced are the same at every wbar',
-    because a capacity row holds eps at coefficient -1 and so never forces.
+    bound reads lp's column bounds, in which failed_edge's arcs and the arcs
+    into each origin are closed at 0, and these do not depend on wbar.
     """
     if solution.status != "Optimal":
         raise FormulationError("cut requires an Optimal subproblem solution")

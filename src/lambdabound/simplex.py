@@ -72,23 +72,12 @@ bounds (`set_upper`) and appended rows (`add_rows`, whose slacks join the
 stored basis as basic) without a rebuild, and carries the start basis of
 its next solve. Primal and dual pivots share one basis change.
 
-A row forces when its rhs is 0, its sense is '<=' or '=', it has
-coefficients and each is positive on a column whose lower bound is 0: then
-each of those columns is 0 at every feasible point (a forcing constraint, Brearley,
-Mitra and Williams, 1975). The flow models' null and exclusion rows are of
-this kind. add_rows marks the candidate rows once, set_rhs re-reads only the
-candidates it touches, and every solve takes a forced column's upper bound
-as 0, so that it cannot enter, flip, be perturbed or sit at a nonzero bound.
-The rows themselves stay, so row ids, set_rhs and stored bases keep working.
-
 Row duals follow the minimization convention: '<=' rows have dual <= 0,
 '>=' rows dual >= 0, '=' rows free. Reduced costs are c - A'y for every
-variable, so dual objectives (rhs'y plus bound terms) certify optima. The
-postsolve moves each forcing row's dual down until no reduced cost on its
-row is negative, which keeps the objective and certifies it under the
-model's own bounds. `dual_bound` evaluates that dual objective for any row
-duals, after moving each to its sign and with forced columns at 0, as in the
-solve, so it bounds the optimum from below whatever produced them.
+variable, so dual objectives (rhs'y plus bound terms) certify optima under
+the model's own bounds. `dual_bound` evaluates that dual objective for any
+row duals, after moving each to its sign, so it bounds the optimum from
+below whatever produced them.
 
 `solve` refuses a model with more than MAX_ROWS rows with a ModelError,
 which bounds the time a single solve can take.
@@ -190,9 +179,8 @@ class ArrayLP:
     Columns are the model's variables, then one slack per model row: `cols`
     is [A | I] and `lb`/`ub`/`c` are their bounds and costs, with
     `cost == c[:n]` the model's costs and `b` its rhs. `colsT` is the
-    transposed view of `cols`. `forced` lists the structural columns that
-    the forcing rows hold at 0 under the current rhs. `basis` is the start
-    basis of the next solve; None starts from the slack basis.
+    transposed view of `cols`. `basis` is the start basis of the next solve;
+    None starts from the slack basis.
     """
 
     def __init__(self, name: str, cost, lb, ub):
@@ -206,40 +194,12 @@ class ArrayLP:
         self.ub = np.array(ub, dtype=float)
         self.c = np.array(cost, dtype=float)
         self.basis: Basis | None = None
-        # forcing-row candidates: a flag per row, and their structural
-        # coefficients in row order; the live ones are those with b = 0
-        self._candidate = np.zeros(0, dtype=bool)
-        self._cand_rows = sp.csr_matrix((0, len(cost)))
-        self.forced = np.zeros(0, dtype=int)  # structural columns that live rows force
-        self._forcing = None  # (row ids, CSR rows) of the live forcing rows
 
     num_rows = property(lambda self: len(self.b))
 
     def set_rhs(self, row_ids, values):
         """Overwrite the right-hand sides of rows, given by model row id."""
-        row_ids = _checked(row_ids, len(self.b), "set_rhs")
-        self.b[row_ids] = values
-        if self._candidate[row_ids].any():
-            self._refresh_forcing()
-
-    def _refresh_forcing(self):
-        """Re-read which candidate rows force, from their current rhs."""
-        pos = np.flatnonzero(self._candidate)
-        live = self.b[pos] == 0.0
-        if not live.any():
-            self.forced, self._forcing = np.zeros(0, dtype=int), None
-            return
-        R = self._cand_rows[live]
-        self.forced = np.unique(R.indices)
-        self._forcing = (pos[live], R)
-
-    def upper(self) -> np.ndarray:
-        """Upper bounds of every column as a solve takes them: forced columns at 0."""
-        if not len(self.forced):
-            return self.ub
-        ub = self.ub.copy()
-        ub[self.forced] = 0.0
-        return ub
+        self.b[_checked(row_ids, len(self.b), "set_rhs")] = values
 
     def set_upper(self, var_ids, values):
         """Overwrite the upper bounds of variables, given by model variable id.
@@ -266,22 +226,11 @@ class ArrayLP:
             raise ModelError(f"add_rows: a {R.shape} block for {k} rows over {n} columns")
         self.cols = _append_rows(self.cols, R, n)
         self.colsT = self.cols.T
-        # a candidate row holds its columns at zero whenever its rhs is 0: its
-        # slack lies in [0, inf) or [0, 0], it has coefficients, and each is
-        # positive on a column whose lower bound is 0
-        counts = np.diff(R.indptr)
-        blocking = (R.data <= 0) | (self.lb[R.indices] != 0.0)
-        blocked = np.bincount(np.repeat(np.arange(k), counts)[blocking], minlength=k)
-        candidate = (senses != SENSE_GE) & (counts > 0) & (blocked == 0)
         self.b = np.concatenate([self.b, rhs])
         slack_lb, slack_ub = _slack_bounds(senses)
         self.lb = np.concatenate([self.lb, slack_lb])
         self.ub = np.concatenate([self.ub, slack_ub])
         self.c = np.concatenate([self.c, np.zeros(k)])
-        self._candidate = np.concatenate([self._candidate, candidate])
-        if candidate.any():
-            self._cand_rows = sp.vstack([self._cand_rows, R[candidate]], format="csr")
-            self._refresh_forcing()
         if self.basis is not None:
             self.basis = Basis(
                 np.concatenate([self.basis.head, n + m + np.arange(k)]).astype(np.int32),
@@ -322,7 +271,7 @@ def _slack_basis(lp: ArrayLP) -> Basis:
 
 
 def presolve(model: LinearModel) -> ArrayLP:
-    """The model's arrays as an ArrayLP, its forcing rows marked."""
+    """The model's arrays as an ArrayLP."""
     if model.num_variables == 0:
         raise ModelError("model must have at least one variable")
     lp = ArrayLP(model.name, model.cost, model.lower, model.upper)
@@ -453,7 +402,7 @@ class _Core:
         self.m = len(lp.b)
         self.n_struct = len(lp.cost)
         self.b = lp.b
-        self.A, self.AT, self.lb, self.ub = lp.cols, lp.colsT, lp.lb, lp.upper()
+        self.A, self.AT, self.lb, self.ub = lp.cols, lp.colsT, lp.lb, lp.ub
         self.iterations = 0
 
     def _load(self, head, status, costs, stored=None) -> bool:
@@ -815,41 +764,19 @@ def _no_solution(lp: ArrayLP, status: str, iterations: int) -> Solution:
     )
 
 
-def _solution(lp: ArrayLP, status: str, x, y, iterations=0, basis=None) -> Solution:
-    """The model-space solution with the columns at x and row duals y.
-
-    Postsolve: each live forcing row's dual moves down by the least that
-    leaves every reduced cost on its row nonnegative. Its columns sit at 0,
-    their lower bound, and the row is tight with rhs 0, so the duals then
-    certify the optimum under the model's own bounds at the same objective.
-    """
-    n = len(lp.cost)
-    primal = np.array(x)
-    reduced = lp.cost - (lp.colsT @ y)[:n]
-    if lp._forcing is not None:
-        rows, R = lp._forcing
-        ratio = reduced[R.indices] / R.data
-        move = np.minimum(np.minimum.reduceat(ratio, R.indptr[:-1]), 0.0)
-        if move.any():
-            y = y.copy()
-            y[rows] += move
-            reduced = lp.cost - (lp.colsT @ y)[:n]
-    return Solution(
-        status=status,
-        objective=float(lp.cost @ primal),
-        primal=primal,
-        duals=y,
-        reduced_costs=reduced,
-        iterations=iterations,
-        basis=basis,
-    )
-
-
 def _finish(lp: ArrayLP, core: _Core) -> Solution:
+    """The solution at the core's optimum: columns at x, row duals y, on a fresh factor."""
     if core._since_refactor:
         core.refactor()
-    return _solution(
-        lp, OPTIMAL, core.x[: core.n_struct], core.y, core.iterations, core.final_basis()
+    primal = core.x[: core.n_struct].copy()
+    return Solution(
+        status=OPTIMAL,
+        objective=float(lp.cost @ primal),
+        primal=primal,
+        duals=core.y,
+        reduced_costs=lp.cost - (lp.colsT @ core.y)[: core.n_struct],
+        iterations=core.iterations,
+        basis=core.final_basis(),
     )
 
 
@@ -912,10 +839,8 @@ def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:
     duals has one entry per model row. Each inequality row's dual is first
     moved to its sign (<= 0 on '<=' rows, >= 0 on '>=' rows); with r = c - A'y
     the bound is b'y + sum_j min(r_j l_j, r_j u_j), which is -inf when a
-    reduced cost points at an infinite bound. Columns that a forcing row
-    holds at zero count at upper bound 0, as in the solve; the bound is valid
-    for every rhs under which those rows still force. Returns the bound and
-    the signed duals.
+    reduced cost points at an infinite bound. Returns the bound and the
+    signed duals.
     """
     n = len(lp.cost)
     slack_lb, slack_ub = lp.lb[n:], lp.ub[n:]
@@ -923,7 +848,7 @@ def dual_bound(lp: ArrayLP, duals) -> tuple[float, np.ndarray]:
     y = np.where(slack_ub == INF, np.minimum(y, 0.0), y)
     y = np.where(slack_lb == -INF, np.maximum(y, 0.0), y)
     r = lp.cost - (lp.colsT @ y)[:n]
-    at = np.where(r > 0, lp.lb[:n], np.where(r < 0, lp.upper()[:n], 0.0))
+    at = np.where(r > 0, lp.lb[:n], np.where(r < 0, lp.ub[:n], 0.0))
     return float(lp.b @ y + r @ at), y
 
 

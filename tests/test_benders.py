@@ -19,6 +19,7 @@ from lambdabound.formulations import (
     Cut,
     FormulationError,
     build_lp_r3,
+    build_master,
     build_subproblem,
     cut_from_duals,
 )
@@ -27,8 +28,10 @@ from lambdabound.instance import (
     Instance,
     Network,
     Request,
+    bundled_text,
     gen_cycle,
     gen_random,
+    load_instance,
 )
 from lambdabound.lpmodel import Solution
 
@@ -78,6 +81,24 @@ def test_master_monotone_and_final_bound():
     objs = [r.master_objective for r in res.log]
     assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:]))
     assert res.lower_bound == objs[-1]
+
+
+@pytest.mark.parametrize("inst", [
+    load_instance(bundled_text("net4.json")), gen_cycle(4, 2, 3), gen_random(6, 1, 2, 2, seed=801),
+], ids=["net4", "cycle", "random"])
+def test_master_duals_certify_its_optimum(inst):
+    """The master's raw duals certify its optimum under its own bounds, the
+    closed arcs' upper bounds of 0 included, to criterion 8's tolerances."""
+    model = build_master(inst, min(inst.failures))[0]
+    sol = simplex.solve(model)
+    assert sol.status == simplex.OPTIMAL
+    cert = simplex.check_certificates(model, sol)
+    scale = 1.0 + abs(sol.objective)
+    assert cert["duality_gap"] <= 1e-6 * scale, cert
+    assert cert["cs_variable"] <= 1e-6, cert
+    assert cert["cs_row"] <= 1e-6 * scale, cert
+    assert cert["bound_violation"] <= 1e-7, cert
+    assert cert["row_violation"] <= 1e-7, cert
 
 
 def test_cut_pool_soundness_at_convergence():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from lambdabound.instance import (
     Instance,
     Network,
     Request,
+    arc_ends,
     demand_matrix,
     gen_cycle,
     gen_random,
@@ -37,6 +39,7 @@ from lambdabound.instance import (
 from lambdabound.lpmodel import (
     BINARY,
     CONTINUOUS,
+    SENSE_GE,
     LinearModel,
     Solution,
     export_lp,
@@ -338,20 +341,59 @@ def test_varmap_ids_are_unique(net4):
         assert all(type(vid) is int for row in model.rows for vid, _ in row.coeffs), label
 
 
+# a flow column's name: failure tau if any, then request d or origin node s,
+# then wavelength k if any, then arc a
+_FLOW_NAME = re.compile(r"(?:x|yb|ya)_(?:t(\d+))?(?:d(\d+)|s(\d+))(?:k\d+)?a(\d+)")
+
+
+def _closed_by_name(inst, model):
+    """Columns whose name says a flow never uses the arc: one into the
+    commodity's source, or either arc of the block's failed edge."""
+    head = arc_ends(inst.network)[1]
+    closed = set()
+    for j, name in enumerate(model.variable_names):
+        match = _FLOW_NAME.fullmatch(name)
+        if match is None:
+            continue
+        tau, d, s, a = match.groups()
+        source = int(s) if s is not None else inst.requests[int(d)].s
+        if head[int(a)] == source or (tau is not None and int(a) // 2 == int(tau)):
+            closed.add(j)
+    return closed
+
+
+def _forced_by_rows(model):
+    """Columns of the rows with rhs 0, sense '=' or '<=' and coefficients, each
+    positive on a column with lower bound 0: each such row holds them at 0."""
+    forced = set()
+    for i, (sense, rhs) in enumerate(zip(model.senses.tolist(), model.rhs.tolist())):
+        cols = model.indices[model.indptr[i] : model.indptr[i + 1]]
+        vals = model.data[model.indptr[i] : model.indptr[i + 1]]
+        if rhs == 0.0 and sense != SENSE_GE and len(cols):
+            if (vals > 0).all() and (model.lower[cols] == 0.0).all():
+                forced.update(cols.tolist())
+    return forced
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     st.integers(3, 7), st.integers(0, 2), st.integers(1, 3), st.integers(0, 1),
     st.integers(0, 2**16),
 )
 def test_models_leave_presolve_nothing_to_pin_or_drop(nodes, extra, requests, spare, seed):
-    """No built model has a fixed column or a row without coefficients, and
-    presolve keeps every column and row: cols is [A | I] over the model."""
+    """A column is fixed (lower == upper) exactly when it is a closed arc, and
+    those are the columns that the null and exclusion rows hold at 0. No row
+    lacks coefficients, and presolve keeps every column and row: cols is
+    [A | I] over the model."""
     inst = gen_random(nodes, extra, requests, requests + spare, seed)
     models = {name: build(inst) for name, build in _BUILDERS.items()}
     models["master"] = build_master(inst, min(inst.failures))[0]
     models["template"] = build_subproblem(inst, None, np.zeros(inst.num_edges))[0]
     for label, model in models.items():
-        assert (model.lower < model.upper).all(), label
+        fixed = set(np.flatnonzero(model.lower == model.upper).tolist())
+        assert fixed and fixed == _closed_by_name(inst, model), label
+        assert fixed == _forced_by_rows(model), label
+        assert (model.upper[list(fixed)] == 0.0).all(), label
         assert (np.diff(model.indptr) > 0).all(), label
         shape = (model.num_rows, model.num_variables + model.num_rows)
         assert simplex.presolve(model).cols.shape == shape, label
@@ -360,24 +402,24 @@ def test_models_leave_presolve_nothing_to_pin_or_drop(nodes, extra, requests, sp
 # sha256 of the LP then MPS text of every CLI export model: exports must stay
 # byte-identical, so any change to a builder's variables, rows or names shows here
 EXPORT_DIGESTS = {
-    ('net4', 'lp-rwap'): 'dd79c2f4f9fc382da3ddb3882f2799b24477cc13732df193a05dbfa0597aa5dc',
-    ('net4', 'lp-rwap-ppp'): 'd303da265c7064ce65a11f905ed879802d07b18fd037ecbbdfddecde5d5941af',
-    ('net4', 'lp-r1'): 'eddf4d55146df97bbad8aa3e92cf874aeddc1ba7965f66ad03f8e19ed23870ec',
-    ('net4', 'lp-r2'): '3f8bfc5d76fa213caa82cc00f8d21d23cc04a2770eb0d15077eb9675a00beef6',
-    ('net4', 'lp-r3'): '00e11d7032554df1a66bbe7cef13310baae39e1f15333535042070740ed256c0',
-    ('net4', 'ip-rwap'): '5d90ffe9fd74fdb283e770e0f1daba76e221e566dfd327933eb202d20672d5dd',
-    ('net4', 'ip-rwap-ppp'): '006cf1ba129d0650aface057beb3c42ea322c93899f7bbe1673fa2ab025aae38',
-    ('net4', 'ip-r1'): '08c8d36f9ae3eb90cf7794d536f83a36e6adc04760a4532c1fcd552a0d16d9a0',
-    ('net4', 'ip-r2'): 'f9605386c02ed596e2d791d92fa763075db992c8017470bba9f7f86da5f3bc13',
-    ('random6', 'lp-rwap'): 'c658227b1e2b0fe95bc9dad1297cfd5ec222c51a589de9bc6380e1d3a2d13e4e',
-    ('random6', 'lp-rwap-ppp'): '1eb3e5d2419c3c866eacfec2caaef6e03608c9af8d189df302647acfaffe05ff',
-    ('random6', 'lp-r1'): '1bde3881e1bf3ce13e97334b8edaef8558930cdf0886311286b7989f7e5ae688',
-    ('random6', 'lp-r2'): 'b86a4affd927031467fa37b22dabefb8360861d132ccee098fc1f049386a0927',
-    ('random6', 'lp-r3'): 'f557183954444349fee60a25f90ca20437ca43a9451b0fa3cd13e0813f289d7c',
-    ('random6', 'ip-rwap'): '24bc0afe25f8c0add63f4ba392e3d31a8652ff55a12afd194d28bbce203ce159',
-    ('random6', 'ip-rwap-ppp'): 'e9a5da158a31ab733077ab1e4263c0a8ab0a51c6882fbc2b33ec6f253f4187c7',
-    ('random6', 'ip-r1'): 'd9ca3d4e7207ee961b46f3337589bc302f873ed6d872e54177440a49cb437d0f',
-    ('random6', 'ip-r2'): '48fdf2d931451170e9999f61495fc4106ad11016bc3a4f40955c8300375333b2',
+    ('net4', 'lp-rwap'): '0d2c16d895d97475d056ec0a82a76a37f5a26fb8c22784c0a9d4b6a459ad1474',
+    ('net4', 'lp-rwap-ppp'): 'babe882f6ab5f6f99dd518fec4afccd7a1071b8c0ddc84b8d02ce4e177b475d5',
+    ('net4', 'lp-r1'): '0bd87618efbcfd546ab4126424f230ddd2e6f6c0305dbd5ed76e480c6373a22c',
+    ('net4', 'lp-r2'): 'e58bb4a655328923eeb80d388b7cb9742ec1b786141a926d06035f9a2700f9c7',
+    ('net4', 'lp-r3'): '29799542d608c70fd4e59e2e0f41c15afecd6350ee9ae1157388dbb72f5d56ba',
+    ('net4', 'ip-rwap'): '5a8c00dec13e00f9f04babac6d2f3a14a8715bbcb1b7b14ed1763e9ca23ffc30',
+    ('net4', 'ip-rwap-ppp'): '18ae5c96c5d7e494d7f15ebe2c8d7bd1d752476c68e7b0c41242205d45a0865e',
+    ('net4', 'ip-r1'): '477a4182dba036ff82764da0c96845ff444776ab23fd15053e8b941c30d68d42',
+    ('net4', 'ip-r2'): 'cf81c2fcd0f841333623cd3fe1aec4b17066acf91b651d72fbf3b5656b027be3',
+    ('random6', 'lp-rwap'): '32348e79d8bf14b27b414491870aca7750455a89d2650715599433f68d1b7420',
+    ('random6', 'lp-rwap-ppp'): '348d8db23b0bdfc4704e676d41ff443478f007e62fce8068075ef2622dffb157',
+    ('random6', 'lp-r1'): '0ede043f89107a7ccf5e99f201aecb2ddf913ac141724107f31021171d60c80e',
+    ('random6', 'lp-r2'): '882887427189ae4990242c53d3f58ccfbaf9f06795c5c8089c835e3c7d32daab',
+    ('random6', 'lp-r3'): '2f8773dec2ec18f958c93d16dce011c796deeffc5e99cacd9e1e6edbf9fab43a',
+    ('random6', 'ip-rwap'): 'f65bcde28e757993ad6b4969c8ee8ae02dfb194a67038513d96bf9d1ab98599d',
+    ('random6', 'ip-rwap-ppp'): '91f1eac2989d344ff289d764e41339a7e97b1344dded33582bfb9a89ce80e767',
+    ('random6', 'ip-r1'): '32c0f71cfdcb8d29469df83293b30e4c7cd513cfadd0f2d5da102b4decfed9e0',
+    ('random6', 'ip-r2'): '9f95e010d35e55f3fc4177605cb96d51f409c004ad2bb803bef37627990dc99e',
 }
 
 
@@ -414,19 +456,19 @@ def _structure_digest(model):
 
 
 # the subproblem template of a decomposition run: no failure, capacities 0
-TEMPLATE_DIGEST = 'd9e873472a9e880cda9de4ff43816c5dc11a36097c6e6698783f43f4bb415df8'
+TEMPLATE_DIGEST = 'd9a0ab8910fb50b283968d2c30e83cc107dd658ed6019ab33b7c248afc1c485a'
 
 # master, then the subproblem of each failure at capacities 0.5
 DECOMPOSITION_DIGESTS = [
-    '82cea1c922ff5dbc33fd08a180acbf3ec8e4071160ff0663093d4440afdefb6b',
-    '1b988647fcaffd844ce482e88b9e94156feccd5fbf99825e5ff094d9faf71b05',
-    '343bc1966337967ee71587fbf9a3553bbabfa29e62aa65f359962c651ce596ed',
-    '34d9251d6d9aebd9eb55ce633372976f038e8b324c80bfb8a5266d8441e2d3ce',
-    '6ec2505eee36837b1faaeec5d4bb1a4689b4c3b0eb0742c6f591af187370e44a',
-    '1838808d618dc94942136e1e2153388a816ce3f9b2d08d4927fb04307261c205',
-    '6630104610c14f96f60391d2822f376dc24e5a1e0b6a41ab2fdd897c97579d19',
-    'c2eec980359faed59a2404bb997f6dded8e83525cfc4a9260663385a49cdf2fd',
-    'e51a3a4af288ae991816f8bc7abcc49a3f160abfc9176e372b260b442b3f948b',
+    '944d40ab86ad1ac4b92f1922e600cf6c82589d3bb90861dbffb0ee301fa839c4',
+    '9327581c18b58126651caf1260623f7da5d11c69c3ae7b2b2d1f0c5d612dae8e',
+    'fbc17510a3f13a47af0b33139370db2bf3859316c5c6228f6c14096c737db020',
+    '4d07887575ab85b568153eafa60da1d94ac680377e225fd27f714fa09dd01fd6',
+    'c082669b4f76e1e033832f40c22a75fb74c58380d551241d068d4944899455d0',
+    '11a0cffab3618fafb7a9e8996ed5e1903986e0bb725ff5d99b66b4d51fcb6517',
+    '5772a12ff3234dfafff0fb79ab914d260bf7ff425b2e3b932a972220391a7de3',
+    '11cd853795374278101054ed707669481d6c2fdb873b11f20723e0ff51f582aa',
+    '6a55cf3bb577f6067be28bd245fba1605a4defbba7509358cceab6c8b33400d1',
 ]
 
 
@@ -472,7 +514,7 @@ def _assert_same_presolve(a, b, label):
     for part in ("indptr", "indices", "data"):
         u, v = getattr(a.cols, part), getattr(b.cols, part)
         assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, part)
-    for name in ("b", "lb", "ub", "c", "forced"):
+    for name in ("b", "lb", "ub", "c"):
         u, v = getattr(a, name), getattr(b, name)
         assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), (label, name)
 
