@@ -9,6 +9,10 @@ the reduction exact. Instances with more than MAX_PATHS_PER_PAIR simple paths
 between a request's end nodes, or whose search takes more than
 MAX_ASSIGNMENTS assignment steps or nests deeper than the recursion limit,
 are rejected outright, never silently truncated.
+
+`verify_chain` solves the relaxation ladder directly. LP R1 is solved as the
+relaxed full model's row prefix; then the linking rows are appended and the
+full model is re-solved warm from R1's optimal basis.
 """
 
 from __future__ import annotations
@@ -274,18 +278,35 @@ class ChainReport:
 
 
 def verify_chain(instance: Instance) -> ChainReport:
-    """Solve the whole relaxation ladder and check every proved relation."""
+    """Solve the whole relaxation ladder and check every proved relation.
+
+    The relaxed full model is R1 with its linking rows last, so it is built
+    once: its first path_model_rows(instance, "r1") rows over all its
+    columns are R1, solved first; then the linking rows are appended, their
+    slacks basic in R1's optimal basis, which stays dual feasible, and the
+    full model is re-solved from there.
+    """
+
+    def checked(name, sol):
+        if sol.status != simplex.OPTIMAL:
+            raise OracleSolveError(f"{name}: unexpected status {sol.status}")
+        return sol
 
     def lp(build, *args):
         model = build(instance, *args)[0]
-        sol = simplex.solve(model)
-        if sol.status != simplex.OPTIMAL:
-            raise OracleSolveError(f"{model.name}: unexpected status {sol.status}")
-        return sol.objective
+        return checked(model.name, simplex.solve(model)).objective
 
     exact_full = exact_rwap_ppp(instance)
-    lp_full = lp(formulations.build_ip_rwap_ppp, True)
-    lp_r1 = lp(formulations.build_ip_r1, True)
+    full = formulations.build_ip_rwap_ppp(instance, True)[0]
+    simplex.check_rows(full.name, full.num_rows)
+    r1 = formulations.path_model_rows(instance, "r1")
+    ladder = simplex.ArrayLP(full.name, full.cost, full.lower, full.upper)
+    ladder.add_rows(full.senses[:r1], full.rhs[:r1], full.matrix[:r1])
+    sol = checked(f"r1:{instance.name}", simplex.solve(ladder))
+    lp_r1 = sol.objective
+    ladder.basis = sol.basis
+    ladder.add_rows(full.senses[r1:], full.rhs[r1:], full.matrix[r1:])
+    lp_full = checked(full.name, simplex.solve(ladder)).objective
     lp_r2 = lp(formulations.build_ip_r2, True)
     lp_r3 = lp(formulations.build_lp_r3)
     lp_working = lp(formulations.build_ip_rwap, True)

@@ -558,3 +558,33 @@ def test_path_model_rows_are_counted_before_the_build(nodes, extra, requests, sp
     for tag, build in _PATH_BUILDERS.items():
         rows = path_model_rows(instance, tag)
         assert rows == build(instance, relax=True)[0].num_rows, tag
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 6), st.integers(0, 2), st.integers(0, 3), st.integers(0, 1),
+    st.integers(0, 10**6), st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_r1_is_the_relaxed_full_models_row_prefix(nodes, extra, requests, spare, seed, fails):
+    """oracle.verify_chain solves R1 as the full model's first rows, then appends the rest.
+
+    So the full model must hold R1's columns exactly and R1's rows first: the
+    linking rows come last. The failure set is any subset of the edges, the
+    empty one included.
+    """
+    instance = gen_random(nodes, extra, requests, max(1, requests) + spare, seed)
+    failures = tuple(e for e in range(instance.num_edges) if fails[e % len(fails)])
+    instance = dataclasses.replace(instance, failures=failures)
+    full = build_ip_rwap_ppp(instance, relax=True)[0]
+    r1 = build_ip_r1(instance, relax=True)[0]
+    rows = path_model_rows(instance, "r1")
+    assert rows == r1.num_rows and full.num_rows >= rows
+    assert full.num_rows > rows or not failures or not requests
+    for name in ("cost", "lower", "upper"):
+        assert np.array_equal(getattr(full, name), getattr(r1, name)), name
+    assert np.array_equal(full.senses[:rows], r1.senses)
+    assert np.array_equal(full.rhs[:rows], r1.rhs)
+    end = full.indptr[rows]
+    assert np.array_equal(full.indptr[: rows + 1], r1.indptr)
+    assert np.array_equal(full.indices[:end], r1.indices)
+    assert np.array_equal(full.data[:end], r1.data)

@@ -1,11 +1,18 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import milp_solve, solve_checked
-from lambdabound.formulations import build_ip_rwap, build_ip_rwap_ppp, build_lp_r3
+from lambdabound.formulations import (
+    build_ip_r1,
+    build_ip_rwap,
+    build_ip_rwap_ppp,
+    build_lp_r3,
+    path_model_rows,
+)
 from lambdabound.instance import gen_cycle, gen_random
-from lambdabound import oracle
+from lambdabound import oracle, simplex
 from lambdabound.oracle import (
     OracleBudgetError,
     OracleInfeasibleError,
@@ -14,6 +21,7 @@ from lambdabound.oracle import (
     simple_paths,
     verify_chain,
 )
+from lambdabound.simplex import check_certificates
 
 
 def test_ring_exact_values():
@@ -109,13 +117,80 @@ def test_chain_no_demand():
     assert rep.exact_full == 0 and rep.lp_r3 == pytest.approx(0.0)
 
 
-def test_chain_on_seeded_tiny_instances():
+def _seeded_miniatures():
     # fifty seeded miniatures; k = requests keeps every one protectable
     for seed in range(50):
         requests = 2 if seed % 5 == 0 else 1
-        inst = gen_random(4 + seed % 2, 1, requests, requests, seed=seed)
+        yield seed, gen_random(4 + seed % 2, 1, requests, requests, seed=seed)
+
+
+def test_chain_on_seeded_tiny_instances():
+    for seed, inst in _seeded_miniatures():
         rep = verify_chain(inst)
         assert rep.passed, (seed, rep.lines())
+
+
+def _spied_chain(monkeypatch, instance):
+    """verify_chain's report and its solves: (name, rows at the call, Solution)."""
+    solves = []
+    original = simplex.solve
+
+    def spy(model):
+        rows = model.num_rows
+        sol = original(model)
+        solves.append((model.name, rows, sol))
+        return sol
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle.simplex, "solve", spy)
+        return verify_chain(instance), solves
+
+
+def _full_model_solves(instance, solves):
+    """The R1 and the full-model solve of verify_chain's spied solves."""
+    full = f"rwap-ppp:{instance.name}"
+    rows = {rows: sol for name, rows, sol in solves if name == full}
+    r1 = path_model_rows(instance, "r1")
+    assert len(rows) == 1 + (path_model_rows(instance, "rwap-ppp") > r1)
+    return rows[r1], rows[path_model_rows(instance, "rwap-ppp")]
+
+
+def test_chain_solves_r1_then_the_full_model_warm(monkeypatch, net4):
+    """R1 is the full model's row prefix, so LP R1 is the cold R1 solve bit for
+    bit; the full model, re-solved from R1's basis, matches a cold solve and
+    its duals certify it against the model itself (criterion 8's tolerances)."""
+    instances = [net4, gen_cycle(3, 1, 1)] + [inst for _, inst in _seeded_miniatures()]
+    for inst in instances:
+        rep, solves = _spied_chain(monkeypatch, inst)
+        assert rep.passed, (inst.name, rep.lines())
+        r1_sol, full_sol = _full_model_solves(inst, solves)
+        cold_r1 = simplex.solve(build_ip_r1(inst, relax=True)[0])
+        assert rep.lp_r1 == r1_sol.objective == cold_r1.objective, inst.name
+        assert np.array_equal(r1_sol.primal, cold_r1.primal), inst.name
+        assert np.array_equal(r1_sol.duals, cold_r1.duals), inst.name
+        full = build_ip_rwap_ppp(inst, relax=True)[0]
+        cold = simplex.solve(full)
+        assert cold.status == simplex.OPTIMAL and rep.lp_full == full_sol.objective
+        scale = 1.0 + abs(cold.objective)
+        assert abs(rep.lp_full - cold.objective) <= 1e-9 * scale, inst.name
+        cert = check_certificates(full, full_sol)
+        assert cert["duality_gap"] <= 1e-6 * scale, (inst.name, cert)
+        assert cert["cs_variable"] <= 1e-6, (inst.name, cert)
+        assert cert["cs_row"] <= 1e-6 * scale, (inst.name, cert)
+        assert cert["bound_violation"] <= 1e-7, (inst.name, cert)
+        assert cert["row_violation"] <= 1e-7, (inst.name, cert)
+
+
+def test_chain_on_the_slow_eight_node_full_model(monkeypatch):
+    """This relaxed full model (4,680 rows, on SuperLU) took 36,870 pivots
+    from the slack basis; from R1's optimal basis it takes a few hundred."""
+    inst = gen_random(8, 2, 3, 3, seed=3)
+    rep, solves = _spied_chain(monkeypatch, inst)
+    assert rep.passed, rep.lines()
+    assert rep.exact_full == 15
+    assert f"{rep.lp_full:.6f}" == "14.250000"
+    _, full_sol = _full_model_solves(inst, solves)
+    assert full_sol.iterations <= 1000
 
 
 def test_working_only_lp_matches_exact_on_rings():
