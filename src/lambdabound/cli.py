@@ -127,10 +127,16 @@ def _solve_record(
         if tag is not None:
             rows = formulations.path_model_rows(instance, tag)
             simplex.check_rows(f"{tag}:{instance.name}", rows)
-        sol = simplex.solve(_BUILDERS[model_name](instance))
+        model = _BUILDERS[model_name](instance)
+        blocks = [(0, model.num_rows)]
+        if tag == "rwap-ppp":  # LP R1 first, then its linking rows, warm from R1's optimum
+            r1 = formulations.path_model_rows(instance, "r1")
+            blocks = [(0, r1), (r1, model.num_rows)]
+        sols = simplex.solve_in_blocks(model, blocks)
+        sol = sols[-1]
         status = sol.status
         objective = sol.objective if sol.status == simplex.OPTIMAL else None
-        iters, cuts = sol.iterations, None
+        iters, cuts = sum(s.iterations for s in sols), None
         ok = sol.status == simplex.OPTIMAL
         detail = None
     elapsed = int(1000 * (time.perf_counter() - t0))

@@ -10,9 +10,9 @@ between a request's end nodes, or whose search takes more than
 MAX_ASSIGNMENTS assignment steps or nests deeper than the recursion limit,
 are rejected outright, never silently truncated.
 
-`verify_chain` solves the relaxation ladder directly. LP R1 is solved as the
-relaxed full model's row prefix; then the linking rows are appended and the
-full model is re-solved warm from R1's optimal basis.
+`verify_chain` solves the relaxation ladder directly. The relaxed full model
+grows by row blocks, each re-solved warm from the last: its backup rows are
+LP R2, the working rows added give LP R1, and the linking rows the full model.
 """
 
 from __future__ import annotations
@@ -280,34 +280,33 @@ class ChainReport:
 def verify_chain(instance: Instance) -> ChainReport:
     """Solve the whole relaxation ladder and check every proved relation.
 
-    The relaxed full model is R1 with its linking rows last, so it is built
-    once: its first path_model_rows(instance, "r1") rows over all its
-    columns are R1, solved first; then the linking rows are appended, their
-    slacks basic in R1's optimal basis, which stays dual feasible, and the
-    full model is re-solved from there.
+    The relaxed full model is built once, and its path rungs are solved on
+    one ArrayLP of all its columns that grows by row blocks, each rung warm
+    from the last one's optimal basis: first the backup rows, which hold no
+    working column, so this is LP R2; then the working rows, which gives
+    LP R1; then the linking rows, which gives the full model. LP R3 and the
+    working-only LP are solved cold. The ladder includes LP R3, so an empty
+    failure set is refused with a ValueError before any work.
     """
+    if not instance.failures:
+        raise ValueError(f"{instance.name}: the relaxation ladder needs a non-empty failure set")
 
     def checked(name, sol):
         if sol.status != simplex.OPTIMAL:
             raise OracleSolveError(f"{name}: unexpected status {sol.status}")
-        return sol
+        return sol.objective
 
     def lp(build, *args):
         model = build(instance, *args)[0]
-        return checked(model.name, simplex.solve(model)).objective
+        return checked(model.name, simplex.solve(model))
 
     exact_full = exact_rwap_ppp(instance)
     full = formulations.build_ip_rwap_ppp(instance, True)[0]
-    simplex.check_rows(full.name, full.num_rows)
-    r1 = formulations.path_model_rows(instance, "r1")
-    ladder = simplex.ArrayLP(full.name, full.cost, full.lower, full.upper)
-    ladder.add_rows(full.senses[:r1], full.rhs[:r1], full.matrix[:r1])
-    sol = checked(f"r1:{instance.name}", simplex.solve(ladder))
-    lp_r1 = sol.objective
-    ladder.basis = sol.basis
-    ladder.add_rows(full.senses[r1:], full.rhs[r1:], full.matrix[r1:])
-    lp_full = checked(full.name, simplex.solve(ladder)).objective
-    lp_r2 = lp(formulations.build_ip_r2, True)
+    working, r1 = (formulations.path_model_rows(instance, tag) for tag in ("rwap", "r1"))
+    rungs = simplex.solve_in_blocks(full, [(working, r1), (0, working), (r1, full.num_rows)])
+    lp_r2, lp_r1, lp_full = (
+        checked(f"{tag}:{instance.name}", sol) for tag, sol in zip(("r2", "r1", "rwap-ppp"), rungs)
+    )
     lp_r3 = lp(formulations.build_lp_r3)
     lp_working = lp(formulations.build_ip_rwap, True)
 

@@ -98,6 +98,33 @@ def test_solve_record_csv(tmp_path, capsys):
     assert lines[1].startswith("cycle-m3-n1-k1,3,3,1,lp-r3,benders,3.000000")
 
 
+def test_solve_full_model_goes_warm_from_r1(tmp_path, capsys, monkeypatch):
+    """solve --model lp-rwap-ppp solves LP R1, then appends the linking rows
+    and re-solves warm; the record sums the pivots of both. Cold, this model
+    (4,680 rows) took 36,870 pivots."""
+    inst = gen_random(8, 2, 3, 3, seed=3)
+    path, record = tmp_path / "s3.json", tmp_path / "runs.csv"
+    path.write_text(save_instance(inst))
+    solves, original = [], simplex.solve
+
+    def spy(model):
+        rows = model.num_rows
+        sol = original(model)
+        solves.append((rows, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(simplex, "solve", spy)
+    code, out, _ = run(capsys, "solve", str(path), "--model", "lp-rwap-ppp",
+                       "--record", str(record))
+    assert code == 0 and out == "14.250000\n"
+    count = cli.formulations.path_model_rows
+    assert [rows for rows, _ in solves] == [count(inst, "r1"), count(inst, "rwap-ppp")]
+    with open(record, newline="", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["objective"] == "14.250000" and row["status"] == "Optimal"
+    assert int(row["iterations"]) == sum(pivots for _, pivots in solves) <= 5000
+
+
 def test_csv_fields_are_quoted(tmp_path, capsys):
     path = write_cycle(tmp_path, name="ring.json", m=3, n=1, k=1)
     doc = json.loads(path.read_text())

@@ -588,3 +588,37 @@ def test_r1_is_the_relaxed_full_models_row_prefix(nodes, extra, requests, spare,
     assert np.array_equal(full.indptr[: rows + 1], r1.indptr)
     assert np.array_equal(full.indices[:end], r1.indices)
     assert np.array_equal(full.data[:end], r1.data)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 6), st.integers(0, 2), st.integers(0, 3), st.integers(0, 1),
+    st.integers(0, 10**6), st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_r2_is_the_relaxed_full_models_backup_rows(nodes, extra, requests, spare, seed, fails):
+    """oracle.verify_chain solves R2 as the full model's backup rows alone.
+
+    Those rows, path_model_rows "rwap" to "r1", must hold no working (x)
+    column and equal R2's rows over the w and y columns, which R2 holds
+    with the same costs and bounds, after the x columns. The failure set is
+    any subset of the edges, the empty one included.
+    """
+    instance = gen_random(nodes, extra, requests, max(1, requests) + spare, seed)
+    failures = tuple(e for e in range(instance.num_edges) if fails[e % len(fails)])
+    instance = dataclasses.replace(instance, failures=failures)
+    full = build_ip_rwap_ppp(instance, relax=True)[0]
+    r2 = build_ip_r2(instance, relax=True)[0]
+    working, r1 = path_model_rows(instance, "rwap"), path_model_rows(instance, "r1")
+    assert r1 - working == r2.num_rows
+    x = full.num_variables - r2.num_variables
+    assert x == instance.num_requests * instance.num_wavelengths * 2 * instance.num_edges
+    for name in ("cost", "lower", "upper"):
+        assert np.array_equal(getattr(full, name)[x:], getattr(r2, name)), name
+    assert np.array_equal(full.senses[working:r1], r2.senses)
+    assert np.array_equal(full.rhs[working:r1], r2.rhs)
+    backup = full.matrix[working:r1]
+    assert backup[:, :x].nnz == 0
+    rows = backup[:, x:]
+    assert np.array_equal(rows.indptr, r2.indptr)
+    assert np.array_equal(rows.indices, r2.indices)
+    assert np.array_equal(rows.data, r2.data)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import milp_solve, solve_checked
 from lambdabound.formulations import (
     build_ip_r1,
+    build_ip_r2,
     build_ip_rwap,
     build_ip_rwap_ppp,
     build_lp_r3,
@@ -146,51 +149,106 @@ def _spied_chain(monkeypatch, instance):
         return verify_chain(instance), solves
 
 
-def _full_model_solves(instance, solves):
-    """The R1 and the full-model solve of verify_chain's spied solves."""
+def _ladder_solves(instance, solves):
+    """The R2, R1 and full-model rungs of verify_chain's spied solves."""
     full = f"rwap-ppp:{instance.name}"
-    rows = {rows: sol for name, rows, sol in solves if name == full}
-    r1 = path_model_rows(instance, "r1")
-    assert len(rows) == 1 + (path_model_rows(instance, "rwap-ppp") > r1)
-    return rows[r1], rows[path_model_rows(instance, "rwap-ppp")]
+    rungs = [(rows, sol) for name, rows, sol in solves if name == full]
+    working, r1, rows = (path_model_rows(instance, tag) for tag in ("rwap", "r1", "rwap-ppp"))
+    assert [rows for rows, _ in rungs] == [r1 - working, r1, rows]
+    return [sol for _, sol in rungs]
+
+
+def _in_model_order(instance, sol):
+    """sol with its duals moved from the ladder's row order to the model's.
+
+    The ladder's rows run backup, working, linking; the model's working,
+    backup, linking.
+    """
+    working, r1 = path_model_rows(instance, "rwap"), path_model_rows(instance, "r1")
+    rows = np.concatenate([np.arange(working, r1), np.arange(working), np.arange(r1, len(sol.duals))])
+    duals = np.empty(len(rows))
+    duals[rows] = sol.duals
+    return dataclasses.replace(sol, duals=duals)
 
 
 def test_chain_solves_r1_then_the_full_model_warm(monkeypatch, net4):
-    """R1 is the full model's row prefix, so LP R1 is the cold R1 solve bit for
-    bit; the full model, re-solved from R1's basis, matches a cold solve and
-    its duals certify it against the model itself (criterion 8's tolerances)."""
+    """verify_chain solves R2 as the full model's backup rows, then R1 and the
+    full model warm as the working and the linking rows are appended. Each
+    rung matches a cold solve of its builder, and the R1 and full duals,
+    moved back to model row order, certify them against the models
+    themselves (criterion 8's tolerances)."""
     instances = [net4, gen_cycle(3, 1, 1)] + [inst for _, inst in _seeded_miniatures()]
+    builders = (build_ip_r2, build_ip_r1, build_ip_rwap_ppp)
     for inst in instances:
         rep, solves = _spied_chain(monkeypatch, inst)
         assert rep.passed, (inst.name, rep.lines())
-        r1_sol, full_sol = _full_model_solves(inst, solves)
-        cold_r1 = simplex.solve(build_ip_r1(inst, relax=True)[0])
-        assert rep.lp_r1 == r1_sol.objective == cold_r1.objective, inst.name
-        assert np.array_equal(r1_sol.primal, cold_r1.primal), inst.name
-        assert np.array_equal(r1_sol.duals, cold_r1.duals), inst.name
-        full = build_ip_rwap_ppp(inst, relax=True)[0]
-        cold = simplex.solve(full)
-        assert cold.status == simplex.OPTIMAL and rep.lp_full == full_sol.objective
-        scale = 1.0 + abs(cold.objective)
-        assert abs(rep.lp_full - cold.objective) <= 1e-9 * scale, inst.name
-        cert = check_certificates(full, full_sol)
-        assert cert["duality_gap"] <= 1e-6 * scale, (inst.name, cert)
-        assert cert["cs_variable"] <= 1e-6, (inst.name, cert)
-        assert cert["cs_row"] <= 1e-6 * scale, (inst.name, cert)
-        assert cert["bound_violation"] <= 1e-7, (inst.name, cert)
-        assert cert["row_violation"] <= 1e-7, (inst.name, cert)
+        rungs = _ladder_solves(inst, solves)
+        assert [sol.objective for sol in rungs] == [rep.lp_r2, rep.lp_r1, rep.lp_full]
+        for build, sol in zip(builders, rungs):
+            model = build(inst, relax=True)[0]
+            cold = simplex.solve(model)
+            assert cold.status == sol.status == simplex.OPTIMAL, (inst.name, model.name)
+            scale = 1.0 + abs(cold.objective)
+            assert abs(sol.objective - cold.objective) <= 1e-9 * scale, (inst.name, model.name)
+            if build is build_ip_r2:  # its rung also holds the x columns, at 0
+                continue
+            cert = check_certificates(model, _in_model_order(inst, sol))
+            assert cert["duality_gap"] <= 1e-6 * scale, (model.name, cert)
+            assert cert["cs_variable"] <= 1e-6, (model.name, cert)
+            assert cert["cs_row"] <= 1e-6 * scale, (model.name, cert)
+            assert cert["bound_violation"] <= 1e-7, (model.name, cert)
+            assert cert["row_violation"] <= 1e-7, (model.name, cert)
 
 
 def test_chain_on_the_slow_eight_node_full_model(monkeypatch):
     """This relaxed full model (4,680 rows, on SuperLU) took 36,870 pivots
-    from the slack basis; from R1's optimal basis it takes a few hundred."""
+    from the slack basis; warm from R1's optimal basis it takes a few hundred."""
     inst = gen_random(8, 2, 3, 3, seed=3)
     rep, solves = _spied_chain(monkeypatch, inst)
     assert rep.passed, rep.lines()
     assert rep.exact_full == 15
     assert f"{rep.lp_full:.6f}" == "14.250000"
-    _, full_sol = _full_model_solves(inst, solves)
+    *_, full_sol = _ladder_solves(inst, solves)
     assert full_sol.iterations <= 1000
+
+
+def test_a_stalled_warm_start_hands_its_basis_to_the_last_start(monkeypatch):
+    """The full rung of this chain (2,970 rows) runs out of its warm start's
+    m-pivot budget; the last start then goes on from the basis it stalled
+    at, not from the slack basis."""
+    inst = gen_random(6, 2, 3, 3, seed=4)
+    rows = path_model_rows(inst, "rwap-ppp")
+    starts = []
+    solve_from = simplex._solve_from
+
+    def spy(lp, start, spent, last):
+        result = solve_from(lp, start, spent, last)
+        if lp.num_rows == rows:
+            starts.append((start is lp.basis, start, spent, last, result))
+        return result
+
+    monkeypatch.setattr(simplex, "_solve_from", spy)
+    rep = verify_chain(inst)
+    assert rep.passed, rep.lines()
+    first, second = starts
+    stored, _, spent, last, (stalled, pivots) = first
+    assert stored and not last and spent == 0 and pivots == rows
+    assert isinstance(stalled, simplex.Basis)
+    _, start, spent, last, (sol, _) = second
+    assert start is stalled and spent == rows and last
+    assert sol.status == simplex.OPTIMAL and sol.objective == rep.lp_full
+
+
+def test_chain_refuses_an_empty_failure_set(monkeypatch):
+    def no_oracle(_):
+        raise AssertionError("the exhaustive oracle ran")
+
+    monkeypatch.setattr(oracle, "exact_rwap_ppp", no_oracle)
+    inst = dataclasses.replace(gen_cycle(4, 1, 1), failures=())
+    with pytest.raises(ValueError) as refusal:
+        verify_chain(inst)
+    assert "non-empty failure set" in str(refusal.value)
+    assert "\n" not in str(refusal.value) and "rwap_agg" not in str(refusal.value)
 
 
 def test_working_only_lp_matches_exact_on_rings():

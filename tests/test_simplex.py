@@ -908,7 +908,8 @@ def test_slack_basis_dual_restarts_perturbed_after_m_pivots(net4):
     model = build_ip_rwap(net4, relax=True)[0]
     lp = presolve(model)
     m = len(lp.b)
-    assert simplex._solve_from(lp, simplex._slack_basis(lp), 0, False) == (None, m)
+    stalled, spent = simplex._solve_from(lp, simplex._slack_basis(lp), 0, False)
+    assert isinstance(stalled, simplex.Basis) and spent == m
     perturbed, spent = simplex._solve_from(lp, simplex._slack_basis(lp), m, True)
     assert perturbed is not None and spent > m
 
@@ -916,6 +917,28 @@ def test_slack_basis_dual_restarts_perturbed_after_m_pivots(net4):
     assert starts == ["slack", "last"]
     _assert_bitwise_equal(sol, perturbed)
     # the clean-up pass prices under the true costs, so the certificates hold
+    assert sol.objective == pytest.approx(3.0, abs=1e-9)
+    _assert_certified(model, sol)
+
+
+def test_a_stalled_stored_start_goes_on_from_its_basis(net4):
+    # the same LP with the slack basis stored: that start stalls after m
+    # pivots, and the last start goes on from where it stalled
+    model = build_ip_rwap(net4, relax=True)[0]
+    lp = presolve(model)
+    lp.basis = simplex._slack_basis(lp)
+    m = len(lp.b)
+    stalled, spent = simplex._solve_from(lp, lp.basis, 0, False)
+    assert isinstance(stalled, simplex.Basis) and spent == m
+    assert not np.array_equal(stalled.head, lp.basis.head)
+    resumed, total = simplex._solve_from(lp, stalled, m, True)
+    # the slack basis after two stalls, as a stalled stored start went before
+    _, restarted = simplex._solve_from(lp, simplex._slack_basis(lp), 2 * m, True)
+
+    sol, starts = _starts(lp)
+    assert starts == ["stored", "last"]
+    _assert_bitwise_equal(sol, resumed)
+    assert m <= total < restarted
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
     _assert_certified(model, sol)
 
