@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -341,6 +342,7 @@ def cmd_oracle(args, parser) -> int:
     return 0
 
 
+@functools.cache  # built on the first call; main reuses it for every command
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lambdabound",

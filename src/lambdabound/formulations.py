@@ -8,8 +8,10 @@ byte-stable.
 
 _columns appends one variable block and returns its ids. Every model is made
 of flow blocks, one per scenario (a failed edge, or None for no failure), and
-_flow_rows lays out each over ids y[c, l, a] (commodity, layer, arc) as
-kinds of rows, each kind coordinate arrays built from the node-arc incidence.
+_flow_rows lays out all of a model's blocks in one pass over ids
+y[s, c, l, a] (scenario, commodity, layer, arc): one block's kinds of rows,
+coordinate arrays built from the node-arc incidence, repeated block-major
+over the scenarios, each failure's exclusion rows closing its block.
 A path block (the working block, one backup block per failure) has the
 requests as commodities and the wavelengths as layers. An aggregated block
 (one per failure in lp-r3, one in lp-rwap-agg, the master and each
@@ -115,8 +117,9 @@ def _columns(model, shape, upper, cost, name, integrality=CONTINUOUS):
 def _append_rows(model, kinds) -> list[np.ndarray]:
     """Append kinds of rows as one block; returns each kind's row ids.
 
-    A kind is (sense, rhs, (row, column, value), names), its rows counted
-    from 0 and names as LinearModel.add_rows takes them.
+    A kind is (sense, rhs, (row, column, value), names), with one sense or
+    one per row, its rows counted from 0 and names as LinearModel.add_rows
+    takes them.
     """
     if not kinds:
         return []
@@ -124,7 +127,7 @@ def _append_rows(model, kinds) -> list[np.ndarray]:
     starts = np.cumsum([0] + counts)
     rows, cols, vals = zip(*(entries for _, _, entries, _ in kinds))
     ids = model.add_rows(
-        np.repeat([sense for sense, _, _, _ in kinds], counts),
+        np.concatenate([np.full(n, kind[0]) for kind, n in zip(kinds, counts)]),
         np.concatenate([rhs for _, rhs, _, _ in kinds]),
         (
             np.concatenate([row + start for row, start in zip(rows, starts)]),
@@ -149,61 +152,79 @@ def _open_arcs(ends, sources, scenarios) -> np.ndarray:
     return np.where(into_source | on_failed, 0.0, 1.0)
 
 
-def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, tau, names, labels):
-    """Source, null, balance, capacity and exclusion rows of one flow block.
+def _flow_rows(ends, y, sources, supply, balance, cap_cols, cap_rhs, scenarios, names, labels):
+    """Source, null, balance, capacity and exclusion rows of one flow block per scenario.
 
-    y holds the block's ids by (commodity c, layer l, arc a), and ends the
-    tail and head node of each arc. Commodity c sends supply[c] out of node
-    sources[c] over all its layers and takes none back there; in each layer
-    node v keeps balance[c, v] of it, with no row where that is nan. The
-    flow of layer l over edge e less column cap_cols[l, e] is at most
-    cap_rhs[l, e], and under failure tau (None = no failure) no flow uses
-    edge tau. names holds the five row name formats, given (c), (c),
-    (c, l, v), (l, e) and (c, l), with commodity c written as labels[c].
-    Every kind is written from the node-arc incidence, repeated over
-    commodities and layers. Returns the kinds for
-    _append_rows in that order, so the capacity rows, by (l, e), are the
-    fourth.
+    y holds block s's ids by (s, commodity c, layer l, arc a), and ends the
+    tail and head node of each arc. In every block commodity c sends
+    supply[c] out of node sources[c] over all its layers and takes none back
+    there; in each layer node v keeps balance[c, v] of it, with no row where
+    that is nan. The flow of layer l over edge e less column cap_cols[l, e]
+    is at most cap_rhs[l, e], and under failure scenarios[s] (None = no
+    failure) no flow uses that edge. names[s] holds block s's five row name
+    formats, given (c), (c), (c, l, v), (l, e) and (c, l), with commodity c
+    written as labels[c]. One block's rows are written from the node-arc
+    incidence, repeated over commodities and layers, then over the blocks.
+    Returns one row kind for _append_rows, block-major with the kinds of
+    rows in that order, and each block's capacity rows by (l, e), counted
+    in the kind.
     """
-    src, null, bal, cap, excl = names
-    C, L, A = y.shape
+    S, C, L, A = y.shape
+    E = cap_cols.shape[1]
     layers = np.arange(L)
     tail, head = ends
     sources = np.asarray(sources)
-    kinds = []
-    for name, end, rhs in ((src, tail, supply), (null, head, np.zeros(C))):
-        # commodity c's arcs out of (into) its source, in every layer
+    # block s's columns: y[s, c, l, a] is columns[s, flat[c, l, a]], cap_cols after y[s]
+    flat = np.arange(C * L * A).reshape(C, L, A)
+    columns = np.concatenate([y.reshape(S, flat.size), cap_cols.reshape(1, -1).repeat(S, 0)], 1)
+    # one block's entries: (rows, their columns' index in columns[s], values) of each kind
+    flows = []
+    for k, end in enumerate((tail, head)):
+        # source (null) row c: commodity c's arcs out of (into) its source, in every layer
         c, a = np.nonzero(end == sources[:, None])
-        cols = y[c[:, None], layers, a[:, None]].ravel()
-        entries = (np.repeat(c, L), cols, np.ones(len(cols)))
-        kinds.append((SENSE_EQ, rhs, entries, [(name, labels)]))
-    # (c, l, v) of each balance row: in-arcs of v at +1, out-arcs at -1
-    kept = np.broadcast_to(~np.isnan(balance)[:, None, :], (C, L, balance.shape[1]))
+        cols = flat[c[:, None], layers, a[:, None]].ravel()
+        flows.append((k * C + np.repeat(c, L), cols, np.ones(len(cols))))
+    # balance row (c, l, v): in-arcs of v at +1, out-arcs at -1
+    kept = (~np.isnan(balance))[:, None, :].repeat(L, 1)
+    nbal = int(kept.sum())
     row_of = np.full(kept.shape, -1)
-    row_of[kept] = np.arange(kept.sum())
-    rows = np.concatenate([row_of[:, :, head], row_of[:, :, tail]]).ravel()
-    cols = np.concatenate([y, y]).ravel()
-    vals = np.repeat([1.0, -1.0], y.size)
-    live = rows >= 0
-    rhs = np.broadcast_to(balance[:, None, :], kept.shape)[kept]
-    entries = (rows[live], cols[live], vals[live])
-    kinds.append((SENSE_EQ, rhs, entries, [(bal, _relabel(np.argwhere(kept), labels))]))
-    # row (l, e): both arcs of e in layer l, every commodity, less cap_cols[l, e]
-    E = cap_cols.shape[1]
-    arc_row = np.broadcast_to(layers[:, None] * E + np.arange(A) // 2, y.shape)
+    row_of[kept] = 2 * C + np.arange(nbal)
+    bal = np.concatenate([row_of[:, :, head], row_of[:, :, tail]]).ravel()
+    live = bal >= 0
+    flows.append((bal[live], np.concatenate([flat, flat]).ravel()[live],
+                  np.repeat([1.0, -1.0], flat.size)[live]))
+    # capacity row (l, e): both arcs of e in layer l, every commodity, less cap_cols[l, e]
+    cap = 2 * C + nbal + np.arange(L * E)
+    arc_cap = cap[layers[:, None] * E + np.arange(A) // 2]  # by (l, a)
+    flows.append((arc_cap[None].repeat(C, 0).ravel(), flat.ravel(), np.ones(flat.size)))
+    flows.append((cap, flat.size + np.arange(L * E), np.full(L * E, -1.0)))
+    rows, cols, vals = map(np.concatenate, zip(*flows))
+    bal_rhs = balance[:, None, :].repeat(L, 1)[kept]
+    block_rhs = np.concatenate([supply, np.zeros(C), bal_rhs, cap_rhs.ravel()])
+    # a failure's block ends in its exclusion rows (c, l): both arcs of the failed edge
+    base = len(block_rhs)
+    failed = np.array([s for s, tau in enumerate(scenarios) if tau is not None], dtype=int)
+    arcs = 2 * np.array([tau for tau in scenarios if tau is not None], dtype=int)[:, None] + [0, 1]
+    pair = y[failed[:, None, None, None], np.arange(C)[:, None, None], layers[:, None],
+             arcs[:, None, None, :]]
+    sizes = np.full(S, base)
+    sizes[failed] += C * L
+    starts = np.cumsum(sizes) - sizes
+    excl = (starts[failed] + base)[:, None] + np.repeat(np.arange(C * L), 2)
     entries = (
-        np.concatenate([arc_row.ravel(), np.arange(L * E)]),
-        np.concatenate([y.ravel(), cap_cols.ravel()]),
-        np.repeat([1.0, -1.0], [y.size, L * E]),
+        np.concatenate([(starts[:, None] + rows).ravel(), excl.ravel()]),
+        np.concatenate([columns[:, cols].ravel(), pair.ravel()]),
+        np.concatenate([vals[None].repeat(S, 0).ravel(), np.ones(pair.size)]),
     )
-    kinds.append((SENSE_LE, cap_rhs.ravel(), entries, [(cap, _grid((L, E)))]))
-    if tau is not None:
-        # row (c, l): both arcs of the failed edge
-        pair = y[:, :, 2 * tau : 2 * tau + 2].ravel()
-        entries = (np.repeat(np.arange(C * L), 2), pair, np.ones(len(pair)))
-        index = _relabel(_grid((C, L)), labels)
-        kinds.append((SENSE_EQ, np.zeros(C * L), entries, [(excl, index)]))
-    return kinds
+    rhs = np.zeros(sizes.sum())
+    rhs[(starts[:, None] + np.arange(base)).ravel()] = block_rhs[None].repeat(S, 0).ravel()
+    senses = np.full(len(rhs), SENSE_EQ, dtype="<U2")
+    senses[(starts[:, None] + cap).ravel()] = SENSE_LE
+    index = (labels, labels, _relabel(np.argwhere(kept), labels), _grid((L, E)),
+             _relabel(_grid((C, L)), labels))
+    row_names = [block for tau, formats in zip(scenarios, names)
+                 for block in list(zip(formats, index))[: 4 if tau is None else 5]]
+    return (senses, rhs, entries, row_names), starts[:, None] + cap
 
 
 # the blocks of each path model: (working, backup per failure, linking rows)
@@ -265,15 +286,13 @@ def _path_model(tag, instance: Instance, relax: bool):
     balance = np.zeros((D, instance.num_nodes))
     for d, req in enumerate(instance.requests):
         balance[d, [req.s, req.t]] = np.nan
-    kinds = []
-    for tau, y in ([(None, vm.x)] if working else []) + list(vm.y.items()):
-        p, t = ("w", "") if tau is None else ("b", f"t{tau}")
-        names = (f"{p}src_{t}d{{}}", f"{p}null_{t}d{{}}", f"{p}bal_{t}d{{}}k{{}}v{{}}",
-                 f"{p}cap_{t}k{{}}e{{}}", f"bexcl_{t}d{{}}k{{}}")
-        kinds += _flow_rows(
-            ends, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape), tau, names,
-            np.arange(D),
-        )
+    scenarios = ([None] if working else []) + list(vm.y)
+    names = [(f"{p}src_{t}d{{}}", f"{p}null_{t}d{{}}", f"{p}bal_{t}d{{}}k{{}}v{{}}",
+              f"{p}cap_{t}k{{}}e{{}}", f"bexcl_{t}d{{}}k{{}}")
+             for p, t in (("w", "") if tau is None else ("b", f"t{tau}") for tau in scenarios)]
+    y = np.concatenate(([vm.x[None]] if working else []) + ([y.reshape(shape)] if backup else []))
+    kinds = [_flow_rows(ends, y, sources, np.ones(D), balance, vm.w, np.zeros(vm.w.shape),
+                        scenarios, names, np.arange(D))[0]]
     if linking and len(failures):
         kinds.append(_linking_rows(vm, failures))
     _append_rows(model, kinds)
@@ -341,35 +360,33 @@ def _origins(instance: Instance):
     return origins, q[origins]
 
 
-def _aggregated_vars(model, ends, origins, q, scenarios) -> dict:
-    """Each scenario's origin-aggregated flows by (origin, a), each at most its
-    total on an open arc and at 0 on a closed one."""
+def _aggregated_vars(model, ends, origins, q, scenarios) -> np.ndarray:
+    """Each scenario's origin-aggregated flows by (scenario, origin, a), each at
+    most its total on an open arc and at 0 on a closed one."""
     shape = (len(origins), len(ends[0]))
     tags = ["" if tau is None else f"t{tau}" for tau in scenarios]
     names = [(f"ya_{tag}s{{}}a{{}}", _relabel(_grid(shape), origins)) for tag in tags]
     upper = q.sum(axis=1)[:, None] * _open_arcs(ends, origins, scenarios)
     ids = model.add_variables(0.0, upper, 0.0, names=names)  # all scenarios in one block
-    return dict(zip(scenarios, ids.reshape(len(scenarios), *shape)))
+    return ids.reshape(len(scenarios), *shape)
 
 
-def _aggregated_rows(ends, origins, q, y, tau, cap_cols, cap_rhs):
-    """Row kinds of one origin-aggregated flow block (tau None = no failure).
+def _aggregated_rows(ends, origins, q, y, scenarios, cap_cols, cap_rhs):
+    """_flow_rows of the origin-aggregated flow blocks y[s] of scenarios.
 
-    The flow block with the origins as commodities and one layer: origin
-    origins[i] sends out all of its demand and every other node v keeps
-    q[i, v] of it, the flow over edge e less column cap_cols[e] is at most
-    cap_rhs[e], and under failure tau no flow uses edge tau. The capacity
-    rows, by edge, are the fourth kind.
+    Each is the flow block with the origins as commodities and one layer:
+    origin origins[i] sends out all of its demand and every other node v
+    keeps q[i, v] of it, the flow over edge e less column cap_cols[e] is at
+    most cap_rhs[e], and under failure tau no flow uses edge tau.
     """
-    t = "" if tau is None else f"t{tau}"
     balance = q.astype(float)
     balance[np.arange(len(origins)), origins] = np.nan
-    names = (f"asrc_{t}s{{0}}", f"anull_{t}s{{0}}", f"abal_{t}s{{0}}v{{2}}",
-             f"acap_{t}e{{1}}", f"aexcl_{t}s{{0}}")
+    names = [(f"asrc_{t}s{{0}}", f"anull_{t}s{{0}}", f"abal_{t}s{{0}}v{{2}}", f"acap_{t}e{{1}}",
+              f"aexcl_{t}s{{0}}") for t in ("" if tau is None else f"t{tau}" for tau in scenarios)]
     cap_cols, cap_rhs = np.reshape(cap_cols, (1, -1)), np.reshape(cap_rhs, (1, -1))
     return _flow_rows(
-        ends, y[:, None, :], origins, q.sum(axis=1), balance, cap_cols, cap_rhs,
-        tau, names, origins,
+        ends, y[:, :, None, :], origins, q.sum(axis=1), balance, cap_cols, cap_rhs,
+        scenarios, names, origins,
     )
 
 
@@ -380,11 +397,10 @@ def _aggregated_model(name: str, instance: Instance, scenarios):
     E = instance.num_edges
     model = LinearModel(name)
     vm = VarMap(wbar=_columns(model, (E,), instance.num_wavelengths, 1.0, "wb_e{}"))
-    vm.y_agg = _aggregated_vars(model, ends, origins, q, scenarios)
-    kinds = []
-    for tau in scenarios:
-        kinds += _aggregated_rows(ends, origins, q, vm.y_agg[tau], tau, vm.wbar, np.zeros(E))
-    _append_rows(model, kinds)
+    y = _aggregated_vars(model, ends, origins, q, scenarios)
+    vm.y_agg = dict(zip(scenarios, y))
+    flows, _ = _aggregated_rows(ends, origins, q, y, scenarios, vm.wbar, np.zeros(E))
+    _append_rows(model, [flows])
     return model, vm
 
 
@@ -433,14 +449,13 @@ def build_subproblem(instance: Instance, failed_edge: int | None, wbar):
     tag = "" if failed_edge is None else f":t{failed_edge}"
     model = LinearModel(f"sub:{instance.name}{tag}")
     ends = arc_ends(instance.network)
-    y = _aggregated_vars(model, ends, origins, q, (failed_edge,))[failed_edge]
+    y = _aggregated_vars(model, ends, origins, q, (failed_edge,))
     # each origin's arc flow is at most its total, so an edge carries at most
     # 2|D|; the box keeps every column bounded and so every dual bound finite
     eps = model.add_variables(0.0, 2.0 * instance.num_requests, 1.0, names=[("eps", [()])])[0]
-    cap_cols = np.full(E, eps)
-    kinds = _aggregated_rows(ends, origins, q, y, failed_edge, cap_cols, wbar)
-    rows = _append_rows(model, kinds)[3]
-    return model, VarMap(y_agg={failed_edge: y}, rows_capacity=rows)
+    flows, cap = _aggregated_rows(ends, origins, q, y, (failed_edge,), np.full(E, eps), wbar)
+    rows = _append_rows(model, [flows])[0][cap[0]]
+    return model, VarMap(y_agg={failed_edge: y[0]}, rows_capacity=rows)
 
 
 def cut_from_duals(

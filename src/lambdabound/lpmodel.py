@@ -14,6 +14,11 @@ explicit coefficient, and each row keeps its coefficients in ascending
 variable-id order, which makes exports byte-deterministic. Names are kept
 per block as a format and its arguments and are formatted only when read.
 `rows` is a read-only view of Row records, kept for the benchmark tracer.
+
+The writers build each section from the arrays in bulk: every line is a row
+of string pieces in one table (_lines), joined once, and each distinct
+number is formatted once per call (_nums), told apart by its bits because
+0.0 and -0.0 compare equal but print as "0" and "-0".
 """
 
 from __future__ import annotations
@@ -195,8 +200,9 @@ class LinearModel:
             raise ModelError("row coefficient must be finite")
         if ((row < 0) | (row >= k)).any():
             raise ModelError("row entry outside the block")
-        # by row, then column; the sort is stable, so duplicates keep their order
-        order = np.lexsort((col, row))
+        # by row, then column (both checked in range above); the sort is
+        # stable, so duplicates keep their order
+        order = np.argsort(row * self.num_variables + col, kind="stable")
         row, col, val = row[order], col[order], val[order]
         first = np.ones(len(row), dtype=bool)
         first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
@@ -224,100 +230,116 @@ def _num(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _nums(values, end: str = "") -> np.ndarray:
+    """_num of each value, then end, as an object array; each distinct value
+    is formatted once.
+
+    Values are told apart by their bits, so 0.0 ("0") and -0.0 ("-0"), which
+    compare and hash equal, keep their own text.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = [_num(x) + end for x in keys.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _lines(indptr, heads, items, tails) -> str:
+    """For each group i: heads[i], items[indptr[i]:indptr[i + 1]], then tails[i], joined.
+
+    heads, items and tails are each a list of columns of pieces, a column
+    being one string or one string per line; missing pieces are empty.
+    """
+    m, n, size = len(indptr) - 1, int(indptr[-1]), np.diff(indptr)
+    head = indptr[:-1] + 2 * np.arange(m)  # after the head and tail lines of the groups before
+    places = (head, np.arange(n) + np.repeat(head - indptr[:-1] + 1, size), head + size + 1)
+    table = np.empty((n + 2 * m, max(map(len, (heads, items, tails)))), dtype=object)
+    for rows, columns in zip(places, (heads, items, tails)):
+        for j, column in enumerate(columns):
+            table[rows, j] = column
+        table[rows, len(columns) :] = ""
+    return "".join(table.ravel().tolist())
+
+
+def _text(*columns) -> str:
+    """One line per entry, joined; a column is one string or one string per line."""
+    n = max(len(column) for column in columns if not isinstance(column, str))
+    return _lines(np.array([0, n]), [], columns, [])
+
+
+def _terms(coef, names, first) -> list:
+    """Signed terms of LP polynomials as columns of pieces; first marks a polynomial's first."""
+    signs = np.array([" + ", " - ", " ", " -"], dtype=object)[(coef < 0) + 2 * first]
+    return [signs, _nums(np.abs(coef)), names]
+
+
 def export_lp(model: LinearModel) -> str:
     """CPLEX-style LP text; deterministic bytes for a given model."""
-    names = model.variable_names
-    out = [f"\\ {model.name}", "Minimize"]
-    terms = [(c, name) for c, name in zip(model.cost.tolist(), names) if c != 0.0]
-    out.append(" obj:" + _poly(terms))
-    out.append("Subject To")
-    R = model.matrix
-    ptr, cols, vals = R.indptr.tolist(), R.indices.tolist(), R.data.tolist()
-    for p, q, sense, rhs, rname in zip(
-        ptr, ptr[1:], model.senses.tolist(), model.rhs.tolist(), model.row_names
-    ):
-        body = _poly([(c, names[j]) for j, c in zip(cols[p:q], vals[p:q])])
-        if not body:
-            # empty row: anchor on the first variable with coefficient zero
-            body = f" 0 {names[0]}" if names else " 0"
-        out.append(f" {rname}:{body} {sense} {_num(rhs)}")
-    out.append("Bounds")
-    for name, lower, upper in zip(names, model.lower.tolist(), model.upper.tolist()):
-        if lower == upper:
-            out.append(f" {name} = {_num(lower)}")
-        elif lower == -INF and upper == INF:
-            out.append(f" {name} free")
-        elif upper == INF:
-            out.append(f" {name} >= {_num(lower)}")
-        elif lower == -INF:
-            out.append(f" -infinity <= {name} <= {_num(upper)}")
-        else:
-            out.append(f" {_num(lower)} <= {name} <= {_num(upper)}")
-    binaries = [name for name, b in zip(names, model.binary.tolist()) if b]
-    if binaries:
-        out.append("Binaries")
-        out.append(" " + " ".join(binaries))
-    out.append("End")
-    return "\n".join(out) + "\n"
-
-
-def _poly(terms) -> str:
-    parts = []
-    for coef, name in terms:
-        if not parts:
-            sign = "-" if coef < 0 else ""
-        else:
-            sign = "- " if coef < 0 else "+ "
-        parts.append(f"{sign}{_num(abs(coef))} {name}")
-    return (" " + " ".join(parts)) if parts else ""
+    names = np.array(model.variable_names, dtype=object)
+    obj, ptr = np.flatnonzero(model.cost), model.indptr
+    first = np.isin(np.arange(len(model.data)), ptr[:-1])
+    # an empty row anchors on the first variable with coefficient zero
+    anchor = np.where(ptr[:-1] == ptr[1:], " 0" + (f" {names[0]}" if len(names) else ""), "")
+    rows = _lines(ptr, [" ", model.row_names, ":", anchor],
+                  _terms(model.data, (" " + names)[model.indices], first),
+                  [" ", model.senses, " ", _nums(model.rhs, "\n")])
+    lower, upper, lo, up = model.lower, model.upper, _nums(model.lower), _nums(model.upper)
+    bounds = np.where(
+        lower == upper,
+        " " + names + " = " + lo,
+        np.where(
+            upper == INF,
+            np.where(lower == -INF, " " + names + " free", " " + names + " >= " + lo),
+            np.where(lower == -INF, " -infinity", " " + lo) + " <= " + names + " <= " + up,
+        ),
+    )
+    binaries = names[model.binary].tolist()
+    return "".join([
+        f"\\ {model.name}\nMinimize\n obj:",
+        _text(*_terms(model.cost[obj], " " + names[obj], np.arange(len(obj)) == 0)),
+        "\nSubject To\n",
+        rows,
+        "Bounds\n",
+        _text(bounds, "\n"),
+        "Binaries\n " + " ".join(binaries) + "\n" if binaries else "",
+        "End\n",
+    ])
 
 
 def export_mps(model: LinearModel) -> str:
     """Free-format MPS text with INTORG markers for binary variables."""
-    names, rnames = model.variable_names, model.row_names
-    out = [f"NAME          {model.name}", "ROWS", " N  COST"]
-    sense_tag = {SENSE_LE: "L", SENSE_EQ: "E", SENSE_GE: "G"}
-    for sense, rname in zip(model.senses.tolist(), rnames):
-        out.append(f" {sense_tag[sense]}  {rname}")
+    names = np.array(model.variable_names, dtype=object)
+    rnames = np.array(model.row_names, dtype=object)
+    senses = model.senses
+    tags = np.where(senses == SENSE_LE, " L  ", np.where(senses == SENSE_EQ, " E  ", " G  "))
+    # ahead of column j its marker line, if it opens or closes a run of binary
+    # columns, and its cost line; a last, empty column closes a run still open
+    binary = np.append(model.binary, False)
+    switch = np.flatnonzero(binary != np.append(False, binary[:-1]))
+    marker, cost = np.full((2, len(binary)), "", dtype=object)
+    marker[switch] = [f"    MARKER{i}  'MARKER'  '{'INTORG' if binary[j] else 'INTEND'}'\n"
+                      for i, j in enumerate(switch.tolist())]
+    obj = np.flatnonzero(model.cost)
+    cost[obj] = "    " + names[obj] + "  COST  " + _nums(model.cost[obj], "\n")
     # column-major entries, each column's in row order
     C = model.matrix.tocsc()
-    ptr, rows, vals = C.indptr.tolist(), C.indices.tolist(), C.data.tolist()
-    out.append("COLUMNS")
-    marker = 0
-    in_int = False
-    for name, obj, want_int, p, q in zip(
-        names, model.cost.tolist(), model.binary.tolist(), ptr, ptr[1:]
-    ):
-        if want_int and not in_int:
-            out.append(f"    MARKER{marker}  'MARKER'  'INTORG'")
-            marker += 1
-            in_int = True
-        elif not want_int and in_int:
-            out.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
-            marker += 1
-            in_int = False
-        if obj != 0.0:
-            out.append(f"    {name}  COST  {_num(obj)}")
-        for i, coef in zip(rows[p:q], vals[p:q]):
-            out.append(f"    {name}  {rnames[i]}  {_num(coef)}")
-    if in_int:
-        out.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
-    out.append("RHS")
-    for rhs, rname in zip(model.rhs.tolist(), rnames):
-        if rhs != 0.0:
-            out.append(f"    RHS  {rname}  {_num(rhs)}")
-    out.append("BOUNDS")
-    for name, lower, upper in zip(names, model.lower.tolist(), model.upper.tolist()):
-        if lower == upper:
-            out.append(f" FX BND  {name}  {_num(lower)}")
-            continue
-        if lower == -INF:
-            out.append(f" MI BND  {name}")
-        else:
-            out.append(f" LO BND  {name}  {_num(lower)}")
-        if upper != INF:
-            out.append(f" UP BND  {name}  {_num(upper)}")
-        else:
-            out.append(f" PL BND  {name}")
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    col = np.repeat(np.arange(len(names)), np.diff(C.indptr))
+    entries = [("    " + names)[col], ("  " + rnames + "  ")[C.indices], _nums(C.data, "\n")]
+    rhs = np.flatnonzero(model.rhs)
+    lower, upper, lo, up = model.lower, model.upper, _nums(model.lower), _nums(model.upper)
+    bounds = np.where(
+        lower == upper,
+        " FX BND  " + names + "  " + lo,
+        np.where(lower == -INF, " MI BND  " + names, " LO BND  " + names + "  " + lo)
+        + np.where(upper != INF, "\n UP BND  " + names + "  " + up, "\n PL BND  " + names),
+    )
+    return "".join([
+        f"NAME          {model.name}\nROWS\n N  COST\n",
+        _text(tags, rnames, "\n"),
+        "COLUMNS\n",
+        _lines(np.append(C.indptr, C.indptr[-1]), [marker, cost], entries, []),
+        "RHS\n",
+        _text("    RHS  ", rnames[rhs], "  ", _nums(model.rhs[rhs], "\n")),
+        "BOUNDS\n",
+        _text(bounds, "\n"),
+        "ENDATA\n",
+    ])

@@ -127,6 +127,24 @@ def test_filter_definition():
     assert pi_prime_filter(inst, idle) == {0, 1, 2, 3}
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_filter_matches_its_per_failure_loop(seed, fails):
+    """The vectorized filter skips what a loop over the failures skips: tau
+    whose two arcs carry at most FILTER_TOL of every origin's flow."""
+    inst = gen_cycle(6, 2, 8)
+    inst = dataclasses.replace(inst, failures=tuple(e for e in range(6) if fails[e]))
+    values = [0.0, benders.FILTER_TOL, 2 * benders.FILTER_TOL, 1.0, np.nan]
+    flows = np.random.default_rng(seed).choice(values, size=(3, 12), p=[0.7, 0.1, 0.1, 0.05, 0.05])
+    expected = {
+        tau for tau in inst.failures
+        if (flows[:, 2 * tau] <= benders.FILTER_TOL).all()
+        and (flows[:, 2 * tau + 1] <= benders.FILTER_TOL).all()
+    }
+    master = MasterSolution(objective=0.0, wbar=np.zeros(6), flows=flows)
+    assert pi_prime_filter(inst, master) == expected
+
+
 def test_filtered_scenarios_verify_to_zero(monkeypatch):
     inst = gen_cycle(5, 1, 80)
     filtered = spy_filtered_violations(monkeypatch)

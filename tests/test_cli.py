@@ -717,3 +717,45 @@ def test_solve_paths_build_no_row_or_variable(tmp_path, capsys, monkeypatch):
     with pytest.raises(AssertionError):
         lpmodel.Row(0, lpmodel.SENSE_EQ, 0.0, ())
     assert [run(capsys, *argv) for argv in argvs] == expected
+
+
+def test_repeated_main_calls_match_lone_calls(tmp_path, capsys):
+    """main builds its parser on the first call and reuses it for every call.
+
+    Each command of a sequence run through main in one process must give
+    the exit code, output and files that it gives run alone in a fresh
+    interpreter. The k that main fills in for gen random's --k 0 must not
+    become the next call's default: there k = max(1, requests) again.
+    """
+    net4 = tmp_path / "net4.json"
+    net4.write_text(bundled_text("net4.json"))
+    mps, k0, k = (tmp_path / name for name in ("r3.mps", "k0.json", "k.json"))
+    argvs = [
+        ["export", str(net4), "--model", "lp-r3", "--format", "mps", "--out", str(mps)],
+        ["solve", str(net4), "--model", "lp-rwap"],
+        ["gen", "random", "--nodes", "5", "--requests", "3", "--k", "0", "--out", str(k0)],
+        ["solve", str(net4), "--model", "lp-r9"],  # a usage error: exit 2
+        ["gen", "random", "--nodes", "5", "--requests", "1", "--out", str(k)],
+    ]
+    alone = []
+    for argv in argvs:
+        proc = run_python(["-m", "lambdabound.cli", *argv], blas_threads=1)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    written = [path.read_text() for path in (mps, k0, k)]
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0]
+    assert [json.loads(text)["num_wavelengths"] for text in written[1:]] == [3, 1]
+    for path in (mps, k0, k):
+        path.unlink()
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    capsys.readouterr()
+    assert [call(argv) for argv in argvs] == alone
+    assert [path.read_text() for path in (mps, k0, k)] == written
+    assert cli.build_parser() is cli.build_parser()

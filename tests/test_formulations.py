@@ -622,3 +622,36 @@ def test_r2_is_the_relaxed_full_models_backup_rows(nodes, extra, requests, spare
     assert np.array_equal(rows.indptr, r2.indptr)
     assert np.array_equal(rows.indices, r2.indices)
     assert np.array_equal(rows.data, r2.data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(3, 7), st.integers(0, 2), st.integers(0, 3), st.integers(0, 1),
+    st.integers(0, 10**6),
+)
+def test_lp_r3_blocks_are_the_masters_flow_blocks(nodes, extra, requests, spare, seed):
+    """lp-r3 writes all its failure blocks in one pass, the master one block.
+
+    Each failure tau's block of lp-r3, its columns mapped through
+    VarMap.y_agg, must be the only flow block of build_master(instance, tau):
+    the same senses, right-hand sides, coefficients and row names, whose
+    t<tau> tag the two models share.
+    """
+    inst = gen_random(nodes, extra, requests, max(1, requests) + spare, seed)
+    r3, vm = build_lp_r3(inst)
+    size = r3.num_rows // len(inst.failures)
+    assert size * len(inst.failures) == r3.num_rows
+    for s, tau in enumerate(inst.failures):
+        master, mvm = build_master(inst, tau)
+        assert master.num_rows == size
+        to_master = np.full(r3.num_variables, -1)
+        to_master[vm.wbar] = mvm.wbar
+        to_master[vm.y_agg[tau]] = mvm.y_agg[tau]
+        block = slice(s * size, (s + 1) * size)
+        assert np.array_equal(r3.senses[block], master.senses)
+        assert np.array_equal(r3.rhs[block], master.rhs)
+        assert r3.row_names[block] == master.row_names
+        rows = r3.matrix[block]
+        assert np.array_equal(rows.indptr, master.indptr)
+        assert np.array_equal(to_master[rows.indices], master.indices)
+        assert np.array_equal(rows.data, master.data)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from helpers import add_column, add_row, parse_lp, parse_mps, row_coeffs
@@ -223,3 +224,126 @@ def test_views_show_later_appends():
                   m.data):
         with pytest.raises(ValueError):
             array[0] = array[0]
+
+
+def _number_model():
+    """Signed zeros in both orders in the rhs and the bounds, tiny, huge and
+    repeating numbers, infinite bounds, an empty row and two runs of binaries."""
+    m = LinearModel("numbers")
+    m.add_variables(
+        [0.0, -0.0, -0.0, 0.0, -INF, -INF, 1e-13, 2.5, 0.0],
+        [-0.0, 0.0, 5.0, 1e16, INF, 1e-13, INF, 2.5, 1 / 3],
+        [1e16, 0.0, -1 / 3, 0.0, -1.0, 1e-13, 0.0, 0.0, 2.0],
+        names=[("x{}", np.arange(9))],
+    )
+    m.add_variables(0.0, [1.0, 0.0], [0.0, 1.0], BINARY, names=[("b{}", [[0], [1]])])
+    m.add_variables(0.0, 3.0, 0.0, names=[("c", [()])])
+    m.add_variables(0.0, 1.0, -2.0, BINARY, names=[("b2", [()])])
+    m.add_rows(
+        [SENSE_LE, SENSE_EQ, SENSE_GE, SENSE_EQ, SENSE_LE, SENSE_GE],
+        [0.0, -0.0, -0.0, 0.0, 1e16, -1 / 3],
+        (
+            [0, 0, 0, 1, 1, 2, 3, 3, 3, 5],
+            [0, 4, 9, 1, 12, 2, 3, 10, 6, 11],
+            [1e-13, -1 / 3, 1e16, -1.0, 1.0, 1 / 3, -1e-13, 2.0, 0.0, -1e16],
+        ),
+        names=[("r{}", np.arange(4)), ("empty", [()]), ("last", [()])],
+    )
+    return m
+
+
+# the writers' text of _number_model, byte for byte
+NUMBER_MODEL_LP = "\\" + """ numbers
+Minimize
+ obj: 1e+16 x0 - 0.333333333333 x2 - 1 x4 + 1e-13 x5 + 2 x8 + 1 b1 - 2 b2
+Subject To
+ r0: 1e-13 x0 - 0.333333333333 x4 + 1e+16 b0 <= 0
+ r1: -1 x1 + 1 b2 = -0
+ r2: 0.333333333333 x2 >= -0
+ r3: -1e-13 x3 + 0 x6 + 2 b1 = 0
+ empty: 0 x0 <= 1e+16
+ last: -1e+16 c >= -0.333333333333
+Bounds
+ x0 = 0
+ x1 = -0
+ -0 <= x2 <= 5
+ 0 <= x3 <= 1e+16
+ x4 free
+ -infinity <= x5 <= 1e-13
+ x6 >= 1e-13
+ x7 = 2.5
+ 0 <= x8 <= 0.333333333333
+ 0 <= b0 <= 1
+ b1 = 0
+ 0 <= c <= 3
+ 0 <= b2 <= 1
+Binaries
+ b0 b1 b2
+End
+"""
+
+NUMBER_MODEL_MPS = """NAME          numbers
+ROWS
+ N  COST
+ L  r0
+ E  r1
+ G  r2
+ E  r3
+ L  empty
+ G  last
+COLUMNS
+    x0  COST  1e+16
+    x0  r0  1e-13
+    x1  r1  -1
+    x2  COST  -0.333333333333
+    x2  r2  0.333333333333
+    x3  r3  -1e-13
+    x4  COST  -1
+    x4  r0  -0.333333333333
+    x5  COST  1e-13
+    x6  r3  0
+    x8  COST  2
+    MARKER0  'MARKER'  'INTORG'
+    b0  r0  1e+16
+    b1  COST  1
+    b1  r3  2
+    MARKER1  'MARKER'  'INTEND'
+    c  last  -1e+16
+    MARKER2  'MARKER'  'INTORG'
+    b2  COST  -2
+    b2  r1  1
+    MARKER3  'MARKER'  'INTEND'
+RHS
+    RHS  empty  1e+16
+    RHS  last  -0.333333333333
+BOUNDS
+ FX BND  x0  0
+ FX BND  x1  -0
+ LO BND  x2  -0
+ UP BND  x2  5
+ LO BND  x3  0
+ UP BND  x3  1e+16
+ MI BND  x4
+ PL BND  x4
+ MI BND  x5
+ UP BND  x5  1e-13
+ LO BND  x6  1e-13
+ PL BND  x6
+ FX BND  x7  2.5
+ LO BND  x8  0
+ UP BND  x8  0.333333333333
+ LO BND  b0  0
+ UP BND  b0  1
+ FX BND  b1  0
+ LO BND  c  0
+ UP BND  c  3
+ LO BND  b2  0
+ UP BND  b2  1
+ENDATA
+"""
+
+
+def test_writer_number_text_is_pinned():
+    model = _number_model()
+    assert export_lp(model) == NUMBER_MODEL_LP
+    assert export_mps(model) == NUMBER_MODEL_MPS
