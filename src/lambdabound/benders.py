@@ -17,17 +17,16 @@ simplex.ArrayLP that keeps its last basis; each cut row enters with its slack
 basic, so that basis stays dual feasible and the dual simplex re-optimizes
 from it. The subproblems of all failures share one presolved template, the
 subproblem built with no failure: each round overwrites its capacity
-right-hand sides with the candidate wbar, and failure tau is applied by
-fixing at zero the flow columns of arcs 2tau and 2tau+1 of every origin and
-giving those of the failure solved before their template bounds back, which
-keep the arcs into each origin closed; the presolved template keeps
-the model's row and column ids, so both are set by the ids the builder
-hands out. The run keeps one basis per
-failure. A failure re-solves from its own last basis, and its first solve
-starts from the last optimal basis of any failure: costs are shared and
-every reopened column is boxed, so that basis is dual feasible once its
-nonbasics flip to the right bounds. Only the first subproblem solve of a run
-starts from the slack basis. Each cut is the template's weak-duality bound
+right-hand sides with the candidate wbar, and failure tau is applied in two
+steps: every flow column goes back to its template bound, which keeps the
+arcs into each origin closed, then the flow columns of arcs 2tau and 2tau+1
+of every origin close at zero. The presolved template keeps the model's row
+and column ids, so both are set by the ids the builder hands out. The run
+keeps one basis per failure. A failure re-solves from its own last basis,
+and its first solve starts from the last optimal basis of any failure:
+costs are shared and every reopened column is boxed, so that basis is dual
+feasible once its nonbasics flip to the right bounds. Only the first
+subproblem solve of a run starts from the slack basis. Each cut is the template's weak-duality bound
 under its duals while tau's bounds are applied, which is valid by
 construction and affine in wbar (formulations.cut_from_duals).
 Each round returns the run's status once it stops. A master or subproblem
@@ -135,10 +134,6 @@ def pi_prime_filter(instance: Instance, master: MasterSolution) -> set[int]:
     return set(np.flatnonzero(idle).tolist()).intersection(instance.failures)
 
 
-def _stop_status(sol) -> str:
-    return INFEASIBLE_STATUS if sol.status == INFEASIBLE else FAILED_STATUS
-
-
 class BendersState:
     """Mutable algorithm state, advanced one round at a time by iterate_once."""
 
@@ -154,13 +149,9 @@ class BendersState:
         model, varmap = build_subproblem(instance, None, np.zeros(instance.num_edges))
         self.subproblem = presolve(model)
         self._capacity_rows = varmap.rows_capacity
-        # failure tau closes the flow columns of its two arcs
-        flows = varmap.y_agg[None]
-        self._closed = {}
-        for tau in instance.failures:
-            ids = flows[:, 2 * tau : 2 * tau + 2].ravel()
-            self._closed[tau] = (ids, model.upper[ids])
-        self._applied: int | None = None  # the failure whose columns are closed
+        # the template's flow columns by (origin, arc), and their bounds
+        self._flows = varmap.y_agg[None]
+        self._flow_upper = model.upper[self._flows]
         self.bases: dict[int, Basis] = {}
         self._last_basis: Basis | None = None
         self.cuts: dict[Cut, None] = {}  # the pool; equal cuts enter it once
@@ -174,23 +165,28 @@ class BendersState:
         """Solve failure tau at capacities wbar on the template, warm when it can."""
         lp = self.subproblem
         lp.set_rhs(self._capacity_rows, wbar)
-        if self._applied is not None:
-            lp.set_upper(*self._closed[self._applied])
-        lp.set_upper(self._closed[tau][0], 0.0)
-        self._applied = tau
+        lp.set_upper(self._flows, self._flow_upper)
+        lp.set_upper(self._flows[:, 2 * tau : 2 * tau + 2], 0.0)
         lp.basis = self.bases.get(tau, self._last_basis)
         sol = solve(lp)
         if sol.status == OPTIMAL:
             self.bases[tau] = self._last_basis = sol.basis
         return sol
 
+    def _stop(self, tau: int, why: str, ended: str | None = None) -> str:
+        """Stop the run at failure tau, which then reports no bound.
+
+        The status is Infeasible when the solve that stops it `ended` so, else Failed.
+        """
+        self.offending_failure = tau
+        self.detail = f"failure {tau}: {why}"
+        return INFEASIBLE_STATUS if ended == INFEASIBLE else FAILED_STATUS
+
     def iterate_once(self) -> str | None:
         """Run one master/subproblem round; None while the run goes on, else its status."""
         sol = solve(self.master)
         if sol.status != OPTIMAL:
-            self.offending_failure = self.tau0
-            self.detail = f"failure {self.tau0}: master solve ended {sol.status}"
-            return _stop_status(sol)
+            return self._stop(self.tau0, f"master solve ended {sol.status}", sol.status)
         self.master.basis = sol.basis
         master_pivots = sol.iterations
         master = self.master_solution = MasterSolution(
@@ -210,9 +206,7 @@ class BendersState:
             sol = self._solve_subproblem(tau, master.wbar)
             sub_pivots += sol.iterations
             if sol.status != OPTIMAL:
-                self.offending_failure = tau
-                self.detail = f"failure {tau}: subproblem ended {sol.status}"
-                return _stop_status(sol)
+                return self._stop(tau, f"subproblem ended {sol.status}", sol.status)
             max_violation = max(max_violation, sol.objective)
             if sol.objective <= VIOLATION_TOL:
                 continue
@@ -224,9 +218,7 @@ class BendersState:
                     )
                 )
             except FormulationError as exc:
-                self.offending_failure = tau
-                self.detail = f"failure {tau}: cut rejected: {exc}"
-                return FAILED_STATUS
+                return self._stop(tau, f"cut rejected: {exc}")
 
         new = [cut for cut in cuts if cut not in self.cuts]
         self.cuts.update(dict.fromkeys(new))

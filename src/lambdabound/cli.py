@@ -2,9 +2,9 @@
 
 Exit codes are a stable contract: 0 on success, 1 when a solve reports
 infeasibility or ends without a result (or a validation/chain check fails),
-2 on usage errors; each failure prints one line to stderr. All
-objective values print with fixed six decimals; benchmark output is CSV with
-one record per solve.
+2 on usage errors, a model too large for memory among them; each failure
+prints one line to stderr. All objective values print with fixed six
+decimals; benchmark output is CSV with one record per solve.
 """
 
 from __future__ import annotations
@@ -416,6 +416,8 @@ def main(argv=None) -> int:
         return handlers[args.command](args, parser)
     except (ModelError, _InputFileError) as exc:
         return _usage_error(str(exc))
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        return _usage_error(str(exc) or "out of memory")
     except OSError as exc:  # a path to read or write that cannot be used
         where = f"{exc.filename}: " if exc.filename else ""
         return _usage_error(f"{where}{exc.strerror or exc}")

@@ -121,8 +121,6 @@ def _append_rows(model, kinds) -> list[np.ndarray]:
     one per row, its rows counted from 0 and names as LinearModel.add_rows
     takes them.
     """
-    if not kinds:
-        return []
     counts = [len(rhs) for _, rhs, _, _ in kinds]
     starts = np.cumsum([0] + counts)
     rows, cols, vals = zip(*(entries for _, _, entries, _ in kinds))

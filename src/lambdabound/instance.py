@@ -106,24 +106,30 @@ def demand_matrix(instance: Instance) -> np.ndarray:
     return q
 
 
+def adjacency(network: Network) -> list[list[tuple[int, int]]]:
+    """Per node, the (edge id, other end) pair of each incident edge, ascending."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(network.num_nodes)]
+    for e in network.edges:
+        adj[e.u].append((e.id, e.v))
+        adj[e.v].append((e.id, e.u))
+    for pairs in adj:
+        pairs.sort()
+    return adj
+
+
 def is_connected(network: Network, skip_edge: int | None = None) -> bool:
     """DFS connectivity over all nodes, optionally ignoring one edge."""
     n = network.num_nodes
     if n == 0:
         return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in network.edges:
-        if e.id == skip_edge:
-            continue
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
+    adj = adjacency(network)
     seen = [False] * n
     stack = [0]
     seen[0] = True
     while stack:
         v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
+        for eid, w in adj[v]:
+            if eid != skip_edge and not seen[w]:
                 seen[w] = True
                 stack.append(w)
     return all(seen)

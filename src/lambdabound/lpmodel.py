@@ -12,8 +12,9 @@ block of entries and join each array with it once. Duplicate coefficients
 of a row are merged additively in the order given, a merged zero stays an
 explicit coefficient, and each row keeps its coefficients in ascending
 variable-id order, which makes exports byte-deterministic. Names are kept
-per block as a format and its arguments and are formatted only when read.
-`rows` is a read-only view of Row records, kept for the benchmark tracer.
+per block as a format and its arguments. The views matrix, variable_names,
+row_names and rows (Row records, kept for the benchmark tracer) are built
+afresh on each read.
 
 The writers build each section from the arrays in bulk: every line is a row
 of string pieces in one table (_lines), joined once, and each distinct
@@ -86,7 +87,6 @@ class LinearModel:
         self.indices = _joined(np.zeros(0, dtype=np.int32))
         # (format, arguments per entry) of each block's names
         self._names: dict[str, list] = {"variables": [], "rows": []}
-        self._views: dict = {}  # what reads built; every append clears it
 
     num_variables = property(lambda self: len(self.lower))
     num_rows = property(lambda self: len(self.rhs))
@@ -94,35 +94,25 @@ class LinearModel:
     @property
     def matrix(self) -> sp.csr_matrix:
         """The row coefficients, one CSR row per model row over every column."""
-        if "matrix" not in self._views:
-            self._views["matrix"] = sp.csr_matrix(
-                (self.data, self.indices, self.indptr),
-                shape=(self.num_rows, self.num_variables),
-            )
-        return self._views["matrix"]
+        return sp.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=(self.num_rows, self.num_variables)
+        )
 
     def _formatted(self, kind: str) -> list[str]:
-        key = kind + ".names"
-        if key not in self._views:
-            self._views[key] = [
-                fmt.format(*args) for fmt, block in self._names[kind] for args in block.tolist()
-            ]
-        return self._views[key]
+        return [fmt.format(*args) for fmt, block in self._names[kind] for args in block.tolist()]
 
     variable_names = property(lambda self: self._formatted("variables"))
     row_names = property(lambda self: self._formatted("rows"))
 
     @property
     def rows(self) -> tuple[Row, ...]:  # kept for benchmark/tracing.py's nnz count
-        if "rows" not in self._views:
-            ptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
-            self._views["rows"] = tuple(
-                Row(i, sense, rhs, tuple(zip(cols[p:q], vals[p:q])), name)
-                for i, (sense, rhs, p, q, name) in enumerate(
-                    zip(self.senses.tolist(), self.rhs.tolist(), ptr, ptr[1:], self.row_names)
-                )
+        ptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
+        return tuple(
+            Row(i, sense, rhs, tuple(zip(cols[p:q], vals[p:q])), name)
+            for i, (sense, rhs, p, q, name) in enumerate(
+                zip(self.senses.tolist(), self.rhs.tolist(), ptr, ptr[1:], self.row_names)
             )
-        return self._views["rows"]
+        )
 
     def _name_blocks(self, kind: str, ids: np.ndarray, names) -> list:
         """The (format, arguments per entry) blocks that name ids."""
@@ -168,7 +158,6 @@ class LinearModel:
         self.upper = _joined(self.upper, upper)
         self.cost = _joined(self.cost, obj)
         self.binary = _joined(self.binary, np.full(n, integrality == BINARY))
-        self._views.clear()
         return ids
 
     def add_rows(self, sense, rhs, coeffs, names=None) -> np.ndarray:
@@ -221,7 +210,6 @@ class LinearModel:
         self.indptr = _joined(self.indptr, ends)
         self.indices = _joined(self.indices, col.astype(np.int32))
         self.data = _joined(self.data, val)
-        self._views.clear()
         return ids
 
 

@@ -7,8 +7,9 @@ interchangeable, so working assignments are enumerated up to renaming (first
 use in request order); backup wavelengths are enumerated in full, which keeps
 the reduction exact. Instances with more than MAX_PATHS_PER_PAIR simple paths
 between a request's end nodes, or whose search takes more than
-MAX_ASSIGNMENTS assignment steps or nests deeper than the recursion limit,
-are rejected outright, never silently truncated.
+MAX_ASSIGNMENTS steps (an assignment tried, or a backup option compared or
+looked up) or nests deeper than the recursion limit, are rejected outright,
+never silently truncated.
 
 `verify_chain` solves the relaxation ladder directly. The relaxed full model
 grows by row blocks, each re-solved warm from the last: its backup rows are
@@ -18,8 +19,9 @@ LP R2, the working rows added give LP R1, and the linking rows the full model.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
-from .instance import Instance
+from .instance import Instance, adjacency
 from . import formulations
 from . import simplex
 
@@ -53,19 +55,9 @@ class _Budget:
             raise OracleBudgetError("assignment budget exhausted")
 
 
-def _adjacency(instance: Instance):
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(instance.num_nodes)]
-    for e in instance.network.edges:
-        adj[e.u].append((e.id, e.v))
-        adj[e.v].append((e.id, e.u))
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
 def simple_paths(instance: Instance, s: int, t: int, cap: int):
     """All simple s->t paths as edge-id tuples, shortest first; errors past cap."""
-    adj = _adjacency(instance)
+    adj = adjacency(instance.network)
     paths: list[tuple[int, ...]] = []
     visited = [False] * instance.num_nodes
     visited[s] = True
@@ -154,11 +146,18 @@ def _scenario_options(
     go(0)
     if not options:
         return None
-    minimal = [
-        opt
-        for opt in options
-        if not any(other < opt for other in options)
-    ]
+
+    def dominated(opt) -> bool:
+        """Whether another option is a proper subset of opt, found by the
+        cheaper of a lookup of each proper subset and a scan of the options."""
+        if 2 ** len(opt) < len(options):
+            budget.spend(2 ** len(opt))
+            subsets = (frozenset(sub) for r in range(len(opt)) for sub in combinations(opt, r))
+            return any(sub in options for sub in subsets)
+        budget.spend(len(options))
+        return any(other < opt for other in options)
+
+    minimal = [opt for opt in options if not dominated(opt)]
     minimal.sort(key=lambda fs: (len(fs), sorted(fs)))
     return minimal
 

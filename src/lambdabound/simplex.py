@@ -165,11 +165,6 @@ def _slack_bounds(senses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _at_finite_bound(lb, ub) -> np.ndarray:
-    """Nonbasic status per column: its lower bound if finite, else its upper, else free."""
-    return np.where(lb > -INF, _NB_LOWER, np.where(ub < INF, _NB_UPPER, _NB_FREE))
-
-
 def _checked(ids, size: int, what: str) -> np.ndarray:
     """ids as an int array; ModelError unless each lies in [0, size)."""
     ids = np.asarray(ids, dtype=int)
@@ -270,7 +265,7 @@ def _append_rows(cols, R, n: int):
 def _slack_basis(lp: ArrayLP) -> Basis:
     """Every slack basic, each structural at a finite bound; B = I, so every weight is 1."""
     n, m = len(lp.cost), len(lp.b)
-    status = _at_finite_bound(lp.lb, lp.ub)
+    status = np.where(lp.lb > -INF, _NB_LOWER, np.where(lp.ub < INF, _NB_UPPER, _NB_FREE))
     status[n:] = _BASIC
     return Basis((n + np.arange(m)).astype(np.int32), status.astype(np.int8), np.ones(m))
 
@@ -415,44 +410,31 @@ class _Core:
         self.A, self.AT, self.lb, self.ub = lp.cols, lp.colsT, lp.lb, lp.ub
         self.iterations = 0
 
-    def _load(self, head, status, costs, stored=None) -> bool:
-        """Enter a basis: nonbasics at their bounds, then costs and a refactor.
-
-        A stored factor of exactly this basis matrix is used as given. Returns False
-        when a nonbasic sits at an infinite bound. Raises
-        numpy.linalg.LinAlgError when the basis is singular.
-        """
-        self.basis, self.vstatus = head, status
-        self.x = self._at_bounds(status)
-        self.x[head] = 0.0
-        if not np.isfinite(self.x).all():
-            return False
-        self.c = costs
-        self.fixed = (self.ub - self.lb) <= FIX_TOL
-        self.open = np.where(self.fixed, 0.0, 1.0)
-        self.any_free = bool(((self.lb == -INF) & (self.ub == INF)).any())
-        self.refactor(stored)
-        return True
-
-    def _at_bounds(self, st):
-        """Column values with each nonbasic at the bound its status names, free at 0."""
-        return np.where(st == _NB_UPPER, self.ub, np.where(st == _NB_LOWER, self.lb, 0.0))
-
     def start(self, basis: Basis, costs, last: bool) -> bool:
         """Load a start basis and its weights under the given costs; False unless dual feasible.
 
-        A basis of another size is refused. Its stored factor is used only if
-        it was computed on this very column matrix; after add_rows, or on
-        another ArrayLP, the basis is factored afresh. See _make_dual_feasible
-        for `last`. Raises numpy.linalg.LinAlgError when the basis is singular.
+        Nonbasics sit at the bound their status names, free ones at 0. A basis
+        of another size, or with a nonbasic at an infinite bound, is refused.
+        Its stored factor is used only if it was computed on this very column
+        matrix; after add_rows, or on another ArrayLP, the basis is factored
+        afresh. See _make_dual_feasible for `last`. Raises
+        numpy.linalg.LinAlgError when the basis is singular.
         """
         if {len(basis.head), len(basis.weights)} != {self.m} or len(basis.status) != len(self.lb):
             return False
         self.w = np.array(basis.weights, dtype=float)
-        head, status = basis.head.astype(int), basis.status.astype(int)
+        self.basis, self.vstatus = basis.head.astype(int), basis.status.astype(int)
+        st = self.vstatus
+        self.x = np.where(st == _NB_UPPER, self.ub, np.where(st == _NB_LOWER, self.lb, 0.0))
+        self.x[self.basis] = 0.0
+        if not np.isfinite(self.x).all():
+            return False
+        self.c = costs
+        self.open = np.where((self.ub - self.lb) <= FIX_TOL, 0.0, 1.0)
+        self.any_free = bool(((self.lb == -INF) & (self.ub == INF)).any())
         factor = basis.factor
-        stored = factor[1] if factor is not None and factor[0] is self.A else None
-        return self._load(head, status, costs, stored) and self._make_dual_feasible(last)
+        self.refactor(factor[1] if factor is not None and factor[0] is self.A else None)
+        return self._make_dual_feasible(last)
 
     def _make_dual_feasible(self, last: bool) -> bool:
         """Flip boxed nonbasics to the bound their reduced cost asks for.
@@ -736,12 +718,10 @@ class _Core:
         is fixed, so pivot paths stay deterministic.
         """
         rng = np.random.default_rng(0)
-        delta = PERTURBATION * (1.0 + np.abs(self.c)) * (1.0 + rng.random(len(self.c)))
-        st = self.vstatus
-        sign = np.where(st == _NB_LOWER, 1.0, np.where(st == _NB_UPPER, -1.0, 0.0))
-        sign[self.fixed] = 0.0
-        self.c = self.c + sign * delta
-        self.d += sign * delta
+        size = PERTURBATION * (1.0 + np.abs(self.c)) * (1.0 + rng.random(len(self.c)))
+        delta = self._signed(size)
+        self.c = self.c + delta
+        self.d += delta
 
     def run_dual(self, cap):
         """Dual simplex from a dual feasible basis to a primal feasible one.

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from helpers import parse_mps, patch_factor, run_python
-from lambdabound import benders, cli, lpmodel, simplex
+from lambdabound import benders, cli, formulations, lpmodel, oracle, simplex
 from lambdabound.cli import CSV_HEADER, main
 from lambdabound.formulations import Cut
 from lambdabound.instance import bundled_text, gen_random, load_instance, save_instance
@@ -288,6 +288,23 @@ def test_chain_check_row_limit_is_read_at_call_time(tmp_path, capsys, monkeypatc
         "chain-check: full model needs ~36 linking rows (limit 35); "
         "this check is meant for tiny instances"
     ]
+
+
+@pytest.mark.parametrize("setting", ["budget", "wavelengths"])
+def test_chain_check_oracle_errors_are_one_line(tmp_path, capsys, monkeypatch, setting):
+    path = write_cycle(tmp_path, m=3, n=3, k=3)
+    if setting == "budget":
+        monkeypatch.setattr(oracle, "MAX_ASSIGNMENTS", 1)
+        expected = "oracle: assignment budget exhausted"
+    else:  # three requests over two paths on one wavelength
+        doc = json.loads(path.read_text())
+        doc["num_wavelengths"] = 1
+        path.write_text(json.dumps(doc))
+        expected = "oracle: no feasible assignment exists"
+    code, out, err = run(capsys, "chain-check", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == [expected]
 
 
 def test_export_and_cross_solve(tmp_path, capsys):
@@ -602,6 +619,16 @@ def _oracle_requests_deeper_than_recursion_limit(tmp_path, inst, sol):
     return ["oracle", str(ring), "--mode", "rwap"]
 
 
+def _export_out_of_memory(tmp_path, inst, sol):
+    # the test makes the builder raise what numpy raises on a failed allocation
+    return ["export", str(inst), "--model", "ip-rwap", "--format", "lp",
+            "--out", str(tmp_path / "x.lp")]
+
+
+def _allocation_fails(instance, relax=False):
+    raise MemoryError("Unable to allocate 146. TiB for an array with shape (2, 10, 10)")
+
+
 @pytest.mark.parametrize(
     "argv, code, prefix",
     [
@@ -627,9 +654,12 @@ def _oracle_requests_deeper_than_recursion_limit(tmp_path, inst, sol):
         (_solution_deeper_than_recursion_limit, 1, "malformed solution: nests deeper"),
         (_oracle_path_deeper_than_recursion_limit, 1, "oracle: "),
         (_oracle_requests_deeper_than_recursion_limit, 1, "oracle: "),
+        (_export_out_of_memory, 2, "lambdabound: error: Unable to allocate 146. TiB"),
     ],
 )
-def test_user_errors_are_one_line(net4_files, tmp_path, capsys, argv, code, prefix):
+def test_user_errors_are_one_line(net4_files, tmp_path, capsys, monkeypatch, argv, code, prefix):
+    if "out_of_memory" in argv.__name__:
+        monkeypatch.setattr(formulations, "build_ip_rwap", _allocation_fails)
     got, out, err = run(capsys, *argv(tmp_path, *net4_files))
     assert got == code
     assert out == ""

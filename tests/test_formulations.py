@@ -326,18 +326,19 @@ def test_varmap_ids_are_unique(net4):
     built.append(("template", *build_subproblem(net4, None, np.zeros(E))))
     built.append(("sub", *build_subproblem(net4, net4.failures[0], np.zeros(E))))
     for label, model, vm in built:
-        ids = []
+        ids, variable_names = [], model.variable_names
         for block, name in _named_blocks(vm, net4):
             for index in np.ndindex(block.shape):
-                assert model.variable_names[block[index]] == name(*index), label
+                assert variable_names[block[index]] == name(*index), label
             ids += block.ravel().tolist()
         assert ids and len(ids) == len(set(ids)), label
         # the subproblems' one other column is eps
         assert len(ids) == model.num_variables - label.startswith(("template", "sub")), label
         if vm.rows_capacity is not None:
             assert vm.rows_capacity.shape == (E,), label
+            row_names = model.row_names
             for e, row in enumerate(vm.rows_capacity):
-                assert model.row_names[row].endswith(f"e{e}"), label
+                assert row_names[row].endswith(f"e{e}"), label
         assert all(type(vid) is int for row in model.rows for vid, _ in row.coeffs), label
 
 

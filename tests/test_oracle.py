@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ def test_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_ASSIGNMENTS", 10)
     with pytest.raises(OracleBudgetError):
         exact_rwap_ppp(inst)
+
+
+def test_backup_option_filter_spends_the_budget(monkeypatch):
+    assert exact_rwap_ppp(gen_random(4, 1, 2, 20, 1)) == 7
+    # at 80 wavelengths the scenarios have thousands of backup options; the
+    # superset filter's steps count against the budget, so a small one ends
+    # the search in about a second, where an uncounted filter took 40 times as long
+    monkeypatch.setattr(oracle, "MAX_ASSIGNMENTS", 1_000_000)
+    start = time.process_time()
+    with pytest.raises(OracleBudgetError, match="assignment budget exhausted"):
+        exact_rwap_ppp(gen_random(4, 1, 2, 80, 1))
+    assert time.process_time() - start < 10.0
 
 
 def test_path_cap_rejects_instead_of_truncating(monkeypatch):
